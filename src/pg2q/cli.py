@@ -299,6 +299,8 @@ def cmd_peel(args) -> int:
         ps = PointSet.from_json(obj) if isinstance(obj, dict) else PointSet(plane_for_order(args.q), obj)
     else:
         ps = _load_set(args.set)
+    if ps.plane.q != args.q:
+        raise ValueError(f"the set lies in PG(2,{ps.plane.q}), not in PG(2,{args.q}) as --q says")
     residual = peel_decode(args.q, ps.members)
     oracle = batch_peel_fixpoint(args.q, ps.members)
     plane = plane_for_order(args.q)

@@ -81,7 +81,7 @@ class Conic:
     @cached_property
     def line_intersections(self) -> list[int]:
         mask = self.point_mask
-        return [bin(lm & mask).count("1") for lm in self.plane.line_masks]
+        return [(lm & mask).bit_count() for lm in self.plane.line_masks]
 
     @cached_property
     def tangent_lines(self) -> tuple[int, ...]:
@@ -183,7 +183,7 @@ def is_arc(plane: Plane, indices) -> bool:
     m = 0
     for p in pts:
         m |= 1 << p
-    return all(bin(lm & m).count("1") <= 2 for lm in plane.line_masks)
+    return all((lm & m).bit_count() <= 2 for lm in plane.line_masks)
 
 
 def is_dual_arc(plane: Plane, line_indices) -> bool:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .conic import Conic, LineClass, PointClass, canonical_conic
+from .conic import Conic, LineClass, PointClass, canonical_conic, is_arc
 from .gfq import GF, QuadChar
 from .plane import Plane, PointSet, plane_for_order
 from .tangency import is_tangent_free
@@ -251,7 +251,7 @@ def exterior_clique_search(q: int, no_three_collinear: bool = False) -> list[Poi
         if len(members) == k:
             cliques.append(members)
             return
-        if len(members) + bin(cand).count("1") < k:
+        if len(members) + cand.bit_count() < k:
             return
         c = cand
         while c:
@@ -265,7 +265,7 @@ def exterior_clique_search(q: int, no_three_collinear: bool = False) -> list[Poi
     out = []
     for members in cliques:
         pts = [verts[v] for v in members]
-        if no_three_collinear and not _no_three_collinear(plane, pts):
+        if no_three_collinear and not is_arc(plane, pts):
             continue
         out.append(PointSet(plane, pts))
     if q % 4 == 1 and not no_three_collinear:
@@ -280,13 +280,6 @@ def _is_collinear(plane: Plane, pts) -> bool:
         return True
     l = plane.line_through(pts[0], pts[1])
     return all(plane.incident(p, l) for p in pts[2:])
-
-
-def _no_three_collinear(plane: Plane, pts) -> bool:
-    m = 0
-    for p in pts:
-        m |= 1 << p
-    return all(bin(lm & m).count("1") <= 2 for lm in plane.line_masks)
 
 
 def conic_union_check(conic: Conic, exterior_members) -> bool:

@@ -182,7 +182,7 @@ class PointSet:
         return out
 
     def recomputed_counts(self) -> list[int]:
-        return [bin(self.mask & m).count("1") for m in self.plane.line_masks]
+        return [(self.mask & m).bit_count() for m in self.plane.line_masks]
 
     def sorted_tuple(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))

@@ -61,46 +61,48 @@ def lower_bound(q: int) -> int:
 
 
 class _Searcher:
-    """One DFS instance over a fixed plane; reusable across targets."""
+    """One DFS instance over a fixed plane; reusable across targets.
+
+    The per-node state is two masks over line indices: `once`, the lines that
+    meet the partial set, and `twice`, those that meet it at least twice, so
+    the tangent lines are `once & ~twice`.  `_add` pushes the previous pair on
+    an undo stack and `_remove` pops it.
+    """
 
     def __init__(self, plane: Plane):
         self.plane = plane
         self.line_masks = plane.line_masks
-        self.point_lines = plane.lines_through_point
+        self.pencil_masks = [sum(1 << l for l in ls) for ls in plane.lines_through_point]
         self.all_points_mask = (1 << plane.n) - 1
-        self.counts = [0] * plane.n
-        self.tangents: set[int] = set()
+        self.once = 0
+        self.twice = 0
+        self.undo: list[tuple[int, int]] = []
         self.partial: list[int] = []
         self.partial_mask = 0
         self.nodes = 0
         self.deadline = None
 
+    @property
+    def tangents(self) -> int:
+        """Mask of the lines that meet the partial set in exactly one point."""
+        return self.once & ~self.twice
+
     def _add(self, p):
         self.partial.append(p)
         self.partial_mask |= 1 << p
-        counts, tang = self.counts, self.tangents
-        for l in self.point_lines[p]:
-            c = counts[l]
-            counts[l] = c + 1
-            if c == 0:
-                tang.add(l)
-            elif c == 1:
-                tang.discard(l)
+        once, twice = self.once, self.twice
+        self.undo.append((once, twice))
+        pencil = self.pencil_masks[p]
+        self.twice = twice | (once & pencil)
+        self.once = once | pencil
 
     def _remove(self):
         p = self.partial.pop()
         self.partial_mask &= ~(1 << p)
-        counts, tang = self.counts, self.tangents
-        for l in self.point_lines[p]:
-            c = counts[l]
-            counts[l] = c - 1
-            if c == 1:
-                tang.discard(l)
-            elif c == 2:
-                tang.add(l)
+        self.once, self.twice = self.undo.pop()
 
     def _scan_tangents(self, free):
-        """One pass over the current tangent lines.
+        """One pass over the current tangent lines, lowest index first.
 
         Returns (dead, bound, branch_line, branch_avail): `bound` is the
         larger of a greedy matching of avail-disjoint tangents and the largest
@@ -108,31 +110,33 @@ class _Searcher:
         most one tangent per pencil); the branch line has the fewest available
         points (ties to the smallest index).
         """
+        line_masks = self.line_masks
+        tangents = self.once & ~self.twice
+        rest = tangents
         used = 0
         k = 0
-        pencil: dict[int, int] = {}
-        max_pencil = 0
         best_line = -1
         best_avail = 0
-        best_cnt = None
-        for l in sorted(self.tangents):
-            lm = self.line_masks[l]
-            avail = lm & free
-            if avail == 0:
+        best_cnt = self.plane.n + 1
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            l = low.bit_length() - 1
+            avail = line_masks[l] & free
+            if not avail:
                 return True, 0, -1, 0
-            if avail & used == 0:
+            if not avail & used:
                 k += 1
                 used |= avail
-            base = (lm & self.partial_mask).bit_length() - 1
-            c = pencil.get(base, 0) + 1
-            pencil[base] = c
-            if c > max_pencil:
-                max_pencil = c
-            cnt = bin(avail).count("1")
-            if best_cnt is None or cnt < best_cnt:
+            cnt = avail.bit_count()
+            if cnt < best_cnt:
                 best_cnt = cnt
                 best_line = l
                 best_avail = avail
+        # every tangent holds exactly one member, so this is the largest
+        # number of tangents through a single member
+        pencils = self.pencil_masks
+        max_pencil = max([(tangents & pencils[p]).bit_count() for p in self.partial])
         return False, max(k, max_pencil), best_line, best_avail
 
     def run(self, n_target: int, excluded_mask: int, exact_size: bool, collect, seed=()):
@@ -156,7 +160,7 @@ class _Searcher:
             raise SearchTimeout(self.nodes)
         size = len(self.partial)
         free = self.all_points_mask & ~self.partial_mask & ~excluded_mask
-        if not self.tangents:
+        if self.once == self.twice:  # no tangent line
             if not exact_size:
                 if size > 0 and collect(tuple(self.partial)):
                     return True
@@ -165,7 +169,7 @@ class _Searcher:
                 collect(tuple(self.partial))
                 return False
             # grow: branch over every remaining point, excluding tried ones
-            if size + bin(free).count("1") < n_target:
+            if size + free.bit_count() < n_target:
                 return False
             ex = excluded_mask
             avail = free
@@ -182,7 +186,7 @@ class _Searcher:
         dead, bound, line, avail = self._scan_tangents(free)
         if dead or size + bound > n_target:
             return False
-        if exact_size and size + bin(free).count("1") < n_target:
+        if exact_size and size + free.bit_count() < n_target:
             return False
         ex = excluded_mask
         while avail:
@@ -224,20 +228,6 @@ def enumerate_tangent_free(q: int, n: int) -> list[tuple[int, ...]]:
     return result
 
 
-_FAST_CTX: dict[int, object] = {}
-
-
-def _fast_context(plane):
-    from . import _fastsearch
-
-    if not _fastsearch.HAVE_NUMBA:
-        return None
-    q = plane.q
-    if q not in _FAST_CTX:
-        _FAST_CTX[q] = _fastsearch.FastContext(plane)
-    return _FAST_CTX[q]
-
-
 FRAME = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
 
 
@@ -255,7 +245,9 @@ def frame_seed(plane) -> tuple[int, int, int, int]:
     return tuple(plane.index_of(v) for v in FRAME)
 
 
-def _python_exists(plane, n, members, ex_mask, deadline):
+def _exists_from(plane, n, members, ex_mask, deadline):
+    """Tangent-free set of size <= n containing `members` and avoiding
+    `ex_mask`, and the node count; raises SearchTimeout on the deadline."""
     s = _Searcher(plane)
     s.deadline = deadline
     box = []
@@ -263,15 +255,10 @@ def _python_exists(plane, n, members, ex_mask, deadline):
     return (box[0] if box else None), s.nodes
 
 
-def _exists_serial(plane, n, deadline=None, force_python=False):
+def _exists_serial(plane, n, deadline=None):
     """Tangent-free set of size <= n containing the frame seed, and the node
     count; raises SearchTimeout on the deadline."""
-    seed = frame_seed(plane)
-    if not force_python:
-        ctx = _fast_context(plane)
-        if ctx is not None:
-            return ctx.exists(n, seeds=seed, deadline=deadline)
-    return _python_exists(plane, n, seed, 0, deadline)
+    return _exists_from(plane, n, frame_seed(plane), 0, deadline)
 
 
 def _frontier_jobs(plane, n, min_jobs, seed):
@@ -311,16 +298,14 @@ _WORKER_PLANE = {}
 def _run_job(args):
     """One frontier subtree: (witness or None, nodes, timed out)."""
     q, n, members, ex_mask, deadline = args
+    if deadline is not None and time.monotonic() > deadline:
+        return None, 0, True
     plane = _WORKER_PLANE.get(q)
     if plane is None:
         plane = plane_for_order(q)
         _WORKER_PLANE[q] = plane
-    ctx = _fast_context(plane)
     try:
-        if ctx is not None:
-            excluded = [p for p in range(plane.n) if (ex_mask >> p) & 1]
-            return *ctx.exists(n, seeds=members, excluded=excluded, deadline=deadline), False
-        return *_python_exists(plane, n, members, ex_mask, deadline), False
+        return *_exists_from(plane, n, members, ex_mask, deadline), False
     except SearchTimeout as e:
         return None, e.nodes, True
 
@@ -331,21 +316,19 @@ def _exists_parallel(plane, q, n, workers, deadline=None):
     jobs = _frontier_jobs(plane, n, 3 * workers, frame_seed(plane))
     if len(jobs) <= 1:
         return _exists_serial(plane, n, deadline)
-    ctx = _fast_context(plane)
-    if ctx is not None:
-        # warm the JIT cache in the parent so forked workers inherit it
-        ctx.exists(3, seeds=(0, 1))
+    nodes = 0
     mpctx = mp.get_context("fork")
     with mpctx.Pool(workers) as pool:
-        results = pool.map(_run_job, [(q, n, m, e, deadline) for m, e in jobs])
-    nodes = sum(r[1] for r in results)
-    # the first job in deterministic job order that finds a witness or runs
-    # out of time settles the level, matching the serial scan
-    for witness, _, timed_out in results:
-        if timed_out:
-            raise SearchTimeout(nodes)
-        if witness is not None:
-            return witness, nodes
+        # results arrive in job order; the first job that finds a witness or
+        # runs out of time settles the level, as in the serial scan, and the
+        # pool is terminated with the later jobs unfinished.  Counting only
+        # the jobs up to that one keeps the node count deterministic.
+        for witness, cnt, timed_out in pool.imap(_run_job, [(q, n, m, e, deadline) for m, e in jobs]):
+            nodes += cnt
+            if timed_out:
+                raise SearchTimeout(nodes)
+            if witness is not None:
+                return witness, nodes
     return None, nodes
 
 
@@ -484,7 +467,7 @@ def brute_force_min(q: int) -> int:
             m = 0
             for p in comb:
                 m |= 1 << p
-            if all(bin(lm & m).count("1") != 1 for lm in masks):
+            if all((lm & m).bit_count() != 1 for lm in masks):
                 return n
     raise AssertionError("unreachable")
 

@@ -95,6 +95,15 @@ def test_peel_cli(capsys, tmp_path):
     assert obj["verdicts"]["confluent"]
 
 
+def test_peel_rejects_set_from_another_plane(capsys, tmp_path):
+    f = tmp_path / "s9.json"
+    f.write_text(trivial(9).dump())
+    code, out, err = run(capsys, "peel", "--q", "5", "--set", str(f))
+    assert code == 2
+    assert out == ""
+    assert "PG(2,9)" in err
+
+
 def test_spectrum_cli_stdin(capsys, monkeypatch):
     import io
 

@@ -1,7 +1,7 @@
-import importlib.util
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pg2q.constructions import interior_points, trivial
 from pg2q.conic import canonical_conic
@@ -10,8 +10,9 @@ from pg2q.search import (
     FRAME,
     CapTooSmall,
     OrbitRep,
+    _exists_from,
+    _exists_parallel,
     _exists_serial,
-    _python_exists,
     _Searcher,
     brute_force_min,
     classify_up_to_pgl,
@@ -72,29 +73,88 @@ def _triple_seed_witness(pl, n):
     return None
 
 
-def test_python_and_fast_paths_agree():
+def test_frame_seed_agrees_with_triple_seeds():
     """The frame seed settles every level from the sqrt bound to u_q like the
-    two-triple reference; the JIT kernel matches the Python searcher."""
+    two-triple reference."""
     for q, u in [(3, 6), (4, 6), (5, 10), (7, 12)]:
         pl = plane_for_order(q)
         for n in range(lower_bound(q), u + 1):
-            wf, _ = _exists_serial(pl, n, force_python=True)
+            wf, _ = _exists_serial(pl, n)
             wt = _triple_seed_witness(pl, n)
             assert (wf is None) == (wt is None) == (n < u)
             if wf is not None:
                 assert set(frame_seed(pl)) <= set(wf)
                 assert is_tangent_free(PointSet(pl, wf)) and len(wf) == n
                 assert is_tangent_free(PointSet(pl, wt)) and len(wt) == n
-    if importlib.util.find_spec("numba") is None:
-        return
-    for q, levels in [(5, (8, 9, 10)), (7, (10, 11, 12))]:
-        pl = plane_for_order(q)
-        for n in levels:
-            wp, _ = _exists_serial(pl, n, force_python=True)
-            wk, _ = _exists_serial(pl, n)
-            assert (wp is None) == (wk is None)
-            if wk is not None:
-                assert is_tangent_free(PointSet(pl, wk)) and len(wk) <= n
+
+
+def _reference_scan(pl, partial, free):
+    """The per-line definition of `_Searcher._scan_tangents`: tangent lines
+    from per-line counts, a pencil dict keyed by each tangent's member, and a
+    greedy matching over the tangents in sorted order."""
+    pmask = sum(1 << p for p in partial)
+    tangents = [l for l, lm in enumerate(pl.line_masks) if bin(lm & pmask).count("1") == 1]
+    used = k = 0
+    pencil: dict[int, int] = {}
+    best = None
+    for l in tangents:
+        lm = pl.line_masks[l]
+        avail = lm & free
+        if avail == 0:
+            return tangents, (True, 0, -1, 0)
+        if avail & used == 0:
+            k += 1
+            used |= avail
+        base = (lm & pmask).bit_length() - 1
+        pencil[base] = pencil.get(base, 0) + 1
+        cnt = bin(avail).count("1")
+        if best is None or cnt < best[0]:
+            best = (cnt, l, avail)
+    if best is None:
+        return tangents, None
+    return tangents, (False, max(k, max(pencil.values())), best[1], best[2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([4, 5, 7, 9]), data=st.data())
+def test_kernel_masks_match_line_counts(q, data):
+    """Over random add/remove sequences the bitmask state gives the tangent
+    lines of the partial set and the same scan as the per-line definition."""
+    pl = plane_for_order(q)
+    s = _Searcher(pl)
+    ops = data.draw(st.lists(st.tuples(st.booleans(), st.integers(0, pl.n - 1)), max_size=40))
+    excluded = data.draw(st.integers(0, (1 << pl.n) - 1))
+    for add, p in ops:
+        if add and not (s.partial_mask >> p) & 1:
+            s._add(p)
+        elif not add and s.partial:
+            s._remove()
+        tangents, ref = _reference_scan(pl, s.partial, s.all_points_mask & ~s.partial_mask & ~excluded)
+        assert s.tangents == sum(1 << l for l in tangents)
+        assert (s.once == s.twice) == (not tangents)
+        if ref is not None:
+            assert s._scan_tangents(s.all_points_mask & ~s.partial_mask & ~excluded) == ref
+    while s.partial:
+        s._remove()
+    assert s.once == s.twice == s.partial_mask == 0 and not s.undo
+
+
+def test_exact_node_counts():
+    """The DFS makes the same decisions, so its node counts are fixed."""
+    assert _exists_serial(plane_for_order(7), 11) == (None, 6306)
+    w, nodes = _exists_serial(plane_for_order(8), 10)
+    assert nodes == 26
+    assert is_tangent_free(PointSet(plane_for_order(8), w)) and len(w) == 10
+
+
+def test_parallel_level_settled_by_first_witness():
+    """A level with a witness returns the serial scan's witness without
+    running the frontier jobs after the one that found it."""
+    pl = plane_for_order(9)
+    ws, _ = _exists_serial(pl, 15)
+    wp, nodes = _exists_parallel(pl, 9, 15, 2)
+    assert ws is not None and wp == ws
+    assert nodes < 10_000  # the whole sweep of every job spends 2,433,353
 
 
 @pytest.mark.parametrize("q", [9, 25, 27])
@@ -113,8 +173,8 @@ def test_frame_seed_over_extension_fields(q):
     l2 = pl.line_through(seed[2], seed[3])
     trivial_set = (set(pl.points_on_line[l1]) | set(pl.points_on_line[l2])) - {pl.meet(l1, l2)}
     ex_mask = sum(1 << p for p in range(pl.n) if p not in trivial_set)
-    assert _python_exists(pl, 2 * q - 1, seed, ex_mask, None)[0] is None
-    assert _python_exists(pl, 2 * q, seed, ex_mask, None)[0] == tuple(sorted(trivial_set))
+    assert _exists_from(pl, 2 * q - 1, seed, ex_mask, None)[0] is None
+    assert _exists_from(pl, 2 * q, seed, ex_mask, None)[0] == tuple(sorted(trivial_set))
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -270,7 +270,7 @@ def cmd_dual_codeword(args) -> int:
     from .codes import incidence_code
 
     ps = _load_set(args.set)
-    code = incidence_code(ps.plane.q)
+    code = incidence_code(ps.plane)
     v, exact = code.dual_codeword_on_support(ps.members)
     report = {
         "command": "dual-codeword",
@@ -296,17 +296,25 @@ def cmd_peel(args) -> int:
     if args.erased is not None:
         with open(args.erased) as f:
             obj = json.load(f)
-        ps = PointSet.from_json(obj) if isinstance(obj, dict) else PointSet(plane_for_order(args.q), obj)
+        if isinstance(obj, dict):
+            ps = PointSet.from_json(obj)
+        else:
+            if args.q is None:
+                raise ValueError("a list of point indices needs --q")
+            plane = plane_for_order(args.q)
+            if not isinstance(obj, list) or not all(type(i) is int and 0 <= i < plane.n for i in obj):
+                raise ValueError(f"--erased must be a point set or a list of point indices in [0, {plane.n})")
+            ps = PointSet(plane, obj)
     else:
         ps = _load_set(args.set)
-    if ps.plane.q != args.q:
-        raise ValueError(f"the set lies in PG(2,{ps.plane.q}), not in PG(2,{args.q}) as --q says")
-    residual = peel_decode(args.q, ps.members)
-    oracle = batch_peel_fixpoint(args.q, ps.members)
-    plane = plane_for_order(args.q)
+    plane = ps.plane
+    if args.q is not None and plane.q != args.q:
+        raise ValueError(f"the set lies in PG(2,{plane.q}), not in PG(2,{args.q}) as --q says")
+    residual = peel_decode(plane, ps.members)
+    oracle = batch_peel_fixpoint(plane, ps.members)
     report = {
         "command": "peel",
-        "parameters": {"q": args.q},
+        "parameters": {"q": plane.q},
         "field": plane.gf.spec.to_json(),
         "results": {
             "erased": len(ps),
@@ -389,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dual_codeword)
 
     p = sub.add_parser("peel", help="peeling decoder residual of an erasure set")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=int, default=None, help="plane order; needed for a list of point indices")
     p.add_argument("--erased", type=str, default=None, help="JSON point set or index list")
     p.add_argument("--set", type=str, default=None)
     p.set_defaults(func=cmd_peel)

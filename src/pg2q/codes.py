@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from .gfq import GF, field_for_order
 from .linalg import nullspace
-from .plane import Plane, PointSet, plane_for_order
+from .plane import Plane, PointSet, as_plane, plane_for_order
 from .tangency import is_tangent_free
 
 
@@ -122,15 +123,12 @@ class IncidenceCode:
         return None, False
 
 
-_CODES: dict[tuple, IncidenceCode] = {}
+_code_of = lru_cache(maxsize=None)(IncidenceCode)  # one code per Plane
 
 
-def incidence_code(q: int) -> IncidenceCode:
-    plane = plane_for_order(q)
-    key = plane.gf.spec
-    if key not in _CODES:
-        _CODES[key] = IncidenceCode(plane)
-    return _CODES[key]
+def incidence_code(plane: Plane | int) -> IncidenceCode:
+    """The plane's incidence code (for an order q, that of the default PG(2,q))."""
+    return _code_of(as_plane(plane))
 
 
 def trivial_signing(q: int) -> np.ndarray:
@@ -162,14 +160,14 @@ def hyperoval(q: int = 4) -> PointSet:
     return out
 
 
-def peel_decode(q: int, erased, rng: random.Random | None = None) -> frozenset[int]:
+def peel_decode(plane: Plane | int, erased, rng: random.Random | None = None) -> frozenset[int]:
     """Repeatedly delete an erased point lying on a line with exactly one
     erased point; the fixpoint is the unique maximal stopping subset.
 
     The processing order is immaterial (peeling is confluent); pass an rng to
     randomize it for confluence tests.
     """
-    plane = plane_for_order(q)
+    plane = as_plane(plane)
     erased = set(erased)
     counts = [0] * plane.n
     for pt in erased:
@@ -192,10 +190,10 @@ def peel_decode(q: int, erased, rng: random.Random | None = None) -> frozenset[i
     return frozenset(erased)
 
 
-def batch_peel_fixpoint(q: int, erased) -> frozenset[int]:
+def batch_peel_fixpoint(plane: Plane | int, erased) -> frozenset[int]:
     """Oracle: recompute from scratch each round, removing every point on any
     currently singleton line simultaneously, until stable."""
-    plane = plane_for_order(q)
+    plane = as_plane(plane)
     cur = set(erased)
     while True:
         mask = 0
@@ -218,7 +216,7 @@ class StoppingEquivalenceReport:
     ok: bool
 
 
-def stopping_equivalence_check(q: int, samples: int = 300, rng: random.Random | None = None) -> StoppingEquivalenceReport:
+def stopping_equivalence_check(plane: Plane | int, samples: int = 300, rng: random.Random | None = None) -> StoppingEquivalenceReport:
     """Peeling makes no progress exactly on tangent-free (stopping) sets.
 
     Exhaustive over all 6-subsets for q=3; random subsets plus the known
@@ -226,25 +224,21 @@ def stopping_equivalence_check(q: int, samples: int = 300, rng: random.Random | 
     """
     from itertools import combinations
 
-    plane = plane_for_order(q)
-    rng = rng or random.Random(q * 7919)
+    plane = as_plane(plane)
+    rng = rng or random.Random(plane.q * 7919)
     cases = 0
     ok = True
-
-    def fixed(sub):
-        return peel_decode(q, sub) == frozenset(sub)
 
     def check(sub):
         nonlocal cases, ok
         cases += 1
-        ps = PointSet(plane, sub)
-        if fixed(sub) != is_tangent_free(ps):
+        if (peel_decode(plane, sub) == frozenset(sub)) != is_tangent_free(PointSet(plane, sub)):
             ok = False
 
-    if q == 3:
+    if plane.q == 3:
         for sub in combinations(range(plane.n), 6):
             check(sub)
     for _ in range(samples):
         size = rng.randrange(1, plane.n)
         check(rng.sample(range(plane.n), size))
-    return StoppingEquivalenceReport(q, cases, ok)
+    return StoppingEquivalenceReport(plane.q, cases, ok)

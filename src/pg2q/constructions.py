@@ -7,9 +7,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .conic import Conic, PointClass, canonical_conic, LineClass
-from .gfq import QuadChar, field_for_order
+from .gfq import GF, QuadChar, field_for_order
 from .plane import PointSet, plane_for_order
-from .tangency import Spectrum, is_tangent_free, redei_completion, spectrum
+from .tangency import Spectrum, WrongSize, is_tangent_free, redei_completion, spectrum
 
 
 class InvalidA(ValueError):
@@ -25,10 +25,6 @@ class RTooLarge(ValueError):
 
 
 class NotExterior(ValueError):
-    pass
-
-
-class WrongSize(ValueError):
     pass
 
 
@@ -149,37 +145,29 @@ def punctured_interior(conic: Conic, exterior_point: int, r: int, rng=None) -> P
     return PointSet(plane, members)
 
 
-def _graph_completion(q: int, value):
-    """Affine graph {<(1, x, value(x))>} completed with the non-determined
-    directions on the line x = 0."""
+def _graph_completion(q: int, graph_map) -> tuple[PointSet, str]:
+    """Affine graph {<(1, x, graph_map(gf, x))>} completed with the non-determined
+    directions on the line x = 0; returns the set and a notice ('' normally,
+    a message when q is prime and the set is trivial)."""
+    gf = field_for_order(q)
+    if gf.p == 2:
+        raise WrongSize("construction needs odd characteristic")
     plane = plane_for_order(q)
-    gf = plane.gf
     linf = plane.index_of((1, 0, 0))  # dual coords of the line x = 0
-    affine = PointSet(plane, (plane.index_of((1, x, value(x))) for x in range(q)))
-    if len(affine) != q:
-        raise WrongSize("graph map must be defined on all of GF(q)")
-    return redei_completion(affine, linf), affine, linf
+    affine = PointSet(plane, (plane.index_of((1, x, graph_map(gf, x))) for x in range(q)))
+    notice = "prime field: graph of the identity map, set is the trivial one" if gf.h == 1 else ""
+    return redei_completion(affine, linf), notice
 
 
 def frobenius_graph(q: int) -> tuple[PointSet, str]:
     """Graph of x -> x^p plus non-determined directions; returns the set and a
     notice ('' normally, a message when q is prime and the set is trivial)."""
-    gf = field_for_order(q)
-    if gf.p == 2:
-        raise WrongSize("construction needs odd characteristic")
-    completed, _, _ = _graph_completion(q, lambda x: gf.frobenius(x))
-    notice = "prime field: graph of the identity map, set is the trivial one" if gf.h == 1 else ""
-    return completed, notice
+    return _graph_completion(q, GF.frobenius)
 
 
 def trace_graph(q: int) -> tuple[PointSet, str]:
     """Graph of the trace map plus non-determined directions; size 2q - q/p."""
-    gf = field_for_order(q)
-    if gf.p == 2:
-        raise WrongSize("construction needs odd characteristic")
-    completed, _, _ = _graph_completion(q, lambda x: gf.trace(x))
-    notice = "prime field: graph of the identity map, set is the trivial one" if gf.h == 1 else ""
-    return completed, notice
+    return _graph_completion(q, GF.trace)
 
 
 def verify_desargues(s: PointSet) -> bool:

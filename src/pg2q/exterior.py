@@ -10,14 +10,11 @@ from dataclasses import dataclass
 from .conic import Conic, LineClass, PointClass, canonical_conic, is_arc
 from .gfq import GF, QuadChar
 from .plane import Plane, PointSet, plane_for_order
+from .search import TooLarge
 from .tangency import is_tangent_free
 
 
 class NotExternal(ValueError):
-    pass
-
-
-class TooLarge(ValueError):
     pass
 
 

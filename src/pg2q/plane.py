@@ -13,7 +13,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gfq import GF, FieldSpec, field_new
+from .gfq import GF, FieldSpec, field_for_order, field_new
+
+
+# Plane keeps dense n x n tables (n = q^2+q+1): its int64 dot products take
+# 8 n^2 bytes, about 139 MB at q = 64 and terabytes at q = 1009.
+MAX_PLANE_ORDER = 64
 
 
 class IdenticalPoints(ValueError):
@@ -30,6 +35,8 @@ class Plane:
     def __init__(self, gf: GF):
         self.gf = gf
         q = gf.q
+        if q > MAX_PLANE_ORDER:
+            raise ValueError(f"PG(2,{q}) exceeds the plane order cap {MAX_PLANE_ORDER}")
         self.q = q
         self.n = q * q + q + 1
         coords = []
@@ -121,16 +128,23 @@ class Plane:
         return self._index[self.normalize(mat_vec(mt, self.coords[l], self.gf))]
 
 
-@lru_cache(maxsize=None)
+# GF hashes by its FieldSpec, whose modulus is resolved: one Plane per field
+_plane_of = lru_cache(maxsize=None)(Plane)
+
+
 def plane_for(p: int, h: int = 1, modulus=None) -> Plane:
-    return Plane(field_new(p, h, modulus))
+    """PG(2,p^h) over the given modulus (None: the default one)."""
+    return _plane_of(field_new(p, h, modulus))
 
 
 def plane_for_order(q: int) -> Plane:
-    from .gfq import field_for_order
+    """PG(2,q) over the default modulus of GF(q)."""
+    return _plane_of(field_for_order(q))
 
-    gf = field_for_order(q)
-    return plane_for(gf.p, gf.h)
+
+def as_plane(plane: Plane | int) -> Plane:
+    """The plane itself, or for an order q the default PG(2,q)."""
+    return plane if isinstance(plane, Plane) else plane_for_order(plane)
 
 
 class PointSet:

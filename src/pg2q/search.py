@@ -30,7 +30,7 @@ class Infeasible(ValueError):
 
 
 class TooLarge(ValueError):
-    pass
+    """The input is beyond the size an exhaustive search is run at."""
 
 
 class GroupTooLarge(ValueError):
@@ -292,20 +292,14 @@ def _frontier_jobs(plane, n, min_jobs, seed):
         depth += 1
 
 
-_WORKER_PLANE = {}
-
-
 def _run_job(args):
     """One frontier subtree: (witness or None, nodes, timed out)."""
     q, n, members, ex_mask, deadline = args
     if deadline is not None and time.monotonic() > deadline:
         return None, 0, True
-    plane = _WORKER_PLANE.get(q)
-    if plane is None:
-        plane = plane_for_order(q)
-        _WORKER_PLANE[q] = plane
     try:
-        return *_exists_from(plane, n, members, ex_mask, deadline), False
+        # a forked worker inherits the parent's plane cache
+        return *_exists_from(plane_for_order(q), n, members, ex_mask, deadline), False
     except SearchTimeout as e:
         return None, e.nodes, True
 

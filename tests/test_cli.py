@@ -1,9 +1,18 @@
 import json
+import random
+from itertools import product
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pg2q.cli import dispatch
-from pg2q.constructions import trivial
+from pg2q.conic import canonical_conic
+from pg2q.constructions import interior_points, trivial
+from pg2q.gfq import ReducibleModulus, field_new
+from pg2q.linalg import random_invertible
+from pg2q.plane import PointSet, plane_for, plane_for_order
+from pg2q.tangency import spectrum
 
 
 def run(capsys, *argv):
@@ -88,11 +97,13 @@ def test_dual_codeword_cli(capsys, tmp_path):
 def test_peel_cli(capsys, tmp_path):
     f = tmp_path / "s.json"
     f.write_text(trivial(5).dump())
-    code, out, _ = run(capsys, "peel", "--q", "5", "--set", str(f))
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["results"]["residual_size"] == 10
-    assert obj["verdicts"]["confluent"]
+    for q_args in (["--q", "5"], []):  # --q is optional with --set
+        code, out, _ = run(capsys, "peel", *q_args, "--set", str(f))
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["parameters"]["q"] == 5
+        assert obj["results"]["residual_size"] == 10
+        assert obj["verdicts"]["confluent"]
 
 
 def test_peel_rejects_set_from_another_plane(capsys, tmp_path):
@@ -102,6 +113,73 @@ def test_peel_rejects_set_from_another_plane(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "PG(2,9)" in err
+
+
+@pytest.mark.parametrize("indices", [[0, 1, 200], [0, -1], [0, "1"], 7])
+def test_peel_rejects_bad_index_list(capsys, tmp_path, indices):
+    f = tmp_path / "e.json"
+    f.write_text(json.dumps(indices))
+    code, out, err = run(capsys, "peel", "--q", "5", "--erased", str(f))
+    assert code == 2
+    assert out == ""
+    assert "[0, 31)" in err
+
+
+def test_peel_index_list_needs_q(capsys, tmp_path):
+    f = tmp_path / "e.json"
+    f.write_text("[0, 1, 2]")
+    code, out, err = run(capsys, "peel", "--erased", str(f))
+    assert code == 2
+    assert "--q" in err
+
+
+def test_construct_rejects_plane_above_cap(capsys):
+    code, out, err = run(capsys, "construct", "--name", "trivial", "--q", "1009")
+    assert code == 2
+    assert out == ""
+    assert "cap 64" in err
+
+
+def _moduli(p, h):
+    """Every monic irreducible polynomial of degree h over GF(p), ascending."""
+    out = []
+    for low in product(range(p), repeat=h):
+        try:
+            field_new(p, h, low + (1,))
+        except ReducibleModulus:
+            continue
+        out.append(low + (1,))
+    return out
+
+
+@pytest.mark.parametrize("p,h,modulus", [(p, h, m) for p, h in [(3, 2), (5, 2), (3, 3)] for m in _moduli(p, h)])
+@settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_answers_in_the_declared_field(capsys, tmp_path, p, h, modulus, seed):
+    """A projective image of the conic interior, written over any irreducible
+    modulus, gets the canonical interior's answers."""
+    q = p**h
+    canonical = interior_points(canonical_conic(plane_for_order(q)))
+    plane = plane_for(p, h, modulus)
+    interior = interior_points(canonical_conic(plane))
+    mat = random_invertible(plane.gf, random.Random(seed))
+    image = PointSet(plane, (plane.apply_matrix(mat, i) for i in interior))
+    f = tmp_path / "image.json"
+    f.write_text(image.dump())
+    assert (PointSet.load(image.dump()).plane is plane_for_order(q)) == (modulus == plane_for_order(q).gf.modulus)
+
+    def answer(cmd):
+        code, out, _ = run(capsys, cmd, "--set", str(f))
+        assert code == 0
+        return json.loads(out)["results"]
+
+    assert answer("verify")["verdict"] == "VALID"
+    assert answer("spectrum")["spectrum"] == str(spectrum(canonical))
+    assert answer("peel")["residual"] == image.to_json()
+    if q == 9:
+        res = answer("dual-codeword")
+        assert res["found"] and res["exact"]
+        assert {i for i, c in enumerate(res["coefficients"]) if c} == image.members
 
 
 def test_spectrum_cli_stdin(capsys, monkeypatch):

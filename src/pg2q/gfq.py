@@ -242,9 +242,6 @@ class GF:
 
     # -- arithmetic ------------------------------------------------------------
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def add(self, a: int, b: int) -> int:
         if self._add is not None:
             return self._add[a][b]

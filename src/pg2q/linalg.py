@@ -48,15 +48,7 @@ def nullspace(rows: list[list[int]], gf: GF, ncols: int | None = None) -> list[l
     return basis
 
 
-def rank(rows: list[list[int]], gf: GF) -> int:
-    return len(rref(rows, gf)[0])
-
-
 # -- 3x3 matrices, row-major tuples of 9 codes --------------------------------
-
-
-def mat_identity() -> tuple[int, ...]:
-    return (1, 0, 0, 0, 1, 0, 0, 0, 1)
 
 
 def mat_vec(m, v, gf: GF) -> tuple[int, int, int]:

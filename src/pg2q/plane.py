@@ -88,11 +88,6 @@ class Plane:
     def index_of(self, v) -> int:
         return self._index[self.normalize(v)]
 
-    def point_coords(self, i: int) -> tuple[int, int, int]:
-        return self.coords[i]
-
-    line_coords = point_coords
-
     def incident(self, p: int, l: int) -> bool:
         return bool(self._inc[l, p])
 
@@ -213,7 +208,16 @@ class PointSet:
     def from_json(cls, obj: dict) -> "PointSet":
         spec = FieldSpec.from_json(obj["field"])
         plane = plane_for(spec.p, spec.h, spec.modulus)
-        return cls(plane, (plane.index_of(v) for v in obj["points"]))
+        points = obj["points"]
+        if not isinstance(points, list):
+            raise ValueError("points must be a list of coordinate triples")
+        for v in points:
+            if not (isinstance(v, list) and len(v) == 3 and all(type(c) is int for c in v)):
+                raise ValueError(f"point {v!r} is not three integers")
+            # a prime field reads any integer mod p; GF(p^h) codes have no such reading
+            if spec.h > 1 and not all(0 <= c < plane.q for c in v):
+                raise ValueError(f"point {v!r} has a code outside [0, {plane.q}), the elements of GF({plane.q})")
+        return cls(plane, (plane.index_of(v) for v in points))
 
     def dump(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -494,93 +495,46 @@ class PGLGroup:
         return perms
 
     def elements(self) -> np.ndarray:
-        """All group elements as point permutations, rows of an array.
+        """Every group element as a point permutation, one row per element
+        (row g lists g(0), ..., g(n-1)), rows in ascending order.
 
-        Full enumeration is kept to prime q <= 5 (as used by the PG(2,5)
-        classification); the orbit algorithm covers everything else.
+        The rows are the closure of `generators()` acting on the identity, so
+        reaching the group order proves that the generators generate PGL(3,q),
+        which `orbit` relies on.  The table holds order x n entries (372000 x
+        31 at q = 5), so it is built only for q <= 5.
         """
-        if self.q > 5 or self.plane.gf.h != 1:
+        if self.q > 5:
             raise GroupTooLarge(f"full enumeration not supported for q={self.q}")
         if self._elements is None:
-            self._elements = _pgl_elements_prime(self.plane)
+            # itemgetter(*g) sends a permutation t to t o g
+            perms = _closure(tuple(range(self.plane.n)), [itemgetter(*g) for g in self.generators()])
+            if len(perms) != self.order:
+                raise AssertionError(f"generator closure has {len(perms)} != {self.order} elements")
+            self._elements = np.array(sorted(perms), dtype=np.int32)
         return self._elements
 
     def orbit(self, members) -> list[tuple[int, ...]]:
-        """PGL orbit of a point set, as sorted index tuples."""
-        try:
-            els = self.elements()
-        except GroupTooLarge:
-            return self._orbit_bfs(members)
-        imgs = np.sort(els[:, sorted(members)], axis=1)
-        uniq = np.unique(imgs, axis=0)
-        return [tuple(int(x) for x in row) for row in uniq]
-
-    def _orbit_bfs(self, members) -> list[tuple[int, ...]]:
-        gens = self.generators()
-        start = tuple(sorted(members))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for s in frontier:
-                for g in gens:
-                    img = tuple(sorted(g[p] for p in s))
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        return sorted(seen)
+        """PGL orbit of a point set, as sorted index tuples in ascending order:
+        the closure of the set under `generators()`, which generate the group
+        (see `elements`)."""
+        moves = [lambda t, g=g: tuple(sorted(map(g.__getitem__, t))) for g in self.generators()]
+        return sorted(_closure(tuple(sorted(members)), moves))
 
 
-def _pgl_elements_prime(plane: Plane) -> np.ndarray:
-    """Every element of PGL(3,p), p prime, as a point permutation.
-
-    A class representative is an invertible matrix with projectively
-    normalized columns and the first column scale pinned: columns are three
-    non-collinear point representatives, the last two rescaled by arbitrary
-    nonzero factors.
-    """
-    q = plane.q
-    n = plane.n
-    pts = np.array(plane.coords, dtype=np.int64)
-    # ordered non-collinear triples of point indices
-    triples = []
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            lm = plane.line_masks[plane.line_through(i, j)]
-            ks = [k for k in range(n) if not (lm >> k) & 1]
-            for k in ks:
-                triples.append((i, j, k))
-    triples = np.array(triples, dtype=np.int64)
-    scal = [(b, c) for b in range(1, q) for c in range(1, q)]
-    scal = np.array(scal, dtype=np.int64)
-    mats = np.empty((len(triples), len(scal), 3, 3), dtype=np.int64)
-    cols = pts[triples]  # (T, 3, 3): cols[t, j] is column j as a row vector
-    mats[:, :, :, 0] = cols[:, None, 0, :]
-    mats[:, :, :, 1] = (cols[:, None, 1, :] * scal[None, :, 0, None]) % q
-    mats[:, :, :, 2] = (cols[:, None, 2, :] * scal[None, :, 1, None]) % q
-    mats = mats.reshape(-1, 3, 3)
-    inv = np.zeros(q, dtype=np.int64)
-    for a in range(1, q):
-        inv[a] = pow(a, q - 2, q)
-    out = np.empty((mats.shape[0], n), dtype=np.int32)
-    chunk = 65536
-    for lo in range(0, mats.shape[0], chunk):
-        m = mats[lo : lo + chunk]
-        img = np.einsum("mrc,pc->mpr", m, pts) % q
-        x, y, z = img[..., 0], img[..., 1], img[..., 2]
-        lead = np.where(x != 0, x, np.where(y != 0, y, z))
-        f = inv[lead]
-        xs, ys, zs = (x * f) % q, (y * f) % q, (z * f) % q
-        idx = np.where(xs == 1, ys * q + zs, np.where(ys == 1, q * q + zs, q * q + q))
-        out[lo : lo + chunk] = idx
-    uniq = np.unique(out, axis=0)
-    group = PGLGroup(plane)
-    if uniq.shape[0] != group.order:
-        raise AssertionError(f"PGL enumeration produced {uniq.shape[0]} != {group.order}")
-    return uniq
+def _closure(start: tuple[int, ...], moves) -> set[tuple[int, ...]]:
+    """Every tuple reached from `start` by repeated moves, breadth first."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for t in frontier:
+            for move in moves:
+                img = move(t)
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return seen
 
 
 _GROUPS: dict[int, PGLGroup] = {}

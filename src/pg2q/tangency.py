@@ -70,10 +70,6 @@ def is_tangent_free(s: PointSet) -> bool:
     return all(c != 1 for c in s.per_line)
 
 
-def tangent_lines_of(s: PointSet) -> list[int]:
-    return [l for l, c in enumerate(s.per_line) if c == 1]
-
-
 def spectrum_solutions(n: int, q: int, max_i: int) -> list[tuple[int, ...]]:
     """All non-negative integer vectors (x_0, x_2, ..., x_max_i) with x_1 = 0
     satisfying the three line-count identities for an n-point set in PG(2,q).

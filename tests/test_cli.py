@@ -191,6 +191,28 @@ def test_spectrum_cli_stdin(capsys, monkeypatch):
     assert json.loads(out)["results"]["spectrum"] == "0:4 2:25 5:2"
 
 
+@pytest.mark.parametrize(
+    "points,message",
+    [
+        ([[0, 100, 0]], "outside [0, 9)"),
+        ([[0, 2, -1]], "outside [0, 9)"),  # -1 is code 2 in GF(9), not index -1
+        ([[1, 100, 0]], "outside [0, 9)"),
+        ([[1, 2]], "not three integers"),
+        ([[1, 2, True]], "not three integers"),
+        ({"1": [1, 0, 0]}, "list of coordinate triples"),
+    ],
+)
+def test_verify_rejects_malformed_coordinates(capsys, monkeypatch, points, message):
+    import io
+
+    text = json.dumps({"field": {"p": 3, "h": 2, "modulus": [1, 0, 1]}, "points": points})
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "verify", "--set", "-")
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_usage_error_exit_2(capsys):
     assert dispatch(["definitely-not-a-command"]) == 2
     capsys.readouterr()

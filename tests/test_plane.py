@@ -97,6 +97,9 @@ def test_pointset_json_roundtrip_and_normalization():
     obj = json.loads(text)
     obj["points"] = [[pl.gf.mul(2, c) for c in pt] for pt in obj["points"]]
     assert PointSet.load(json.dumps(obj)).sorted_tuple() == ps.sorted_tuple()
+    # a prime field reads any integer coordinate mod p
+    obj["points"] = [[0, 2, -1]]
+    assert PointSet.load(json.dumps(obj)).sorted_tuple() == (pl.index_of((0, 1, 2)),)
 
 
 def test_pointset_remove_missing():

@@ -1,8 +1,15 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pg2q.codes import hyperoval
 from pg2q.constructions import interior_points, trivial
 from pg2q.conic import canonical_conic
 from pg2q.plane import PointSet, plane_for_order
@@ -232,14 +239,15 @@ def test_pgl_group_order_and_closure():
     assert pgl_group(5).order == 372000
 
 
-def test_pgl5_full_enumeration():
-    g = pgl_group(5)
+@pytest.mark.parametrize("q,shape", [(4, (60480, 21)), (5, (372000, 31))], ids=["q4", "q5"])
+def test_pgl_full_enumeration(q, shape):
+    g = pgl_group(q)
     els = g.elements()
-    assert els.shape == (372000, 31)
+    assert els.shape == shape
     # rows are permutations
     sample = els[::50000]
     for row in sample:
-        assert sorted(row.tolist()) == list(range(31))
+        assert sorted(row.tolist()) == list(range(shape[1]))
 
 
 def test_orbit_of_trivial_set():
@@ -275,6 +283,20 @@ def test_classification_pg25():
             assert sp.max_secant() == 3
 
 
+def test_classify_pg25_script():
+    """scripts/classify_pg25.py runs end to end and prints the two classes."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "classify_pg25.py")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["total_sets"] == 3565
+    assert sorted((c["class_size"], c["stabilizer_order"]) for c in out["classes"]) == [(465, 800), (3100, 120)]
+
+
 def test_worker_count_independence():
     r1 = min_tangent_free(7, 14, workers=1)
     r2 = min_tangent_free(7, 14, workers=2)
@@ -297,8 +319,18 @@ def test_bl_bound_never_violated():
         assert res.u >= lower_bound(q)
 
 
-def test_orbit_bfs_matches_elements():
-    g = pgl_group(3)
-    t = trivial(3).sorted_tuple()
-    bfs = set(g._orbit_bfs(t))
-    assert len(bfs) == 13 * 12 // 2  # all trivial sets form one orbit
+def test_orbit_matches_elements():
+    """The generator-BFS orbit is the orbit read off the full element table."""
+    cases = [
+        trivial(3),
+        trivial(4),
+        hyperoval(4),
+        trivial(5),
+        interior_points(canonical_conic(plane_for_order(5))),
+    ]
+    assert len(pgl_group(3).orbit(trivial(3).sorted_tuple())) == 13 * 12 // 2  # one per pair of lines
+    for s in cases:
+        g = pgl_group(s.plane.q)
+        members = s.sorted_tuple()
+        table = np.unique(np.sort(g.elements()[:, list(members)], axis=1), axis=0)
+        assert g.orbit(members) == [tuple(row) for row in table.tolist()]

@@ -2,7 +2,8 @@
 codeword supports, and the peeling (iterative erasure) decoder whose fixpoints
 are the stopping sets of the plane's LDPC code.
 
-Convention: rows of the incidence matrix are lines, columns are points.
+Convention: rows of the incidence matrix are lines, columns are points.  The
+matrix is never stored densely: its rows are read off the plane's line masks.
 """
 
 from __future__ import annotations
@@ -30,17 +31,19 @@ class IncidenceCode:
     def __init__(self, plane: Plane):
         self.plane = plane
         self.p = plane.gf.p
-        self.A = np.zeros((plane.n, plane.n), dtype=np.int64)
-        for l, pts in enumerate(plane.points_on_line):
-            self.A[l, list(pts)] = 1
         self._null_basis = None
+
+    def _rows(self, cols) -> list[list[int]]:
+        """The incidence matrix restricted to the given point columns, one row per line."""
+        return [[m >> c & 1 for c in cols] for m in self.plane.line_masks]
 
     def is_dual_codeword(self, v) -> bool:
         """Every line sum must vanish mod p."""
         v = np.asarray(v, dtype=np.int64) % self.p
         if v.shape != (self.plane.n,):
             raise ValueError(f"vector length must be {self.plane.n}")
-        return bool(np.all(self.A @ v % self.p == 0))
+        vals = v.tolist()
+        return all(sum(vals[i] for i in pts) % self.p == 0 for pts in self.plane.points_on_line)
 
     def support(self, v) -> frozenset[int]:
         v = np.asarray(v, dtype=np.int64) % self.p
@@ -57,7 +60,7 @@ class IncidenceCode:
         """Basis of the dual code (right nullspace of the incidence matrix)."""
         if self._null_basis is None:
             gfp = field_for_order(self.p)
-            rows = [list(r) for r in self.A]
+            rows = self._rows(range(self.plane.n))
             self._null_basis = [np.array(b, dtype=np.int64) for b in nullspace(rows, gfp)]
         return self._null_basis
 
@@ -87,8 +90,7 @@ class IncidenceCode:
         if not cols:
             return None, True
         gfp = field_for_order(self.p)
-        rows = [[int(self.A[l, c]) for c in cols] for l in range(self.plane.n)]
-        basis = nullspace(rows, gfp, ncols=len(cols))
+        basis = nullspace(self._rows(cols), gfp, ncols=len(cols))
         dim = len(basis)
         if dim == 0:
             return None, True

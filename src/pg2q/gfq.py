@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-import numpy as np
-
 MAX_ORDER = 1 << 20
 _TABLE_LIMIT = 512  # dense q x q add/mul tables below this order
 
@@ -73,7 +71,12 @@ class FieldSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FieldSpec":
-        return cls(int(obj["p"]), int(obj["h"]), tuple(int(c) for c in obj["modulus"]))
+        p, h, mod = obj["p"], obj["h"], obj["modulus"]
+        if not (type(p) is int and type(h) is int):
+            raise ValueError(f"p and h must be integers, not {p!r} and {h!r}")
+        if not (isinstance(mod, list) and all(type(c) is int for c in mod)):
+            raise ValueError("modulus must be a list of integer coefficients, lowest degree first")
+        return cls(p, h, tuple(mod))
 
 
 def _poly_eval(coeffs, x, p):
@@ -320,27 +323,6 @@ class GF:
             cur = self.frobenius(cur)
             acc = self.add(acc, cur)
         return acc
-
-    # -- dense tables (numpy, for vectorised callers) ---------------------------
-
-    @property
-    def add_table(self) -> np.ndarray:
-        if self._add is None:
-            raise ValueError(f"dense tables are kept to q <= {_TABLE_LIMIT}")
-        if self._add_np is None:
-            self._add_np = np.array(self._add, dtype=np.int64)
-        return self._add_np
-
-    @property
-    def mul_table(self) -> np.ndarray:
-        if self._mul is None:
-            raise ValueError(f"dense tables are kept to q <= {_TABLE_LIMIT}")
-        if self._mul_np is None:
-            self._mul_np = np.array(self._mul, dtype=np.int64)
-        return self._mul_np
-
-    _add_np = None
-    _mul_np = None
 
     def __repr__(self):
         return f"GF({self.p}^{self.h}, modulus={list(self.modulus)})" if self.h > 1 else f"GF({self.p})"

@@ -3,7 +3,10 @@
 Points and lines are normalized homogeneous triples (first nonzero coordinate
 scaled to 1) addressed by a dense index in [0, q^2+q+1).  Enumeration order:
 <(1,y,z)> by (y,z) code-lexicographic, then <(0,1,z)> by z, then <(0,0,1)>.
-A line with dual triple (a,b,c) gets the index of the point (a,b,c).
+A line with dual triple (a,b,c) gets the index of the point (a,b,c), so
+points and lines share one index space, and point p lies on line l exactly
+when the dot product of their triples vanishes.  That relation is symmetric,
+so the points on line i and the lines through point i are the same indices.
 """
 
 from __future__ import annotations
@@ -11,13 +14,11 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 
-import numpy as np
-
 from .gfq import GF, FieldSpec, field_for_order, field_new
 
 
-# Plane keeps dense n x n tables (n = q^2+q+1): its int64 dot products take
-# 8 n^2 bytes, about 139 MB at q = 64 and terabytes at q = 1009.
+# Plane keeps per-line tables of O(n q) entries (n = q^2+q+1), and line_masks
+# takes n^2 bits: about 2.2 MB at q = 64, growing as q^4 (130 GB at q = 1009).
 MAX_PLANE_ORDER = 64
 
 
@@ -48,29 +49,26 @@ class Plane:
         coords.append((0, 0, 1))
         self.coords: list[tuple[int, int, int]] = coords
         self._index = {c: i for i, c in enumerate(coords)}
-        inc = self._incidence_matrix()
-        # rows: lines, cols: points (same index space on both sides)
-        self.points_on_line = [tuple(np.flatnonzero(inc[l]).tolist()) for l in range(self.n)]
-        self.lines_through_point = [tuple(np.flatnonzero(inc[:, p]).tolist()) for p in range(self.n)]
-        self.line_masks = [0] * self.n
-        for l, pts in enumerate(self.points_on_line):
-            m = 0
-            for p in pts:
-                m |= 1 << p
-            self.line_masks[l] = m
-        self._inc = inc
+        self.points_on_line = [self._line_points(a, b, c) for a, b, c in coords]
+        # incidence (a dot product) is symmetric and line i has point i's
+        # triple, so the lines through point i are the points on line i
+        self.lines_through_point = self.points_on_line
+        self.line_masks = [sum(1 << p for p in pts) for pts in self.points_on_line]
 
-    def _incidence_matrix(self) -> np.ndarray:
-        gf = self.gf
-        pts = np.array(self.coords, dtype=np.int64)
-        if gf.h == 1:
-            dots = (pts @ pts.T) % gf.p
-        else:
-            mul, add = gf.mul_table, gf.add_table
-            t = mul[pts[:, None, 0], pts[None, :, 0]]
-            t = add[t, mul[pts[:, None, 1], pts[None, :, 1]]]
-            dots = add[t, mul[pts[:, None, 2], pts[None, :, 2]]]
-        return dots == 0
+    def _line_points(self, a: int, b: int, c: int) -> tuple[int, ...]:
+        """The q+1 point indices on the line ax + by + cz = 0, ascending."""
+        gf, q = self.gf, self.q
+        if c:
+            # <(1, y, z)> with z = u + v y, then <(0, 1, v)>
+            ic = gf.inv(c)
+            u, v = gf.mul(gf.neg(a), ic), gf.mul(gf.neg(b), ic)
+            return tuple(y * q + gf.add(u, gf.mul(v, y)) for y in range(q)) + (q * q + v,)
+        if b:
+            # <(1, -a/b, z)> for every z, then <(0, 0, 1)>
+            y = gf.mul(gf.neg(a), gf.inv(b))
+            return tuple(range(y * q, y * q + q)) + (q * q + q,)
+        # the line x = 0: <(0, 1, z)> for every z, then <(0, 0, 1)>
+        return tuple(range(q * q, q * q + q + 1))
 
     # -- coordinates ---------------------------------------------------------
 
@@ -89,7 +87,7 @@ class Plane:
         return self._index[self.normalize(v)]
 
     def incident(self, p: int, l: int) -> bool:
-        return bool(self._inc[l, p])
+        return bool(self.line_masks[l] >> p & 1)
 
     def _cross(self, a, b):
         gf = self.gf
@@ -206,6 +204,10 @@ class PointSet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PointSet":
+        if not isinstance(obj, dict):
+            raise ValueError("a point set must be a JSON object with \"field\" and \"points\"")
+        if not isinstance(obj["field"], dict):
+            raise ValueError("\"field\" must be a JSON object with \"p\", \"h\" and \"modulus\"")
         spec = FieldSpec.from_json(obj["field"])
         plane = plane_for(spec.p, spec.h, spec.modulus)
         points = obj["points"]

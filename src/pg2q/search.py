@@ -72,8 +72,8 @@ class _Searcher:
 
     def __init__(self, plane: Plane):
         self.plane = plane
+        # by self-duality the mask of the lines through point p is line_masks[p]
         self.line_masks = plane.line_masks
-        self.pencil_masks = [sum(1 << l for l in ls) for ls in plane.lines_through_point]
         self.all_points_mask = (1 << plane.n) - 1
         self.once = 0
         self.twice = 0
@@ -93,7 +93,7 @@ class _Searcher:
         self.partial_mask |= 1 << p
         once, twice = self.once, self.twice
         self.undo.append((once, twice))
-        pencil = self.pencil_masks[p]
+        pencil = self.line_masks[p]
         self.twice = twice | (once & pencil)
         self.once = once | pencil
 
@@ -135,8 +135,10 @@ class _Searcher:
                 best_line = l
                 best_avail = avail
         # every tangent holds exactly one member, so this is the largest
-        # number of tangents through a single member
-        pencils = self.pencil_masks
+        # number of tangents through a single member.  The pencil of p has
+        # line p's mask; a name of its own keeps line_masks in the loop above
+        # a fast local rather than a closure cell.
+        pencils = self.line_masks
         max_pencil = max([(tangents & pencils[p]).bit_count() for p in self.partial])
         return False, max(k, max_pencil), best_line, best_avail
 

@@ -191,22 +191,36 @@ def test_spectrum_cli_stdin(capsys, monkeypatch):
     assert json.loads(out)["results"]["spectrum"] == "0:4 2:25 5:2"
 
 
+GF9 = {"p": 3, "h": 2, "modulus": [1, 0, 1]}
+
+
+def _gf9_points(i, points, message):
+    """A GF(9) document that is malformed only in its points, named points<i>."""
+    return pytest.param({"field": GF9, "points": points}, message, id=f"points{i}-{message}")
+
+
 @pytest.mark.parametrize(
-    "points,message",
+    "doc,message",
     [
-        ([[0, 100, 0]], "outside [0, 9)"),
-        ([[0, 2, -1]], "outside [0, 9)"),  # -1 is code 2 in GF(9), not index -1
-        ([[1, 100, 0]], "outside [0, 9)"),
-        ([[1, 2]], "not three integers"),
-        ([[1, 2, True]], "not three integers"),
-        ({"1": [1, 0, 0]}, "list of coordinate triples"),
+        _gf9_points(0, [[0, 100, 0]], "outside [0, 9)"),
+        _gf9_points(1, [[0, 2, -1]], "outside [0, 9)"),  # -1 is code 2 in GF(9), not index -1
+        _gf9_points(2, [[1, 100, 0]], "outside [0, 9)"),
+        _gf9_points(3, [[1, 2]], "not three integers"),
+        _gf9_points(4, [[1, 2, True]], "not three integers"),
+        _gf9_points(5, {"1": [1, 0, 0]}, "list of coordinate triples"),
+        ([[1, 0, 0]], "must be a JSON object"),
+        ("[[1, 0, 0]]", "must be a JSON object"),
+        ({"field": 7, "points": [[1, 0, 0]]}, '"field" must be a JSON object'),
+        ({"field": [5, 1], "points": [[1, 0, 0]]}, '"field" must be a JSON object'),
+        ({"field": {"p": 5, "h": 1, "modulus": 3}, "points": [[1, 0, 0]]}, "modulus must be a list"),
+        ({"field": {"p": 5, "h": 1, "modulus": [[0], 1]}, "points": [[1, 0, 0]]}, "modulus must be a list"),
+        ({"field": {"p": 5.5, "h": 1, "modulus": [0, 1]}, "points": [[1, 0, 0]]}, "p and h must be integers"),
     ],
 )
-def test_verify_rejects_malformed_coordinates(capsys, monkeypatch, points, message):
+def test_verify_rejects_malformed_coordinates(capsys, monkeypatch, doc, message):
     import io
 
-    text = json.dumps({"field": {"p": 3, "h": 2, "modulus": [1, 0, 1]}, "points": points})
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
     code, out, err = run(capsys, "verify", "--set", "-")
     assert code == 2
     assert out == ""

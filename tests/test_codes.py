@@ -22,8 +22,26 @@ from pg2q.tangency import is_tangent_free
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
 def test_incidence_weights(q):
     code = incidence_code(q)
-    assert (code.A.sum(axis=0) == q + 1).all()
-    assert (code.A.sum(axis=1) == q + 1).all()
+    pl, gf, p = code.plane, code.plane.gf, code.p
+
+    def dot(u, v):
+        return gf.add(gf.add(gf.mul(u[0], v[0]), gf.mul(u[1], v[1])), gf.mul(u[2], v[2]))
+
+    # dense reference: rows lines, columns points, built from the coordinates
+    a_ref = np.array([[dot(l, pt) == 0 for pt in pl.coords] for l in pl.coords], dtype=np.int64)
+    assert (a_ref.sum(axis=0) == q + 1).all()
+    assert (a_ref.sum(axis=1) == q + 1).all()
+    rng = random.Random(q)
+    known = [trivial_signing(q), np.zeros(pl.n, dtype=np.int64)] + code.random_dual_codewords(20, rng)
+    if q % 2 == 0:
+        oval = hyperoval(q).members
+        known.append(np.array([int(i in oval) for i in range(pl.n)]))
+    # a codeword plus a unit vector fails exactly the q+1 lines through that point
+    bumped = [known[0] + np.eye(pl.n, dtype=np.int64)[i] for i in range(pl.n)]
+    noise = [np.array([rng.randrange(p) for _ in range(pl.n)]) for _ in range(20)]
+    assert all(code.is_dual_codeword(v) for v in known)
+    for v in known + bumped + noise:
+        assert code.is_dual_codeword(v) == bool(np.all(a_ref @ v % p == 0))
 
 
 def test_trivial_signing_q5():

@@ -1,10 +1,17 @@
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pg2q.plane import IdenticalLines, IdenticalPoints, PointSet, plane_for_order
+from pg2q.gfq import ReducibleModulus, field_for_order, field_new, prime_factors
+from pg2q.plane import IdenticalLines, IdenticalPoints, Plane, PointSet, plane_for_order
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11])
@@ -23,6 +30,68 @@ def test_plane_axioms_exhaustive(q):
             assert common == {l}
             m = pl.meet(i, j)  # same coordinates read as lines
             assert set(pl.points_on_line[i]) & set(pl.points_on_line[j]) == {m}
+
+
+def _reference_incidence(plane: Plane) -> np.ndarray:
+    """Dense n x n incidence (rows lines, columns points): dot products of triples."""
+    gf = plane.gf
+    pts = np.array(plane.coords, dtype=np.int64)
+    if gf.h == 1:
+        return (pts @ pts.T) % gf.p == 0
+    mul = np.array([[gf.mul(a, b) for b in range(gf.q)] for a in range(gf.q)], dtype=np.int64)
+    add = np.array([[gf.add(a, b) for b in range(gf.q)] for a in range(gf.q)], dtype=np.int64)
+    t = mul[pts[:, None, 0], pts[None, :, 0]]
+    t = add[t, mul[pts[:, None, 1], pts[None, :, 1]]]
+    return add[t, mul[pts[:, None, 2], pts[None, :, 2]]] == 0
+
+
+def _reference_fields():
+    """(p, h, modulus) for the default field of every prime power q <= 49, and
+    every monic irreducible modulus at q = 9, 25 and 27."""
+    out = []
+    for q in range(2, 50):
+        if len(prime_factors(q)) == 1:
+            out.append(field_for_order(q).spec)
+    for p, h in ((3, 2), (5, 2), (3, 3)):
+        for code in range(p**h):
+            low = [code // p**i % p for i in range(h)]
+            try:
+                spec = field_new(p, h, low + [1]).spec
+            except ReducibleModulus:
+                continue
+            if spec not in out:
+                out.append(spec)
+    return out
+
+
+@pytest.mark.parametrize("spec", _reference_fields(), ids=lambda s: f"{s.q}-{list(s.modulus)}")
+def test_tables_match_dense_reference(spec):
+    pl = Plane(field_new(spec.p, spec.h, spec.modulus))
+    inc = _reference_incidence(pl)
+    assert pl.points_on_line == [tuple(np.flatnonzero(inc[l]).tolist()) for l in range(pl.n)]
+    assert pl.lines_through_point == [tuple(np.flatnonzero(inc[:, p]).tolist()) for p in range(pl.n)]
+    assert pl.line_masks == [sum(1 << p for p in np.flatnonzero(inc[l]).tolist()) for l in range(pl.n)]
+    # every pair up to q = 16, then every point against 40 seeded lines
+    lines = range(pl.n) if pl.q <= 16 else random.Random(pl.n).sample(range(pl.n), 40)
+    for l in lines:
+        assert [pl.incident(p, l) for p in range(pl.n)] == inc[l].tolist()
+
+
+def test_core_runs_without_numpy():
+    """The field, plane, conic and tangency layers import and run with numpy blocked."""
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import pg2q\n"
+        "from pg2q.conic import interior_point_indices\n"
+        "pl = pg2q.plane_for_order(49)\n"
+        "interior = interior_point_indices(pg2q.canonical_conic(pl))\n"
+        "assert len(interior) == 49 * 48 // 2\n"
+        "assert pg2q.is_tangent_free(pg2q.PointSet(pl, interior))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    r = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
 
 
 def test_counts_examples():

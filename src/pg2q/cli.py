@@ -417,7 +417,12 @@ def dispatch(argv) -> int:
     except SystemExit as e:
         return 2 if e.code else 0
     args._t0 = time.monotonic()
-    args.workers = getattr(args, "workers", None) or os.cpu_count() or 1
+    cpus = os.cpu_count() or 1
+    workers = getattr(args, "workers", None)
+    if workers is not None and not 1 <= workers <= cpus:
+        _note(f"error: --workers must be between 1 and {cpus} (the CPU count), got {workers}")
+        return 2
+    args.workers = workers or cpus
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:

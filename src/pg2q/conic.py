@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .gfq import GF, QuadChar
 from .linalg import mat_mul, mat_transpose
-from .plane import Plane, PointSet
+from .plane import Plane, PointSet, mask_bits
 
 
 class DegenerateConic(ValueError):
@@ -86,6 +86,20 @@ class Conic:
     @cached_property
     def tangent_lines(self) -> tuple[int, ...]:
         return tuple(l for l, c in enumerate(self.line_intersections) if c == 1)
+
+    @cached_property
+    def external_lines(self) -> int:
+        """Mask of the external lines, indexed by line."""
+        return sum(1 << l for l, c in enumerate(self.line_intersections) if c == 0)
+
+    def external_joins(self, p: int) -> int:
+        """Mask of the points on an external line through p.  Points and lines
+        share one index space, so line_masks[p] is the pencil of p."""
+        lm = self.plane.line_masks
+        out = 0
+        for l in mask_bits(lm[p] & self.external_lines):
+            out |= lm[l]
+        return out
 
     def classify_line(self, l: int) -> LineClass:
         c = self.line_intersections[l]

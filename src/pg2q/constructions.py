@@ -6,9 +6,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .conic import Conic, PointClass, canonical_conic, LineClass
+from .conic import Conic, PointClass, canonical_conic
 from .gfq import GF, QuadChar, field_for_order
-from .plane import PointSet, plane_for_order
+from .plane import PointSet, mask_bits, plane_for_order
 from .tangency import Spectrum, WrongSize, is_tangent_free, redei_completion, spectrum
 
 
@@ -126,11 +126,7 @@ def punctured_interior(conic: Conic, exterior_point: int, r: int, rng=None) -> P
         raise RTooLarge(f"need 0 <= r <= (q-5)/2 = {(q - 5) // 2}")
     if conic.classify_point(exterior_point) is not PointClass.EXTERIOR:
         raise NotExterior(f"point {exterior_point} is not exterior")
-    ext_lines = [
-        l
-        for l in plane.lines_through_point[exterior_point]
-        if conic.classify_line(l) is LineClass.EXTERNAL
-    ]
+    ext_lines = mask_bits(plane.line_masks[exterior_point] & conic.external_lines)
     if len(ext_lines) < r:
         raise RTooLarge(f"only {len(ext_lines)} external lines through the point")
     chosen = sorted(rng.sample(ext_lines, r)) if rng is not None else ext_lines[:r]

@@ -7,9 +7,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .conic import Conic, LineClass, PointClass, canonical_conic, is_arc
+from .conic import Conic, LineClass, PointClass, canonical_conic, exterior_point_indices, is_arc
 from .gfq import GF, QuadChar
-from .plane import Plane, PointSet, plane_for_order
+from .plane import Plane, PointSet, mask_bits, plane_for_order
 from .search import TooLarge
 from .tangency import is_tangent_free
 
@@ -19,13 +19,14 @@ class NotExternal(ValueError):
 
 
 def is_exterior_set(conic: Conic, members) -> bool:
-    """Every line through two of the points must be external to the conic."""
-    plane = conic.plane
-    s = PointSet(plane, members)
+    """Every line through two of the points must be external to the conic:
+    each other line meets them in fewer than two points."""
+    m = 0
+    for p in members:
+        m |= 1 << p
+    ext = conic.external_lines
     return all(
-        conic.classify_line(l) is LineClass.EXTERNAL
-        for l, c in enumerate(s.per_line)
-        if c >= 2
+        (lm & m).bit_count() < 2 for l, lm in enumerate(conic.plane.line_masks) if not ext >> l & 1
     )
 
 
@@ -60,32 +61,21 @@ class ExteriorSetReport:
 
 
 def find_extenders(conic: Conic, line: int) -> ExteriorSetReport:
-    """Brute-force scan for points Q extending the exterior points of an
-    external line to a larger exterior set."""
-    plane = conic.plane
+    """Points Q extending the exterior points of an external line to a larger
+    exterior set: the base is already exterior, so Q extends it exactly when
+    its join with every base point is external."""
     base = exterior_points_on_line(conic, line)
-    on_line, off_line = [], []
-    for q_pt in range(plane.n):
-        if q_pt in base:
-            continue
-        if plane.incident(q_pt, line):
-            # the only secant of base + Q is the base line itself, but run
-            # the definitional check rather than assume it
-            if is_exterior_set(conic, base + [q_pt]):
-                on_line.append(q_pt)
-            continue
-        if all(
-            conic.classify_line(plane.line_through(q_pt, b)) is LineClass.EXTERNAL
-            for b in base
-        ):
-            off_line.append(q_pt)
+    ext = ~sum(1 << b for b in base)
+    for b in base:
+        ext &= conic.external_joins(b)
+    on_line = ext & conic.plane.line_masks[line]
     return ExteriorSetReport(
-        plane.q,
+        conic.plane.q,
         conic.coeffs,
         line,
-        tuple(sorted(base)),
-        tuple(sorted(on_line)),
-        tuple(sorted(off_line)),
+        tuple(base),
+        tuple(mask_bits(on_line)),
+        tuple(mask_bits(ext & ~on_line)),
     )
 
 
@@ -144,9 +134,7 @@ def check_extension_dichotomy(q: int, transforms: int = 3, all_lines: bool = Fal
     conic, line, a = canonical_external_line(plane)
     cases = [(conic, line, plane.index_of((1, 0, gf.neg(a))))]
     if all_lines:
-        for l in range(plane.n):
-            if l == line or conic.classify_line(l) is not LineClass.EXTERNAL:
-                continue
+        for l in mask_bits(conic.external_lines & ~(1 << line)):
             slope = _line_slope(plane, l)
             pred = plane.index_of((1, 0, gf.neg(slope))) if slope is not None else None
             cases.append((conic, l, pred))
@@ -201,11 +189,7 @@ def pg25_ten_set() -> PointSet:
     assert len(base) == 3
     second = []
     for p in base:
-        others = [
-            l
-            for l in plane.lines_through_point[p]
-            if l != line and conic.classify_line(l) is LineClass.EXTERNAL
-        ]
+        others = mask_bits(plane.line_masks[p] & conic.external_lines & ~(1 << line))
         assert len(others) == 1, "each exterior point lies on one more external line"
         second.append(others[0])
     q1 = plane.meet(second[0], second[1])
@@ -228,19 +212,8 @@ def exterior_clique_search(q: int, no_three_collinear: bool = False) -> list[Poi
         raise TooLarge("exterior point cliques need odd q")
     if q > 13:
         raise TooLarge("clique search is kept to q <= 13")
-    from .conic import exterior_point_indices
-
     plane = plane_for_order(q)
     conic = canonical_conic(plane)
-    verts = exterior_point_indices(conic)
-    nv = len(verts)
-    adj = [0] * nv
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            l = plane.line_through(verts[i], verts[j])
-            if conic.classify_line(l) is LineClass.EXTERNAL:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
     k = (q + 1) // 2
     cliques: list[tuple[int, ...]] = []
 
@@ -254,29 +227,20 @@ def exterior_clique_search(q: int, no_three_collinear: bool = False) -> list[Poi
         while c:
             bit = c & -c
             c ^= bit
-            v = bit.bit_length() - 1
-            extend(members + (v,), c & adj[v])
+            p = bit.bit_length() - 1
+            extend(members + (p,), c & conic.external_joins(p))
 
-    full = (1 << nv) - 1
-    extend((), full)
-    out = []
-    for members in cliques:
-        pts = [verts[v] for v in members]
-        if no_three_collinear and not is_arc(plane, pts):
-            continue
-        out.append(PointSet(plane, pts))
+    extend((), sum(1 << p for p in exterior_point_indices(conic)))
+    out = [
+        PointSet(plane, members)
+        for members in cliques
+        if not no_three_collinear or is_arc(plane, members)
+    ]
     if q % 4 == 1 and not no_three_collinear:
-        assert all(_is_collinear(plane, sorted(s.members)) for s in out), (
+        assert all(any(lm & s.mask == s.mask for lm in plane.line_masks) for s in out), (
             "q = 1 mod 4: every half-line exterior set must be collinear"
         )
     return out
-
-
-def _is_collinear(plane: Plane, pts) -> bool:
-    if len(pts) <= 2:
-        return True
-    l = plane.line_through(pts[0], pts[1])
-    return all(plane.incident(p, l) for p in pts[2:])
 
 
 def conic_union_check(conic: Conic, exterior_members) -> bool:

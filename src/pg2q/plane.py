@@ -121,6 +121,16 @@ class Plane:
         return self._index[self.normalize(mat_vec(mt, self.coords[l], self.gf))]
 
 
+def mask_bits(mask: int) -> list[int]:
+    """The indices of the set bits of a point or line mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 # GF hashes by its FieldSpec, whose modulus is resolved: one Plane per field
 _plane_of = lru_cache(maxsize=None)(Plane)
 

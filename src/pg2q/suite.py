@@ -93,7 +93,7 @@ def _check_codes_quick():
     return True, "trivial signing weight 10; hyperoval weight 6"
 
 
-def _check_classification(workers):
+def _check_classification():
     from .search import classify_up_to_pgl, enumerate_tangent_free
 
     sets = enumerate_tangent_free(5, 10)
@@ -173,7 +173,7 @@ def run_suite(level: str, workers: int | None = None, note=print):
             ("censuses_q<=31", lambda: _check_censuses([17, 19, 23, 25, 27, 29, 31])),
             ("constructions_q<=31", lambda: _check_constructions([9, 11, 13, 17, 19, 23, 25, 27, 29, 31])),
             ("u7", lambda: _check_u(7, 12, workers)),
-            ("classification_pg25", lambda: _check_classification(workers)),
+            ("classification_pg25", _check_classification),
             ("dichotomy_q<=13", lambda: _check_dichotomy([9, 11, 13])),
             ("cliques_5_7_11", lambda: _check_cliques([5, 7, 11])),
             ("stopping_equivalence", lambda: _check_stopping([3, 4, 5])),

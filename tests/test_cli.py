@@ -1,4 +1,5 @@
 import json
+import os
 import random
 from itertools import product
 
@@ -66,6 +67,14 @@ def test_search_min_cli(capsys):
     obj = json.loads(out)
     assert obj["results"]["u"] == 10
     assert obj["verdicts"]["witness_tangent_free"]
+
+
+@pytest.mark.parametrize("workers", ["-3", "0", str((os.cpu_count() or 1) + 1)])
+def test_search_min_rejects_bad_workers(capsys, workers):
+    # at q = 3 the construction settles the run before any pool could start
+    code, out, err = run(capsys, "search-min", "--q", "3", "--workers", workers)
+    assert code == 2 and out == ""
+    assert "--workers" in err
 
 
 def test_exterior_extend_cli(capsys):

@@ -147,3 +147,19 @@ def test_dual_arc_of_interior_set():
     assert arc_is_conic_check(pl, missing)
     # those lines are exactly the tangent lines of the conic
     assert sorted(missing) == sorted(c.tangent_lines)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_external_joins_are_the_external_joins(q):
+    pl = plane_for_order(q)
+    c = canonical_conic(pl)
+    assert c.external_lines == sum(
+        1 << l for l in range(pl.n) if c.classify_line(l) is LineClass.EXTERNAL
+    )
+    for p in range(pl.n):
+        want = sum(
+            1 << r
+            for r in range(pl.n)
+            if r != p and c.classify_line(pl.line_through(p, r)) is LineClass.EXTERNAL
+        )
+        assert c.external_joins(p) & ~(1 << p) == want, p

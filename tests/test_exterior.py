@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pg2q.conic import LineClass, canonical_conic
+from pg2q.conic import LineClass, canonical_conic, exterior_point_indices, is_arc
 from pg2q.exterior import (
     NotExternal,
     TooLarge,
@@ -18,6 +20,7 @@ from pg2q.exterior import (
     pg25_ten_set,
 )
 from pg2q.gfq import QuadChar
+from pg2q.linalg import random_invertible
 from pg2q.plane import PointSet, plane_for_order
 from pg2q.tangency import is_tangent_free, spectrum
 
@@ -85,7 +88,7 @@ def test_extension_dichotomy(q):
     assert rep.off_line_count == rep.expected_off == (1 if q % 4 == 1 else 0)
 
 
-@pytest.mark.parametrize("q", [5, 7, 9, 11])
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31])
 def test_extension_dichotomy_all_lines(q):
     """Loop every external line of the canonical conic, not just z = ax."""
     rep = check_extension_dichotomy(q, transforms=1, all_lines=True)
@@ -203,3 +206,98 @@ def test_clique_q13_collinear_union_fails():
 def test_clique_guard():
     with pytest.raises(TooLarge):
         exterior_clique_search(17)
+
+
+# -- per-pair references for the mask answers -------------------------------
+
+
+def _external_join(conic, p, r):
+    return conic.classify_line(conic.plane.line_through(p, r)) is LineClass.EXTERNAL
+
+
+def _reference_is_exterior_set(conic, members):
+    """The definition: every line meeting the set twice is external."""
+    s = PointSet(conic.plane, members)
+    return all(conic.classify_line(l) is LineClass.EXTERNAL for l, c in enumerate(s.per_line) if c >= 2)
+
+
+def _reference_extenders(conic, line):
+    """Per-pair scan: the definitional set test for points on the line, one
+    join per base point for points off it."""
+    plane = conic.plane
+    base = exterior_points_on_line(conic, line)
+    on_line, off_line = [], []
+    for x in range(plane.n):
+        if x in base:
+            continue
+        if plane.incident(x, line):
+            if _reference_is_exterior_set(conic, base + [x]):
+                on_line.append(x)
+        elif all(_external_join(conic, x, b) for b in base):
+            off_line.append(x)
+    return tuple(base), tuple(on_line), tuple(off_line)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27])
+def test_find_extenders_matches_per_pair_scan(q):
+    """Every external line of the canonical conic and of 3 random images."""
+    pl = plane_for_order(q)
+    conic = canonical_conic(pl)
+    rng = random.Random(1000 + q)
+    for con in [conic] + [conic.transform(random_invertible(pl.gf, rng)) for _ in range(3)]:
+        lines = [l for l in range(pl.n) if con.classify_line(l) is LineClass.EXTERNAL]
+        assert len(lines) == q * (q - 1) // 2
+        for l in lines:
+            rep = find_extenders(con, l)
+            got = (rep.base_points, rep.extenders_on_line, rep.extenders_off_line)
+            assert got == _reference_extenders(con, l), (q, con.coeffs, l)
+
+
+def _reference_cliques(q, no_three_collinear):
+    """Cliques of the exterior points under an O(v^2) adjacency table of
+    external joins, in the order of a lowest-vertex-first DFS."""
+    pl = plane_for_order(q)
+    conic = canonical_conic(pl)
+    verts = exterior_point_indices(conic)
+    adj = [
+        sum(1 << j for j, w in enumerate(verts) if w != v and _external_join(conic, v, w))
+        for v in verts
+    ]
+    k = (q + 1) // 2
+    out = []
+
+    def extend(members, cand):
+        if len(members) == k:
+            out.append(tuple(verts[i] for i in members))
+            return
+        for i in range(len(verts)):
+            if cand >> i & 1:
+                cand &= ~(1 << i)
+                extend(members + (i,), cand & adj[i])
+
+    extend((), (1 << len(verts)) - 1)
+    return [c for c in out if not no_three_collinear or is_arc(pl, c)]
+
+
+@pytest.mark.parametrize("no3col", [False, True])
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
+def test_clique_search_matches_adjacency_reference(q, no3col):
+    got = [s.sorted_tuple() for s in exterior_clique_search(q, no_three_collinear=no3col)]
+    assert got == _reference_cliques(q, no3col)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_is_exterior_set_is_pairwise_external(data):
+    q = data.draw(st.sampled_from([5, 7, 9, 11]))
+    pl = plane_for_order(q)
+    conic = canonical_conic(pl)
+    ext = exterior_point_indices(conic)
+    members = data.draw(st.lists(st.sampled_from(ext), max_size=6, unique=True))
+    if data.draw(st.booleans()):
+        # an exterior set plus a few points, so that both answers occur
+        lines = [l for l in range(pl.n) if conic.classify_line(l) is LineClass.EXTERNAL]
+        base = exterior_points_on_line(conic, data.draw(st.sampled_from(lines)))
+        members = sorted(set(base) | set(members[:2]))
+    pairwise = all(_external_join(conic, p, r) for i, p in enumerate(members) for r in members[i + 1 :])
+    assert is_exterior_set(conic, members) == pairwise

@@ -61,37 +61,35 @@ def cmd_construct(args) -> int:
     name = args.name
     notes = ""
     if name == "trivial":
-        ps, claimed = cons.trivial(q), 2 * q
+        ps = cons.trivial(q)
     elif name == "two_conics":
         a = args.a if args.a is not None else (cons.find_valid_a(q) or [None])[0]
         if a is None:
             _note(f"no valid two-conic parameter exists for q={q}")
             return 1
-        ps, claimed = cons.two_conics(q, a), 2 * (q - 1)
+        ps = cons.two_conics(q, a)
         notes = f"a={a}"
     elif name == "interior":
-        ps, claimed = cons.interior_points(canonical_conic(plane)), q * (q - 1) // 2
+        ps = cons.interior_points(canonical_conic(plane))
     elif name == "punctured_interior":
         con = canonical_conic(plane)
         ext = next(p for p in range(plane.n) if con.classify_point(p) is PointClass.EXTERIOR)
         ps = cons.punctured_interior(con, ext, args.r)
-        claimed = q * (q - 1) // 2 - args.r * (q + 1) // 2
     elif name == "trace_graph":
         ps, notes = cons.trace_graph(q)
-        claimed = 2 * q - q // plane.gf.p
     elif name == "frobenius_graph":
         ps, notes = cons.frobenius_graph(q)
-        claimed = cons.frobenius_claimed_size(q)
     elif name == "pg25_ten_set":
         from .exterior import pg25_ten_set
 
         if q != 5:
             _note("pg25_ten_set is defined for q=5")
             return 2
-        ps, claimed = pg25_ten_set(), 10
+        ps = pg25_ten_set()
     else:
         _note(f"unknown construction {name}")
         return 2
+    claimed = cons.claimed_size(name, q, args.r)
     cert = cons.certify(name, ps, claimed, notes)
     report = {
         "command": "construct",

@@ -4,6 +4,7 @@ self-verification certificate recording claimed vs. actual size.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .conic import Conic, PointClass, canonical_conic
@@ -90,6 +91,8 @@ def two_conics(q: int, a: int) -> PointSet:
         raise InvalidA("two-conic construction needs odd q > 5")
     plane = plane_for_order(q)
     gf = plane.gf
+    if not 0 <= a < q:
+        raise InvalidA(f"a={a} is not an element of GF({q}): need 0 <= a < {q}")
     if a in (0, 1):
         raise InvalidA("a must avoid 0 and 1")
     if gf.quad_char(gf.sub(1, a)) is not QuadChar.SQUARE or gf.quad_char(
@@ -183,49 +186,59 @@ def verify_desargues(s: PointSet) -> bool:
     return all(v == 3 for v in per_point.values())
 
 
-# -- certificate drivers -----------------------------------------------------------
+# -- the construction list ----------------------------------------------------------
 
 
-def frobenius_claimed_size(q: int) -> int:
-    gf = field_for_order(q)
-    return q + (q - gf.p) // (gf.p - 1)
+def claimed_size(name: str, q: int, r: int = 0) -> int:
+    """The size claimed for a named construction at order q; r is the number
+    of external lines taken out of the interior by punctured_interior.  The
+    Frobenius size is the printed formula, which the construction disagrees
+    with."""
+    p = field_for_order(q).p
+    return {
+        "trivial": 2 * q,
+        "two_conics": 2 * (q - 1),
+        "interior": q * (q - 1) // 2,
+        "punctured_interior": q * (q - 1) // 2 - r * (q + 1) // 2,
+        "trace_graph": 2 * q - q // p,
+        "frobenius_graph": q + (q - p) // (p - 1),
+        "pg25_ten_set": 10,
+    }[name]
 
 
-def all_certificates(q: int) -> list[ConstructionCert]:
-    """Build and certify every construction applicable at this order."""
+@dataclass(frozen=True)
+class Construction:
+    """A named set without tangents and the size claimed for it."""
+
+    name: str
+    points: PointSet
+    claimed_size: int
+    notes: str = ""
+
+
+def constructions_at(q: int) -> Iterator[Construction]:
+    """Every construction applicable at this order, in a fixed order."""
     gf = field_for_order(q)
     plane = plane_for_order(q)
-    certs = [certify("trivial", trivial(q), 2 * q)]
+    yield Construction("trivial", trivial(q), claimed_size("trivial", q))
     if q % 2 == 1 and q > 5:
         valid = find_valid_a(q)
         if valid:
-            certs.append(
-                certify("two_conics", two_conics(q, valid[0]), 2 * (q - 1), notes=f"a={valid[0]}")
-            )
+            yield Construction("two_conics", two_conics(q, valid[0]), claimed_size("two_conics", q),
+                               f"a={valid[0]}")
     if q % 2 == 1 and q >= 5:
         con = canonical_conic(plane)
-        certs.append(certify("interior", interior_points(con), q * (q - 1) // 2))
-        ext = next(
-            p for p in range(plane.n) if con.classify_point(p) is PointClass.EXTERIOR
-        )
+        yield Construction("interior", interior_points(con), claimed_size("interior", q))
+        ext = next(p for p in range(plane.n) if con.classify_point(p) is PointClass.EXTERIOR)
         for r in range(0, (q - 5) // 2 + 1):
-            certs.append(
-                certify(
-                    f"punctured_interior_r{r}",
-                    punctured_interior(con, ext, r),
-                    q * (q - 1) // 2 - r * (q + 1) // 2,
-                )
-            )
+            yield Construction(f"punctured_interior_r{r}", punctured_interior(con, ext, r),
+                               claimed_size("punctured_interior", q, r))
     if gf.p > 2 and gf.h >= 2:
-        tg, _ = trace_graph(q)
-        certs.append(certify("trace_graph", tg, 2 * q - q // gf.p))
-        fg, _ = frobenius_graph(q)
-        certs.append(
-            certify(
-                "frobenius_graph",
-                fg,
-                frobenius_claimed_size(q),
-                notes="printed size formula disagrees with the construction; kept for the record",
-            )
-        )
-    return certs
+        yield Construction("trace_graph", trace_graph(q)[0], claimed_size("trace_graph", q))
+        yield Construction("frobenius_graph", frobenius_graph(q)[0], claimed_size("frobenius_graph", q),
+                           "printed size formula disagrees with the construction; kept for the record")
+
+
+def all_certificates(q: int) -> list[ConstructionCert]:
+    """Certify every construction applicable at this order."""
+    return [certify(c.name, c.points, c.claimed_size, c.notes) for c in constructions_at(q)]

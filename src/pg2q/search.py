@@ -4,8 +4,11 @@ fixed size, and classification up to PGL(3,q).
 The core is a repair DFS: while the partial set has a tangent line, every
 completion must pick up another point of that line, so we branch over its
 available points (accumulating exclusions across siblings, which makes the
-enumeration duplicate-free).  Pruning uses the sqrt lower bound on u_q plus a
-greedy matching of tangent lines with pairwise disjoint candidate pools.
+enumeration duplicate-free).  One repair step, `_Searcher._branch`, picks the
+branch line and prunes by a greedy matching of tangent lines with pairwise
+disjoint candidate pools and by the largest tangent pencil; the DFS and the
+worker frontier both call it.  Iterative deepening starts at the sqrt lower
+bound on u_q.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from operator import itemgetter
 
 import numpy as np
 
-from .gfq import field_for_order
 from .plane import Plane, PointSet, plane_for_order
 from .tangency import is_tangent_free
 
@@ -83,11 +85,6 @@ class _Searcher:
         self.nodes = 0
         self.deadline = None
 
-    @property
-    def tangents(self) -> int:
-        """Mask of the lines that meet the partial set in exactly one point."""
-        return self.once & ~self.twice
-
     def _add(self, p):
         self.partial.append(p)
         self.partial_mask |= 1 << p
@@ -102,37 +99,37 @@ class _Searcher:
         self.partial_mask &= ~(1 << p)
         self.once, self.twice = self.undo.pop()
 
-    def _scan_tangents(self, free):
-        """One pass over the current tangent lines, lowest index first.
+    def _branch(self, free, n_target):
+        """The repair step: the available points of the tangent line to branch
+        over, or 0 when the node is pruned.
 
-        Returns (dead, bound, branch_line, branch_avail): `bound` is the
-        larger of a greedy matching of avail-disjoint tangents and the largest
-        tangent pencil through a single member (each new point can repair at
-        most one tangent per pencil); the branch line has the fewest available
-        points (ties to the smallest index).
+        One pass over the current tangent lines, lowest index first.  A tangent
+        with no available point is dead.  The bound is the larger of a greedy
+        matching of avail-disjoint tangents and the largest tangent pencil
+        through a single member (each new point can repair at most one tangent
+        per pencil); no completion of size n_target exists when the partial
+        set plus the bound exceeds it.  The branch line has the fewest
+        available points (ties to the smallest index).
         """
         line_masks = self.line_masks
         tangents = self.once & ~self.twice
         rest = tangents
         used = 0
         k = 0
-        best_line = -1
         best_avail = 0
         best_cnt = self.plane.n + 1
         while rest:
             low = rest & -rest
             rest ^= low
-            l = low.bit_length() - 1
-            avail = line_masks[l] & free
+            avail = line_masks[low.bit_length() - 1] & free
             if not avail:
-                return True, 0, -1, 0
+                return 0
             if not avail & used:
                 k += 1
                 used |= avail
             cnt = avail.bit_count()
             if cnt < best_cnt:
                 best_cnt = cnt
-                best_line = l
                 best_avail = avail
         # every tangent holds exactly one member, so this is the largest
         # number of tangents through a single member.  The pencil of p has
@@ -140,7 +137,9 @@ class _Searcher:
         # a fast local rather than a closure cell.
         pencils = self.line_masks
         max_pencil = max([(tangents & pencils[p]).bit_count() for p in self.partial])
-        return False, max(k, max_pencil), best_line, best_avail
+        if len(self.partial) + max(k, max_pencil) > n_target:
+            return 0
+        return best_avail
 
     def run(self, n_target: int, excluded_mask: int, exact_size: bool, collect, seed=()):
         """DFS all tangent-free supersets of the seed avoiding excluded points.
@@ -163,34 +162,17 @@ class _Searcher:
             raise SearchTimeout(self.nodes)
         size = len(self.partial)
         free = self.all_points_mask & ~self.partial_mask & ~excluded_mask
+        if exact_size and size + free.bit_count() < n_target:
+            return False
         if self.once == self.twice:  # no tangent line
             if not exact_size:
-                if size > 0 and collect(tuple(self.partial)):
-                    return True
-                return False
+                return bool(size and collect(tuple(self.partial)))
             if size == n_target:
                 collect(tuple(self.partial))
                 return False
-            # grow: branch over every remaining point, excluding tried ones
-            if size + free.bit_count() < n_target:
-                return False
-            ex = excluded_mask
-            avail = free
-            while avail:
-                bit = avail & -avail
-                avail ^= bit
-                self._add(bit.bit_length() - 1)
-                stop = self._dfs(n_target, ex, exact_size, collect)
-                self._remove()
-                if stop:
-                    return True
-                ex |= bit
-            return False
-        dead, bound, line, avail = self._scan_tangents(free)
-        if dead or size + bound > n_target:
-            return False
-        if exact_size and size + free.bit_count() < n_target:
-            return False
+            avail = free  # grow: branch over every remaining point
+        else:
+            avail = self._branch(free, n_target)
         ex = excluded_mask
         while avail:
             bit = avail & -avail
@@ -204,16 +186,17 @@ class _Searcher:
         return False
 
 
-def _enumerate_with_state(plane: Plane, n_target: int, seed_members, excluded):
+def _enumerate_with_state(plane: Plane, n_target: int, seed_members=(), excluded=()):
     """All tangent-free sets of size n_target containing the seed and avoiding
-    the excluded points.  Returns (list of sorted tuples, node count)."""
-    out: list[tuple[int, ...]] = []
-    ex_mask = 0
-    for p in excluded:
-        ex_mask |= 1 << p
+    the excluded points, duplicate-free, as sorted tuples in ascending order;
+    returns (sets, node count)."""
     s = _Searcher(plane)
-    s.run(n_target, ex_mask, True, lambda t: out.append(tuple(sorted(t))), seed=seed_members)
-    return sorted(set(out)), s.nodes
+    out: list[tuple[int, ...]] = []
+    s.run(n_target, sum(1 << p for p in set(excluded)), True,
+          lambda t: out.append(tuple(sorted(t))), seed=seed_members)
+    result = sorted(set(out))
+    assert len(result) == len(out), "duplicate generation"
+    return result, s.nodes
 
 
 def enumerate_tangent_free(q: int, n: int) -> list[tuple[int, ...]]:
@@ -223,12 +206,7 @@ def enumerate_tangent_free(q: int, n: int) -> list[tuple[int, ...]]:
     plane = plane_for_order(q)
     if n > plane.n:
         raise Infeasible(f"n={n} exceeds the number of points")
-    s = _Searcher(plane)
-    out: list[tuple[int, ...]] = []
-    s.run(n, 0, True, lambda t: out.append(tuple(sorted(t))))
-    result = sorted(set(out))
-    assert len(result) == len(out), "duplicate generation"
-    return result
+    return _enumerate_with_state(plane, n)[0]
 
 
 FRAME = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
@@ -265,34 +243,33 @@ def _exists_serial(plane, n, deadline=None):
 
 
 def _frontier_jobs(plane, n, min_jobs, seed):
-    """Expand a seeded root into independent (partial, excluded) subtrees."""
+    """Expand a seeded root into independent (partial, excluded) subtrees: the
+    first levels of the DFS, branching and pruning by the same repair step."""
+    st = _Searcher(plane)
     jobs = []
 
-    def expand(members, ex_mask, depth):
-        st = _Searcher(plane)
-        for p in members:
-            st._add(p)
-        free = st.all_points_mask & ~st.partial_mask & ~ex_mask
-        if depth == 0 or not st.tangents:
-            jobs.append((members, ex_mask))
+    def expand(ex_mask, depth):
+        if depth == 0 or st.once == st.twice:
+            jobs.append((tuple(st.partial), ex_mask))
             return
-        dead, bound, line, avail = st._scan_tangents(free)
-        if dead or len(members) + bound > n:
-            return
+        avail = st._branch(st.all_points_mask & ~st.partial_mask & ~ex_mask, n)
         ex = ex_mask
         while avail:
             bit = avail & -avail
             avail ^= bit
-            expand(members + (bit.bit_length() - 1,), ex, depth - 1)
+            st._add(bit.bit_length() - 1)
+            expand(ex, depth - 1)
+            st._remove()
             ex |= bit
 
-    depth = 1
-    while True:
+    for p in seed:
+        st._add(p)
+    for depth in range(1, 7):
         jobs.clear()
-        expand(seed, 0, depth)
-        if len(jobs) >= min_jobs or depth >= 6:
-            return jobs
-        depth += 1
+        expand(0, depth)
+        if len(jobs) >= min_jobs:
+            break
+    return jobs
 
 
 def _run_job(args):
@@ -344,44 +321,26 @@ class SearchResult:
 
 
 def known_witnesses(q: int) -> dict[int, tuple[int, ...]]:
-    """Verified tangent-free sets from the explicit constructions, by size."""
-    from . import constructions as cons
+    """Verified tangent-free sets by size: the first set of each size in the
+    construction list, then a conic plus a no-3-collinear exterior clique."""
+    from .constructions import constructions_at
 
-    plane = plane_for_order(q)
     out: dict[int, tuple[int, ...]] = {}
+    for c in constructions_at(q):
+        assert is_tangent_free(c.points) and len(c.points) > 0
+        out.setdefault(len(c.points), c.points.sorted_tuple())
+    if q % 4 == 3 and 7 <= q <= 13:
+        # conic plus a no-3-collinear exterior clique, when one exists
+        from .conic import canonical_conic
+        from .exterior import exterior_clique_search
 
-    def keep(name, ps):
-        if ps is None:
-            return
-        assert is_tangent_free(ps) and len(ps) > 0
-        out.setdefault(len(ps), ps.sorted_tuple())
-
-    keep("trivial", cons.trivial(q))
-    if q % 2:
-        gf = field_for_order(q)
-        if q > 5:
-            valid = cons.find_valid_a(q)
-            if valid:
-                keep("two_conics", cons.two_conics(q, valid[0]))
-        if q >= 5:
-            from .conic import canonical_conic
-
-            con = canonical_conic(plane)
-            keep("interior", cons.interior_points(con))
-        if gf.h >= 2 and gf.p > 2:
-            keep("trace_graph", cons.trace_graph(q)[0])
-            keep("frobenius_graph", cons.frobenius_graph(q)[0])
-        if q % 4 == 3 and 7 <= q <= 13:
-            # conic plus a no-3-collinear exterior clique, when one exists
-            from .conic import canonical_conic
-            from .exterior import exterior_clique_search
-
-            con = canonical_conic(plane)
-            for clique in exterior_clique_search(q, no_three_collinear=True):
-                union = PointSet(plane, set(con.points) | set(clique.members))
-                if is_tangent_free(union):
-                    keep("conic_plus_exterior", union)
-                    break
+        plane = plane_for_order(q)
+        con = canonical_conic(plane)
+        for clique in exterior_clique_search(q, no_three_collinear=True):
+            union = PointSet(plane, set(con.points) | set(clique.members))
+            if is_tangent_free(union):
+                out.setdefault(len(union), union.sorted_tuple())
+                break
     return out
 
 

@@ -149,6 +149,14 @@ def test_construct_rejects_plane_above_cap(capsys):
     assert "cap 64" in err
 
 
+@pytest.mark.parametrize("a", ["7", "-1"])
+def test_construct_two_conics_rejects_a_outside_field(capsys, a):
+    # a = 7 used to escape as an IndexError; a = -1 was read as 6
+    code, out, err = run(capsys, "construct", "--name", "two_conics", "--q", "7", "--a", a)
+    assert code == 2 and out == ""
+    assert "InvalidA" in err and f"a={a}" in err
+
+
 def _moduli(p, h):
     """Every monic irreducible polynomial of degree h over GF(p), ascending."""
     out = []
@@ -261,6 +269,15 @@ def test_enumerate_cli(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["results"]["count"] == 78
+
+
+def test_classify_cli_pg25(capsys):
+    """`classify --q 5 --n 10` prints the two PGL(3,5) classes of tangent-free 10-sets."""
+    code, out, err = run(capsys, "classify", "--q", "5", "--n", "10")
+    assert code == 0, err
+    res = json.loads(out)["results"]
+    assert res["total_sets"] == 3565
+    assert sorted((c["class_size"], c["stabilizer_order"]) for c in res["classes"]) == [(465, 800), (3100, 120)]
 
 
 def test_theoremsuite_quick(capsys):

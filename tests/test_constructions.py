@@ -8,8 +8,8 @@ from pg2q.constructions import (
     WrongSize,
     all_certificates,
     certify,
+    claimed_size,
     find_valid_a,
-    frobenius_claimed_size,
     frobenius_graph,
     interior_points,
     punctured_interior,
@@ -132,8 +132,8 @@ def test_frobenius_graph_flagged_size():
     fg, note = frobenius_graph(9)
     assert is_tangent_free(fg)
     assert len(fg) == 15  # the construction's own count
-    assert frobenius_claimed_size(9) == 12  # the printed formula disagrees
-    cert = certify("frobenius_graph", fg, frobenius_claimed_size(9))
+    assert claimed_size("frobenius_graph", 9) == 12  # the printed formula disagrees
+    cert = certify("frobenius_graph", fg, claimed_size("frobenius_graph", 9))
     assert cert.status == "FLAGGED"
     assert cert.actual_size == 15 and cert.claimed_size == 12
 

@@ -1,35 +1,32 @@
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pg2q.codes import hyperoval
-from pg2q.constructions import interior_points, trivial
+from pg2q.constructions import constructions_at, interior_points, trivial
 from pg2q.conic import canonical_conic
 from pg2q.plane import PointSet, plane_for_order
 from pg2q.search import (
     FRAME,
     CapTooSmall,
     OrbitRep,
+    _enumerate_with_state,
     _exists_from,
     _exists_parallel,
     _exists_serial,
+    _frontier_jobs,
     _Searcher,
     brute_force_min,
     classify_up_to_pgl,
     enumerate_tangent_free,
     frame_seed,
+    known_witnesses,
     lower_bound,
     min_tangent_free,
     pgl_group,
 )
-from pg2q.tangency import is_tangent_free, spectrum
+from pg2q.tangency import is_tangent_free, secant_bound_check, spectrum
 
 
 def test_lower_bound_values():
@@ -95,10 +92,11 @@ def test_frame_seed_agrees_with_triple_seeds():
                 assert is_tangent_free(PointSet(pl, wt)) and len(wt) == n
 
 
-def _reference_scan(pl, partial, free):
-    """The per-line definition of `_Searcher._scan_tangents`: tangent lines
-    from per-line counts, a pencil dict keyed by each tangent's member, and a
-    greedy matching over the tangents in sorted order."""
+def _reference_scan(pl, partial, free, n_target):
+    """The per-line definition of `_Searcher._branch`: tangent lines from
+    per-line counts, a pencil dict keyed by each tangent's member, and a
+    greedy matching over the tangents in sorted order.  Returns the tangent
+    lines and the branch line's available points, 0 when the node is pruned."""
     pmask = sum(1 << p for p in partial)
     tangents = [l for l, lm in enumerate(pl.line_masks) if bin(lm & pmask).count("1") == 1]
     used = k = 0
@@ -108,7 +106,7 @@ def _reference_scan(pl, partial, free):
         lm = pl.line_masks[l]
         avail = lm & free
         if avail == 0:
-            return tangents, (True, 0, -1, 0)
+            return tangents, 0
         if avail & used == 0:
             k += 1
             used |= avail
@@ -116,31 +114,36 @@ def _reference_scan(pl, partial, free):
         pencil[base] = pencil.get(base, 0) + 1
         cnt = bin(avail).count("1")
         if best is None or cnt < best[0]:
-            best = (cnt, l, avail)
+            best = (cnt, avail)
     if best is None:
         return tangents, None
-    return tangents, (False, max(k, max(pencil.values())), best[1], best[2])
+    if len(partial) + max(k, max(pencil.values())) > n_target:
+        return tangents, 0
+    return tangents, best[1]
 
 
 @settings(max_examples=60, deadline=None)
 @given(q=st.sampled_from([4, 5, 7, 9]), data=st.data())
 def test_kernel_masks_match_line_counts(q, data):
     """Over random add/remove sequences the bitmask state gives the tangent
-    lines of the partial set and the same scan as the per-line definition."""
+    lines of the partial set and the same repair step as the per-line
+    definition."""
     pl = plane_for_order(q)
     s = _Searcher(pl)
     ops = data.draw(st.lists(st.tuples(st.booleans(), st.integers(0, pl.n - 1)), max_size=40))
     excluded = data.draw(st.integers(0, (1 << pl.n) - 1))
+    n_target = data.draw(st.integers(1, 2 * q + 2))
     for add, p in ops:
         if add and not (s.partial_mask >> p) & 1:
             s._add(p)
         elif not add and s.partial:
             s._remove()
-        tangents, ref = _reference_scan(pl, s.partial, s.all_points_mask & ~s.partial_mask & ~excluded)
-        assert s.tangents == sum(1 << l for l in tangents)
+        free = s.all_points_mask & ~s.partial_mask & ~excluded
+        tangents, ref = _reference_scan(pl, s.partial, free, n_target)
+        assert s.once & ~s.twice == sum(1 << l for l in tangents)
         assert (s.once == s.twice) == (not tangents)
         if ref is not None:
-            assert s._scan_tangents(s.all_points_mask & ~s.partial_mask & ~excluded) == ref
+            assert s._branch(free, n_target) == ref
     while s.partial:
         s._remove()
     assert s.once == s.twice == s.partial_mask == 0 and not s.undo
@@ -152,6 +155,48 @@ def test_exact_node_counts():
     w, nodes = _exists_serial(plane_for_order(8), 10)
     assert nodes == 26
     assert is_tangent_free(PointSet(plane_for_order(8), w)) and len(w) == 10
+    sets, nodes = _enumerate_with_state(plane_for_order(5), 10)
+    assert len(sets) == 3565 and nodes == 153_581
+    assert secant_bound_check(5).nodes == 14_785
+
+
+def _reference_frontier_jobs(pl, n, min_jobs, seed):
+    """Frontier expansion node by node: each node's state is rebuilt from its
+    members and the branch comes from the per-line definition."""
+    jobs = []
+
+    def expand(members, ex_mask, depth):
+        free = (1 << pl.n) - 1 & ~sum(1 << p for p in members) & ~ex_mask
+        tangents, avail = _reference_scan(pl, members, free, n)
+        if depth == 0 or not tangents:
+            jobs.append((members, ex_mask))
+            return
+        ex = ex_mask
+        while avail:
+            bit = avail & -avail
+            avail ^= bit
+            expand(members + (bit.bit_length() - 1,), ex, depth - 1)
+            ex |= bit
+
+    depth = 1
+    while True:
+        jobs.clear()
+        expand(seed, 0, depth)
+        if len(jobs) >= min_jobs or depth >= 6:
+            return jobs
+        depth += 1
+
+
+@pytest.mark.parametrize("q,n,min_jobs", [(7, 11, 6), (9, 13, 6), (9, 14, 6), (16, 18, 6),
+                                          (5, 10, 6), (7, 11, 60), (9, 13, 60), (7, 10, 60)])
+def test_frontier_jobs_match_per_node_reference(q, n, min_jobs):
+    """The frontier walks one searcher with the DFS's repair step and splits
+    the root into the same jobs as the node-by-node expansion (a larger
+    min_jobs reaches past the first level; at q=7 n=10 the bound prunes
+    frontier nodes)."""
+    pl = plane_for_order(q)
+    seed = frame_seed(pl)
+    assert _frontier_jobs(pl, n, min_jobs, seed) == _reference_frontier_jobs(pl, n, min_jobs, seed)
 
 
 def test_parallel_level_settled_by_first_witness():
@@ -283,18 +328,22 @@ def test_classification_pg25():
             assert sp.max_secant() == 3
 
 
-def test_classify_pg25_script():
-    """scripts/classify_pg25.py runs end to end and prints the two classes."""
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "classify_pg25.py")],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
-    assert out["total_sets"] == 3565
-    assert sorted((c["class_size"], c["stabilizer_order"]) for c in out["classes"]) == [(465, 800), (3100, 120)]
+def test_known_witnesses_sizes():
+    """The construction witnesses up to 2q, each the first set of its size in
+    the construction list except the 18-point conic-plus-exterior union at
+    q = 11, and each a tangent-free set of that size."""
+    sizes = {3: [6], 4: [8], 5: [10], 7: [12, 14], 8: [16], 9: [15, 16, 18], 11: [18, 20, 22],
+             13: [24, 26], 16: [32], 25: [45, 48, 50], 27: [42, 45, 52, 54]}
+    for q, want in sizes.items():
+        pl = plane_for_order(q)
+        found = known_witnesses(q)
+        assert sorted(m for m in found if m <= 2 * q) == want
+        first: dict[int, tuple[int, ...]] = {}
+        for c in constructions_at(q):
+            first.setdefault(len(c.points), c.points.sorted_tuple())
+        for m, w in found.items():
+            assert len(w) == m and is_tangent_free(PointSet(pl, w))
+            assert (q, m) == (11, 18) or w == first[m]
 
 
 def test_worker_count_independence():

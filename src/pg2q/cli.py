@@ -59,14 +59,17 @@ def cmd_construct(args) -> int:
     q = args.q
     plane = plane_for_order(q)
     name = args.name
+    if args.r is not None and name != "punctured_interior":
+        _note(f"--r applies only to punctured_interior, not to {name}")
+        return 2
+    r = args.r or 0
     notes = ""
     if name == "trivial":
         ps = cons.trivial(q)
     elif name == "two_conics":
-        a = args.a if args.a is not None else (cons.find_valid_a(q) or [None])[0]
+        a = args.a if args.a is not None else min(cons.find_valid_a(q), default=None)
         if a is None:
-            _note(f"no valid two-conic parameter exists for q={q}")
-            return 1
+            raise cons.InvalidA(f"no valid two-conic parameter exists for q={q}")
         ps = cons.two_conics(q, a)
         notes = f"a={a}"
     elif name == "interior":
@@ -74,7 +77,7 @@ def cmd_construct(args) -> int:
     elif name == "punctured_interior":
         con = canonical_conic(plane)
         ext = next(p for p in range(plane.n) if con.classify_point(p) is PointClass.EXTERIOR)
-        ps = cons.punctured_interior(con, ext, args.r)
+        ps = cons.punctured_interior(con, ext, r)
     elif name == "trace_graph":
         ps, notes = cons.trace_graph(q)
     elif name == "frobenius_graph":
@@ -89,11 +92,11 @@ def cmd_construct(args) -> int:
     else:
         _note(f"unknown construction {name}")
         return 2
-    claimed = cons.claimed_size(name, q, args.r)
+    claimed = cons.claimed_size(name, q, r)
     cert = cons.certify(name, ps, claimed, notes)
     report = {
         "command": "construct",
-        "parameters": {"name": name, "q": q, "r": args.r, "a": args.a},
+        "parameters": {"name": name, "q": q, "r": r, "a": args.a},
         "field": plane.gf.spec.to_json(),
         "results": {"point_set": ps.to_json(), "certificate": cert.to_json()},
         "verdicts": {"tangent_free": cert.tangent_free, "status": cert.status},
@@ -152,6 +155,7 @@ def cmd_search_min(args) -> int:
             "u": res.u,
             "witness": [list(plane.coords[p]) for p in res.witness] if res.witness else None,
             "nodes_expanded": res.nodes,
+            "symmetry_skips": res.symmetry_skips,
             "status": res.status,
             "sizes_refuted_below": res.exhausted_below,
             "witness_source": res.witness_source,
@@ -348,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build a named set without tangents")
     p.add_argument("--name", required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--r", type=int, default=0)
+    p.add_argument("--r", type=int, default=None, help="external lines removed (punctured_interior only)")
     p.add_argument("--a", type=int, default=None)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_construct)

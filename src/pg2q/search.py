@@ -9,6 +9,16 @@ branch line and prunes by a greedy matching of tangent lines with pairwise
 disjoint candidate pools and by the largest tangent pencil; the DFS and the
 worker frontier both call it.  Iterative deepening starts at the sqrt lower
 bound on u_q.
+
+Existence searches start from the frame seed, and the repair step also skips
+symmetric siblings.  At a node with partial set P and excluded set E, let G be
+the collineations that permute the frame (`frame_symmetries`) and fix P and E
+as sets.  Branch point a_j is skipped when some g in G maps an earlier branch
+point a_i to it, and stays excluded from the later siblings: g^-1 maps every
+set of subtree j to a set that contains P + a_i and avoids E, which an earlier
+subtree covers.  So a refutation stays exact, and the first subtree that holds
+a witness is never skipped, which keeps the witness of every level.
+Enumeration searches every subtree.
 """
 
 from __future__ import annotations
@@ -16,11 +26,14 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import permutations
 from operator import itemgetter
 
 import numpy as np
 
-from .plane import Plane, PointSet, plane_for_order
+from .linalg import mat_inverse, mat_transpose, mat_vec
+from .plane import Plane, PointSet, mask_bits, plane_for_order
 from .tangency import is_tangent_free
 
 
@@ -41,11 +54,13 @@ class GroupTooLarge(ValueError):
 
 
 class SearchTimeout(TimeoutError):
-    """The deadline passed mid-level; `nodes` is the work done in that level."""
+    """The deadline passed mid-level; `nodes` and `skips` are the nodes expanded
+    and the symmetric siblings skipped in that level."""
 
-    def __init__(self, nodes: int):
-        super().__init__(nodes)
+    def __init__(self, nodes: int, skips: int):
+        super().__init__(nodes, skips)
         self.nodes = nodes
+        self.skips = skips
 
 
 def lower_bound(q: int) -> int:
@@ -70,6 +85,10 @@ class _Searcher:
     meet the partial set, and `twice`, those that meet it at least twice, so
     the tangent lines are `once & ~twice`.  `_add` pushes the previous pair on
     an undo stack and `_remove` pops it.
+
+    `symmetries` lists the collineations the repair step may use to skip
+    symmetric siblings: none by default, `frame_symmetries` for an existence
+    search whose partial set begins with the frame seed.
     """
 
     def __init__(self, plane: Plane):
@@ -83,7 +102,9 @@ class _Searcher:
         self.partial: list[int] = []
         self.partial_mask = 0
         self.nodes = 0
+        self.skips = 0
         self.deadline = None
+        self.symmetries: tuple[tuple[int, ...], ...] = ()
 
     def _add(self, p):
         self.partial.append(p)
@@ -100,8 +121,10 @@ class _Searcher:
         self.once, self.twice = self.undo.pop()
 
     def _branch(self, free, n_target):
-        """The repair step: the available points of the tangent line to branch
-        over, or 0 when the node is pruned.
+        """The repair step: (branch, keep), the available points of the tangent
+        line to branch over and those of them whose subtrees are searched, or
+        (0, 0) when the node is pruned.  Every point of `branch` is excluded
+        from the subtrees of the later ones.
 
         One pass over the current tangent lines, lowest index first.  A tangent
         with no available point is dead.  The bound is the larger of a greedy
@@ -109,7 +132,8 @@ class _Searcher:
         through a single member (each new point can repair at most one tangent
         per pencil); no completion of size n_target exists when the partial
         set plus the bound exceeds it.  The branch line has the fewest
-        available points (ties to the smallest index).
+        available points (ties to the smallest index).  `keep` drops the
+        symmetric siblings (module docstring).
         """
         line_masks = self.line_masks
         tangents = self.once & ~self.twice
@@ -123,7 +147,7 @@ class _Searcher:
             rest ^= low
             avail = line_masks[low.bit_length() - 1] & free
             if not avail:
-                return 0
+                return 0, 0
             if not avail & used:
                 k += 1
                 used |= avail
@@ -138,8 +162,36 @@ class _Searcher:
         pencils = self.line_masks
         max_pencil = max([(tangents & pencils[p]).bit_count() for p in self.partial])
         if len(self.partial) + max(k, max_pencil) > n_target:
-            return 0
-        return best_avail
+            return 0, 0
+        if not self.symmetries:
+            return best_avail, best_avail
+        skip = self._symmetric_siblings(best_avail, free)
+        self.skips += skip.bit_count()
+        return best_avail, best_avail & ~skip
+
+    def _symmetric_siblings(self, branch, free):
+        """The branch points that some g in `symmetries` fixing the partial set
+        and the excluded set maps from an earlier branch point."""
+        pm = self.partial_mask
+        rest = self.partial[4:]  # the partial set begins with the frame, which every g fixes
+        group = []
+        for g in self.symmetries:
+            for p in rest:
+                if not pm >> g[p] & 1:
+                    break
+            else:
+                group.append(g)
+        if group:
+            excluded = self.all_points_mask & ~pm & ~free
+            points = mask_bits(excluded)
+            group = [g for g in group if all(excluded >> g[e] & 1 for e in points)]
+        skip = 0
+        for g in group:
+            for a in mask_bits(branch):
+                b = g[a]
+                if b > a and branch >> b & 1:
+                    skip |= 1 << b
+        return skip
 
     def run(self, n_target: int, excluded_mask: int, exact_size: bool, collect, seed=()):
         """DFS all tangent-free supersets of the seed avoiding excluded points.
@@ -159,7 +211,7 @@ class _Searcher:
     def _dfs(self, n_target, excluded_mask, exact_size, collect):
         self.nodes += 1
         if self.deadline is not None and self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
-            raise SearchTimeout(self.nodes)
+            raise SearchTimeout(self.nodes, self.skips)
         size = len(self.partial)
         free = self.all_points_mask & ~self.partial_mask & ~excluded_mask
         if exact_size and size + free.bit_count() < n_target:
@@ -170,19 +222,17 @@ class _Searcher:
             if size == n_target:
                 collect(tuple(self.partial))
                 return False
-            avail = free  # grow: branch over every remaining point
+            branch = keep = free  # grow: branch over every remaining point
         else:
-            avail = self._branch(free, n_target)
-        ex = excluded_mask
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
+            branch, keep = self._branch(free, n_target)
+        while keep:
+            bit = keep & -keep
+            keep ^= bit
             self._add(bit.bit_length() - 1)
-            stop = self._dfs(n_target, ex, exact_size, collect)
+            stop = self._dfs(n_target, excluded_mask | (branch & (bit - 1)), exact_size, collect)
             self._remove()
             if stop:
                 return True
-            ex |= bit
         return False
 
 
@@ -226,68 +276,99 @@ def frame_seed(plane) -> tuple[int, int, int, int]:
     return tuple(plane.index_of(v) for v in FRAME)
 
 
+def frame_collineation(plane, quad) -> tuple[int, ...]:
+    """The collineation that sends the ordered quadrangle `quad` to the frame,
+    in order, as a point permutation (entry p is the image of point p).
+
+    With B the matrix whose columns are the first three points and
+    lambda = B^-1 v4, the matrix B diag(lambda) sends the frame to `quad`; its
+    inverse is the map, unique since PGL(3,q) is sharply transitive on ordered
+    frames.  Raises ZeroDivisionError when three of the points are collinear.
+    """
+    gf = plane.gf
+    b = mat_transpose([c for p in quad[:3] for c in plane.coords[p]])
+    lam = mat_vec(mat_inverse(b, gf), plane.coords[quad[3]], gf)
+    to_quad = [gf.mul(b[i], lam[i % 3]) for i in range(9)]
+    to_frame = mat_inverse(to_quad, gf)
+    return tuple(plane.apply_matrix(to_frame, p) for p in range(plane.n))
+
+
+@lru_cache(maxsize=None)
+def frame_symmetries(plane) -> tuple[tuple[int, ...], ...]:
+    """The 23 collineations other than the identity that permute the four
+    frame points; with the identity they form Stab(frame), a copy of S4."""
+    frame = frame_seed(plane)
+    return tuple(frame_collineation(plane, quad) for quad in permutations(frame) if quad != frame)
+
+
 def _exists_from(plane, n, members, ex_mask, deadline):
     """Tangent-free set of size <= n containing `members` and avoiding
-    `ex_mask`, and the node count; raises SearchTimeout on the deadline."""
+    `ex_mask`, the node count and the symmetric siblings skipped; raises
+    SearchTimeout on the deadline.  Siblings are skipped when `members`
+    begins with the frame seed."""
     s = _Searcher(plane)
     s.deadline = deadline
+    if tuple(members[:4]) == frame_seed(plane):
+        s.symmetries = frame_symmetries(plane)
     box = []
     s.run(n, ex_mask, False, lambda t: box.append(tuple(sorted(t))) or True, seed=members)
-    return (box[0] if box else None), s.nodes
+    return (box[0] if box else None), s.nodes, s.skips
 
 
 def _exists_serial(plane, n, deadline=None):
-    """Tangent-free set of size <= n containing the frame seed, and the node
-    count; raises SearchTimeout on the deadline."""
+    """Tangent-free set of size <= n containing the frame seed, the node count
+    and the symmetric siblings skipped; raises SearchTimeout on the deadline."""
     return _exists_from(plane, n, frame_seed(plane), 0, deadline)
 
 
-def _frontier_jobs(plane, n, min_jobs, seed):
-    """Expand a seeded root into independent (partial, excluded) subtrees: the
-    first levels of the DFS, branching and pruning by the same repair step."""
+def _frontier_jobs(plane, n, min_jobs):
+    """Expand the frame-seeded root into independent (partial, excluded)
+    subtrees: the first levels of the DFS, branching, pruning and skipping
+    symmetric siblings by the same repair step.  Returns the jobs and the
+    siblings skipped above them."""
     st = _Searcher(plane)
+    st.symmetries = frame_symmetries(plane)
     jobs = []
 
     def expand(ex_mask, depth):
         if depth == 0 or st.once == st.twice:
             jobs.append((tuple(st.partial), ex_mask))
             return
-        avail = st._branch(st.all_points_mask & ~st.partial_mask & ~ex_mask, n)
-        ex = ex_mask
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
+        branch, keep = st._branch(st.all_points_mask & ~st.partial_mask & ~ex_mask, n)
+        while keep:
+            bit = keep & -keep
+            keep ^= bit
             st._add(bit.bit_length() - 1)
-            expand(ex, depth - 1)
+            expand(ex_mask | (branch & (bit - 1)), depth - 1)
             st._remove()
-            ex |= bit
 
-    for p in seed:
+    for p in frame_seed(plane):
         st._add(p)
     for depth in range(1, 7):
         jobs.clear()
+        st.skips = 0
         expand(0, depth)
         if len(jobs) >= min_jobs:
             break
-    return jobs
+    return jobs, st.skips
 
 
 def _run_job(args):
-    """One frontier subtree: (witness or None, nodes, timed out)."""
+    """One frontier subtree: (witness or None, nodes, skips, timed out)."""
     q, n, members, ex_mask, deadline = args
     if deadline is not None and time.monotonic() > deadline:
-        return None, 0, True
+        return None, 0, 0, True
     try:
-        # a forked worker inherits the parent's plane cache
+        # a forked worker inherits the parent's plane and symmetry caches
         return *_exists_from(plane_for_order(q), n, members, ex_mask, deadline), False
     except SearchTimeout as e:
-        return None, e.nodes, True
+        return None, e.nodes, e.skips, True
 
 
 def _exists_parallel(plane, q, n, workers, deadline=None):
     import multiprocessing as mp
 
-    jobs = _frontier_jobs(plane, n, 3 * workers, frame_seed(plane))
+    jobs, skips = _frontier_jobs(plane, n, 3 * workers)
     if len(jobs) <= 1:
         return _exists_serial(plane, n, deadline)
     nodes = 0
@@ -296,14 +377,17 @@ def _exists_parallel(plane, q, n, workers, deadline=None):
         # results arrive in job order; the first job that finds a witness or
         # runs out of time settles the level, as in the serial scan, and the
         # pool is terminated with the later jobs unfinished.  Counting only
-        # the jobs up to that one keeps the node count deterministic.
-        for witness, cnt, timed_out in pool.imap(_run_job, [(q, n, m, e, deadline) for m, e in jobs]):
+        # the jobs up to that one keeps the counts deterministic.  The
+        # frontier's own nodes are not counted, but its skips are, so a
+        # refuted level reports the serial DFS's skips.
+        for witness, cnt, skipped, timed_out in pool.imap(_run_job, [(q, n, m, e, deadline) for m, e in jobs]):
             nodes += cnt
+            skips += skipped
             if timed_out:
-                raise SearchTimeout(nodes)
+                raise SearchTimeout(nodes, skips)
             if witness is not None:
-                return witness, nodes
-    return None, nodes
+                return witness, nodes, skips
+    return None, nodes, skips
 
 
 @dataclass
@@ -318,6 +402,7 @@ class SearchResult:
     wall_time: float
     status: str = "ok"  # ok | not_found | budget_exceeded
     witness_source: str = ""
+    symmetry_skips: int = 0  # symmetric siblings skipped, summed like nodes
 
 
 def known_witnesses(q: int) -> dict[int, tuple[int, ...]]:
@@ -368,7 +453,7 @@ def min_tangent_free(q: int, size_cap: int | None = None, workers: int | None = 
             ps = PointSet(plane, w)
             assert is_tangent_free(ps) and len(ps) == m
             witnesses.setdefault(m, tuple(sorted(w)))
-    nodes = 0
+    nodes = skips = 0
     deadline = None if budget_s is None else t0 + budget_s
 
     def best_witness():
@@ -380,26 +465,29 @@ def min_tangent_free(q: int, size_cap: int | None = None, workers: int | None = 
             w = witnesses[n]
             assert is_tangent_free(PointSet(plane, w))
             return SearchResult(q, size_cap, True, n, w, nodes, n,
-                                time.monotonic() - t0, "ok", "construction")
+                                time.monotonic() - t0, "ok", "construction", symmetry_skips=skips)
         try:
             if workers > 1 and n - 2 >= 6:
-                wit, cnt = _exists_parallel(plane, q, n, workers, deadline)
+                wit, cnt, skipped = _exists_parallel(plane, q, n, workers, deadline)
             else:
-                wit, cnt = _exists_serial(plane, n, deadline)
+                wit, cnt, skipped = _exists_serial(plane, n, deadline)
         except SearchTimeout as e:
             return SearchResult(q, size_cap, False, None, best_witness(),
-                                nodes + e.nodes, n, time.monotonic() - t0, "budget_exceeded")
+                                nodes + e.nodes, n, time.monotonic() - t0, "budget_exceeded",
+                                symmetry_skips=skips + e.skips)
         nodes += cnt
+        skips += skipped
         if wit is not None:
             ps = PointSet(plane, wit)
             assert is_tangent_free(ps) and len(ps) == n
             return SearchResult(q, size_cap, True, n, wit, nodes, n,
-                                time.monotonic() - t0, "ok", "search")
+                                time.monotonic() - t0, "ok", "search", symmetry_skips=skips)
         if deadline is not None and time.monotonic() > deadline:
             return SearchResult(q, size_cap, False, None, best_witness(),
-                                nodes, n + 1, time.monotonic() - t0, "budget_exceeded")
+                                nodes, n + 1, time.monotonic() - t0, "budget_exceeded",
+                                symmetry_skips=skips)
     return SearchResult(q, size_cap, False, None, None, nodes, size_cap + 1,
-                        time.monotonic() - t0, "not_found")
+                        time.monotonic() - t0, "not_found", symmetry_skips=skips)
 
 
 def u_extended(q: int, budget_s: float = 3600.0, workers: int | None = None) -> SearchResult:

@@ -66,6 +66,8 @@ def test_search_min_cli(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["results"]["u"] == 10
+    assert obj["results"]["nodes_expanded"] == 309
+    assert obj["results"]["symmetry_skips"] == 4
     assert obj["verdicts"]["witness_tangent_free"]
 
 
@@ -155,6 +157,32 @@ def test_construct_two_conics_rejects_a_outside_field(capsys, a):
     code, out, err = run(capsys, "construct", "--name", "two_conics", "--q", "7", "--a", a)
     assert code == 2 and out == ""
     assert "InvalidA" in err and f"a={a}" in err
+
+
+@pytest.mark.parametrize("q", ["3", "4", "5"])
+def test_construct_two_conics_without_a_rejects_order(capsys, q):
+    # q = 3 and 5 have no valid a and used to exit 1; q = 4 is even
+    code, out, err = run(capsys, "construct", "--name", "two_conics", "--q", q)
+    assert code == 2 and out == ""
+    assert "InvalidA" in err
+
+
+@pytest.mark.parametrize("name", ["trivial", "two_conics", "interior", "trace_graph", "frobenius_graph",
+                                  "pg25_ten_set"])
+def test_construct_refuses_r_outside_punctured_interior(capsys, name):
+    code, out, err = run(capsys, "construct", "--name", name, "--q", "5", "--r", "0")
+    assert code == 2 and out == ""
+    assert "--r" in err
+
+
+@pytest.mark.parametrize("r,size", [(None, 36), ("1", 31)])
+def test_construct_punctured_interior_reads_r(capsys, r, size):
+    argv = ["construct", "--name", "punctured_interior", "--q", "9"] + (["--r", r] if r else [])
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["parameters"]["r"] == int(r or 0)
+    assert obj["results"]["certificate"]["actual_size"] == obj["results"]["certificate"]["claimed_size"] == size
 
 
 def _moduli(p, h):

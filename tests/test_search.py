@@ -1,3 +1,6 @@
+import time
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from pg2q.search import (
     FRAME,
     CapTooSmall,
     OrbitRep,
+    SearchTimeout,
     _enumerate_with_state,
     _exists_from,
     _exists_parallel,
@@ -20,7 +24,9 @@ from pg2q.search import (
     brute_force_min,
     classify_up_to_pgl,
     enumerate_tangent_free,
+    frame_collineation,
     frame_seed,
+    frame_symmetries,
     known_witnesses,
     lower_bound,
     min_tangent_free,
@@ -83,13 +89,100 @@ def test_frame_seed_agrees_with_triple_seeds():
     for q, u in [(3, 6), (4, 6), (5, 10), (7, 12)]:
         pl = plane_for_order(q)
         for n in range(lower_bound(q), u + 1):
-            wf, _ = _exists_serial(pl, n)
+            wf = _exists_serial(pl, n)[0]
             wt = _triple_seed_witness(pl, n)
             assert (wf is None) == (wt is None) == (n < u)
             if wf is not None:
                 assert set(frame_seed(pl)) <= set(wf)
                 assert is_tangent_free(PointSet(pl, wf)) and len(wf) == n
                 assert is_tangent_free(PointSet(pl, wt)) and len(wt) == n
+
+
+def _unpruned_witness(pl, n):
+    """Reference existence search from the frame seed that skips no
+    symmetric sibling."""
+    s = _Searcher(pl)
+    s.symmetries = ()
+    box = []
+    s.run(n, 0, False, lambda t: box.append(tuple(sorted(t))) or True, seed=frame_seed(pl))
+    return box[0] if box else None
+
+
+@pytest.mark.parametrize("q,levels", [(3, range(6, 7)), (4, range(6, 7)), (5, range(8, 11)),
+                                      (7, range(10, 13)), (8, range(10, 11)), (9, range(13, 14))],
+                         ids=["q3", "q4", "q5", "q7", "q8", "q9-n13"])
+def test_symmetry_skips_keep_verdict_and_witness(q, levels):
+    """Skipping symmetric siblings settles every level from the sqrt bound to
+    u_q (and q=9 n=13) as the search without skips does, with the same
+    witness."""
+    pl = plane_for_order(q)
+    assert levels.start == lower_bound(q)
+    for n in levels:
+        assert _exists_serial(pl, n)[0] == _unpruned_witness(pl, n)
+
+
+def _frame_stabiliser_reference(pl):
+    """Stab(frame) generated without frame maps: the six coordinate
+    permutations, which fix <(1,1,1)>, and x -> (x - z, y - z, -z), which
+    swaps <(0,0,1)> and <(1,1,1)>, closed under composition."""
+    neg = pl.gf.neg(1)
+    mats = [tuple(1 if c == sigma[r] else 0 for r in range(3) for c in range(3))
+            for sigma in permutations(range(3))]
+    mats.append((1, 0, neg, 0, 1, neg, 0, 0, neg))
+    gens = [tuple(pl.apply_matrix(m, p) for p in range(pl.n)) for m in mats]
+    group = set(gens)
+    frontier = list(group)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                c = tuple(g[a[p]] for p in range(pl.n))
+                if c not in group:
+                    group.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return group
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_frame_collineation_orderings(q):
+    """frame_collineation sends each of the 24 orderings of the frame to the
+    frame; the 24 maps are closed under composition and are the stabiliser
+    generated from permutation matrices, and frame_symmetries is that group
+    less the identity."""
+    pl = plane_for_order(q)
+    frame = frame_seed(pl)
+    maps = []
+    for quad in permutations(frame):
+        g = frame_collineation(pl, quad)
+        assert sorted(g) == list(range(pl.n))
+        assert tuple(g[p] for p in quad) == frame
+        maps.append(g)
+    group = set(maps)
+    assert len(group) == 24
+    assert all(tuple(a[b[p]] for p in range(pl.n)) in group for a in maps for b in maps)
+    assert group == _frame_stabiliser_reference(pl)
+    assert set(frame_symmetries(pl)) == group - {tuple(range(pl.n))}
+
+
+@pytest.mark.parametrize("q", [7, 9])
+def test_frame_collineation_inverts_a_random_collineation(q):
+    """The image of the frame under a random collineation M goes back to the
+    frame by M^-1, and three collinear points are refused."""
+    import random
+
+    from pg2q.linalg import random_invertible
+
+    pl = plane_for_order(q)
+    rng = random.Random(q)
+    for _ in range(5):
+        m = random_invertible(pl.gf, rng)
+        g = frame_collineation(pl, tuple(pl.apply_matrix(m, p) for p in frame_seed(pl)))
+        assert all(g[pl.apply_matrix(m, p)] == p for p in range(pl.n))
+    line = pl.points_on_line[0]
+    off = next(p for p in range(pl.n) if not pl.incident(p, 0))
+    with pytest.raises(ZeroDivisionError):
+        frame_collineation(pl, (line[0], line[1], line[2], off))
 
 
 def _reference_scan(pl, partial, free, n_target):
@@ -143,16 +236,19 @@ def test_kernel_masks_match_line_counts(q, data):
         assert s.once & ~s.twice == sum(1 << l for l in tangents)
         assert (s.once == s.twice) == (not tangents)
         if ref is not None:
-            assert s._branch(free, n_target) == ref
+            assert s._branch(free, n_target) == (ref, ref)
     while s.partial:
         s._remove()
     assert s.once == s.twice == s.partial_mask == 0 and not s.undo
 
 
 def test_exact_node_counts():
-    """The DFS makes the same decisions, so its node counts are fixed."""
-    assert _exists_serial(plane_for_order(7), 11) == (None, 6306)
-    w, nodes = _exists_serial(plane_for_order(8), 10)
+    """The DFS makes the same decisions, so its node and skip counts are
+    fixed."""
+    assert _exists_serial(plane_for_order(7), 11) == (None, 3926, 3)
+    assert _exists_serial(plane_for_order(9), 13) == (None, 26_068, 10)
+    assert _exists_serial(plane_for_order(9), 14) == (None, 333_643, 10)
+    w, nodes, _ = _exists_serial(plane_for_order(8), 10)
     assert nodes == 26
     assert is_tangent_free(PointSet(plane_for_order(8), w)) and len(w) == 10
     sets, nodes = _enumerate_with_state(plane_for_order(5), 10)
@@ -162,7 +258,10 @@ def test_exact_node_counts():
 
 def _reference_frontier_jobs(pl, n, min_jobs, seed):
     """Frontier expansion node by node: each node's state is rebuilt from its
-    members and the branch comes from the per-line definition."""
+    members, the branch comes from the per-line definition, and the node's
+    symmetries are the elements of the reference Stab(frame) that fix its
+    members and its excluded points as sets."""
+    stab = _frame_stabiliser_reference(pl)
     jobs = []
 
     def expand(members, ex_mask, depth):
@@ -171,12 +270,15 @@ def _reference_frontier_jobs(pl, n, min_jobs, seed):
         if depth == 0 or not tangents:
             jobs.append((members, ex_mask))
             return
+        excluded = {p for p in range(pl.n) if ex_mask >> p & 1}
+        group = [g for g in stab if {g[p] for p in members} == set(members)
+                 and {g[e] for e in excluded} == excluded]
+        branch = [p for p in range(pl.n) if avail >> p & 1]
         ex = ex_mask
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            expand(members + (bit.bit_length() - 1,), ex, depth - 1)
-            ex |= bit
+        for j, a in enumerate(branch):
+            if not any(g[b] == a for g in group for b in branch[:j]):
+                expand(members + (a,), ex, depth - 1)
+            ex |= 1 << a
 
     depth = 1
     while True:
@@ -191,20 +293,19 @@ def _reference_frontier_jobs(pl, n, min_jobs, seed):
                                           (5, 10, 6), (7, 11, 60), (9, 13, 60), (7, 10, 60)])
 def test_frontier_jobs_match_per_node_reference(q, n, min_jobs):
     """The frontier walks one searcher with the DFS's repair step and splits
-    the root into the same jobs as the node-by-node expansion (a larger
-    min_jobs reaches past the first level; at q=7 n=10 the bound prunes
-    frontier nodes)."""
+    the root into the same jobs as the node-by-node expansion, symmetric
+    siblings skipped (a larger min_jobs reaches past the first level; at q=7
+    n=10 the bound prunes frontier nodes)."""
     pl = plane_for_order(q)
-    seed = frame_seed(pl)
-    assert _frontier_jobs(pl, n, min_jobs, seed) == _reference_frontier_jobs(pl, n, min_jobs, seed)
+    assert _frontier_jobs(pl, n, min_jobs)[0] == _reference_frontier_jobs(pl, n, min_jobs, frame_seed(pl))
 
 
 def test_parallel_level_settled_by_first_witness():
     """A level with a witness returns the serial scan's witness without
     running the frontier jobs after the one that found it."""
     pl = plane_for_order(9)
-    ws, _ = _exists_serial(pl, 15)
-    wp, nodes = _exists_parallel(pl, 9, 15, 2)
+    ws = _exists_serial(pl, 15)[0]
+    wp, nodes, _ = _exists_parallel(pl, 9, 15, 2)
     assert ws is not None and wp == ws
     assert nodes < 10_000  # the whole sweep of every job spends 2,433,353
 
@@ -227,6 +328,30 @@ def test_frame_seed_over_extension_fields(q):
     ex_mask = sum(1 << p for p in range(pl.n) if p not in trivial_set)
     assert _exists_from(pl, 2 * q - 1, seed, ex_mask, None)[0] is None
     assert _exists_from(pl, 2 * q, seed, ex_mask, None)[0] == tuple(sorted(trivial_set))
+
+
+@pytest.mark.parametrize("q,n", [(7, 11), (7, 12), (9, 13), (9, 15), (16, 18)])
+def test_parallel_witness_equals_serial(q, n):
+    """The workers skip symmetric siblings at their job roots as the serial
+    DFS does at the same nodes, so workers=2 settles each level with the
+    workers=1 witness, and a refuted level (the frontier's skips included)
+    has the serial skip count."""
+    pl = plane_for_order(q)
+    wp, _, skips_p = _exists_parallel(pl, q, n, 2)
+    ws, _, skips_s = _exists_serial(pl, n)
+    assert wp == ws
+    assert ws is not None or skips_p == skips_s
+
+
+def test_budget_cut_keeps_symmetry_skips():
+    """A cut at the first deadline check keeps the level's nodes and skips."""
+    pl = plane_for_order(9)
+    with pytest.raises(SearchTimeout) as cut:
+        _exists_serial(pl, 14, time.monotonic())
+    assert (cut.value.nodes, cut.value.skips) == (4096, 7)
+    res = min_tangent_free(9, 18, workers=1, budget_s=0.0)
+    assert res.status == "budget_exceeded" and res.exhausted_below == 13
+    assert (res.nodes, res.symmetry_skips) == (4096, 7)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

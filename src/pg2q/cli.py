@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -54,7 +55,7 @@ def cmd_field_info(args) -> int:
 
 def cmd_construct(args) -> int:
     from . import constructions as cons
-    from .conic import PointClass, canonical_conic
+    from .conic import canonical_conic, exterior_point_indices
 
     q = args.q
     plane = plane_for_order(q)
@@ -76,7 +77,7 @@ def cmd_construct(args) -> int:
         ps = cons.interior_points(canonical_conic(plane))
     elif name == "punctured_interior":
         con = canonical_conic(plane)
-        ext = next(p for p in range(plane.n) if con.classify_point(p) is PointClass.EXTERIOR)
+        ext = exterior_point_indices(con)[0]
         ps = cons.punctured_interior(con, ext, r)
     elif name == "trace_graph":
         ps, notes = cons.trace_graph(q)
@@ -143,8 +144,10 @@ def cmd_spectrum(args) -> int:
 def cmd_search_min(args) -> int:
     from .search import lower_bound, min_tangent_free
 
-    budget = args.budget if args.long else None
-    res = min_tangent_free(args.q, args.cap, workers=args.workers, budget_s=budget)
+    if args.budget is not None and not (math.isfinite(args.budget) and args.budget >= 0):
+        _note(f"error: --budget must be a finite number of seconds >= 0, got {args.budget}")
+        return 2
+    res = min_tangent_free(args.q, args.cap, workers=args.workers, budget_s=args.budget)
     plane = plane_for_order(args.q)
     verified = res.witness is not None and is_tangent_free(PointSet(plane, res.witness))
     report = {
@@ -368,8 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search-min", help="exact minimum tangent-free set size")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--long", action="store_true")
-    p.add_argument("--budget", type=float, default=3600.0)
+    p.add_argument("--budget", type=float, default=None, help="time bound in seconds (default: none)")
     p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_search_min)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .gfq import GF, field_for_order
 from .linalg import nullspace
-from .plane import Plane, PointSet, as_plane, plane_for_order
+from .plane import Plane, PointSet, as_plane, mask_of, plane_for_order
 from .tangency import is_tangent_free
 
 
@@ -198,9 +198,7 @@ def batch_peel_fixpoint(plane: Plane | int, erased) -> frozenset[int]:
     plane = as_plane(plane)
     cur = set(erased)
     while True:
-        mask = 0
-        for pt in cur:
-            mask |= 1 << pt
+        mask = mask_of(cur)
         doomed = set()
         for lm in plane.line_masks:
             inter = lm & mask

@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .gfq import GF, QuadChar
 from .linalg import mat_mul, mat_transpose
-from .plane import Plane, PointSet, mask_bits
+from .plane import Plane, mask_bits, mask_of
 
 
 class DegenerateConic(ValueError):
@@ -73,10 +73,7 @@ class Conic:
 
     @cached_property
     def point_mask(self) -> int:
-        m = 0
-        for p in self.points:
-            m |= 1 << p
-        return m
+        return mask_of(self.points)
 
     @cached_property
     def line_intersections(self) -> list[int]:
@@ -90,7 +87,7 @@ class Conic:
     @cached_property
     def external_lines(self) -> int:
         """Mask of the external lines, indexed by line."""
-        return sum(1 << l for l, c in enumerate(self.line_intersections) if c == 0)
+        return mask_of(l for l, c in enumerate(self.line_intersections) if c == 0)
 
     def external_joins(self, p: int) -> int:
         """Mask of the points on an external line through p.  Points and lines
@@ -166,10 +163,6 @@ def canonical_conic(plane: Plane) -> Conic:
     return Conic(plane, (0, 1, 0, 0, neg1, 0))
 
 
-def conic_points(conic: Conic) -> PointSet:
-    return PointSet(conic.plane, conic.points)
-
-
 def interior_point_indices(conic: Conic) -> list[int]:
     return [p for p in range(conic.plane.n) if conic.classify_point(p) is PointClass.INTERIOR]
 
@@ -193,10 +186,7 @@ def discriminant_point_class(conic_line_a: int, xi: int, gf: GF) -> PointClass:
 
 def is_arc(plane: Plane, indices) -> bool:
     """No line carries three of the given points."""
-    pts = list(indices)
-    m = 0
-    for p in pts:
-        m |= 1 << p
+    m = mask_of(indices)
     return all((lm & m).bit_count() <= 2 for lm in plane.line_masks)
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .conic import Conic, PointClass, canonical_conic
+from .conic import Conic, PointClass, canonical_conic, exterior_point_indices
 from .gfq import GF, QuadChar, field_for_order
 from .plane import PointSet, mask_bits, plane_for_order
 from .tangency import Spectrum, WrongSize, is_tangent_free, redei_completion, spectrum
@@ -229,7 +229,7 @@ def constructions_at(q: int) -> Iterator[Construction]:
     if q % 2 == 1 and q >= 5:
         con = canonical_conic(plane)
         yield Construction("interior", interior_points(con), claimed_size("interior", q))
-        ext = next(p for p in range(plane.n) if con.classify_point(p) is PointClass.EXTERIOR)
+        ext = exterior_point_indices(con)[0]
         for r in range(0, (q - 5) // 2 + 1):
             yield Construction(f"punctured_interior_r{r}", punctured_interior(con, ext, r),
                                claimed_size("punctured_interior", q, r))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .conic import Conic, LineClass, PointClass, canonical_conic, exterior_point_indices, is_arc
 from .gfq import GF, QuadChar
-from .plane import Plane, PointSet, mask_bits, plane_for_order
+from .plane import Plane, PointSet, mask_bits, mask_of, plane_for_order
 from .search import TooLarge
 from .tangency import is_tangent_free
 
@@ -21,9 +21,7 @@ class NotExternal(ValueError):
 def is_exterior_set(conic: Conic, members) -> bool:
     """Every line through two of the points must be external to the conic:
     each other line meets them in fewer than two points."""
-    m = 0
-    for p in members:
-        m |= 1 << p
+    m = mask_of(members)
     ext = conic.external_lines
     return all(
         (lm & m).bit_count() < 2 for l, lm in enumerate(conic.plane.line_masks) if not ext >> l & 1
@@ -65,7 +63,7 @@ def find_extenders(conic: Conic, line: int) -> ExteriorSetReport:
     exterior set: the base is already exterior, so Q extends it exactly when
     its join with every base point is external."""
     base = exterior_points_on_line(conic, line)
-    ext = ~sum(1 << b for b in base)
+    ext = ~mask_of(base)
     for b in base:
         ext &= conic.external_joins(b)
     on_line = ext & conic.plane.line_masks[line]
@@ -230,7 +228,7 @@ def exterior_clique_search(q: int, no_three_collinear: bool = False) -> list[Poi
             p = bit.bit_length() - 1
             extend(members + (p,), c & conic.external_joins(p))
 
-    extend((), sum(1 << p for p in exterior_point_indices(conic)))
+    extend((), mask_of(exterior_point_indices(conic)))
     out = [
         PointSet(plane, members)
         for members in cliques

@@ -53,7 +53,7 @@ class Plane:
         # incidence (a dot product) is symmetric and line i has point i's
         # triple, so the lines through point i are the points on line i
         self.lines_through_point = self.points_on_line
-        self.line_masks = [sum(1 << p for p in pts) for pts in self.points_on_line]
+        self.line_masks = [mask_of(pts) for pts in self.points_on_line]
 
     def _line_points(self, a: int, b: int, c: int) -> tuple[int, ...]:
         """The q+1 point indices on the line ax + by + cz = 0, ascending."""
@@ -129,6 +129,15 @@ def mask_bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def mask_of(points) -> int:
+    """The mask with the bits of the given point or line indices set (a
+    repeated index counts once); the inverse of `mask_bits`."""
+    mask = 0
+    for p in points:
+        mask |= 1 << p
+    return mask
 
 
 # GF hashes by its FieldSpec, whose modulus is resolved: one Plane per field

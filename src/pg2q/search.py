@@ -6,9 +6,17 @@ completion must pick up another point of that line, so we branch over its
 available points (accumulating exclusions across siblings, which makes the
 enumeration duplicate-free).  One repair step, `_Searcher._branch`, picks the
 branch line and prunes by a greedy matching of tangent lines with pairwise
-disjoint candidate pools and by the largest tangent pencil; the DFS and the
-worker frontier both call it.  Iterative deepening starts at the sqrt lower
-bound on u_q.
+disjoint candidate pools and by the largest tangent pencil.  Iterative
+deepening starts at the sqrt lower bound on u_q.
+
+An existence level has one path, `_exists`.  The frontier is the same DFS cut
+at a size: each node it reaches there (or a tangent-free node above it) is
+recorded as a (partial, excluded) job instead of being searched.  The jobs
+run in DFS order, in this process for one worker and in a fork pool for
+more, and the first job that finds a witness settles the level.  The
+frontier's nodes and skips are counted with the jobs', so a level has the
+serial DFS's witness at every worker count, and a refuted level its node and
+skip counts too.
 
 Existence searches start from the frame seed, and the repair step also skips
 symmetric siblings.  At a node with partial set P and excluded set E, let G be
@@ -25,6 +33,7 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -33,7 +42,7 @@ from operator import itemgetter
 import numpy as np
 
 from .linalg import mat_inverse, mat_transpose, mat_vec
-from .plane import Plane, PointSet, mask_bits, plane_for_order
+from .plane import Plane, PointSet, mask_bits, mask_of, plane_for, plane_for_order
 from .tangency import is_tangent_free
 
 
@@ -89,6 +98,10 @@ class _Searcher:
     `symmetries` lists the collineations the repair step may use to skip
     symmetric siblings: none by default, `frame_symmetries` for an existence
     search whose partial set begins with the frame seed.
+
+    With a `cut` size set, the DFS records every node of that size, and every
+    tangent-free node, as a (partial, excluded) job in `jobs`, uncounted and
+    unsearched: this is the frontier of `_frontier_jobs`.
     """
 
     def __init__(self, plane: Plane):
@@ -105,6 +118,8 @@ class _Searcher:
         self.skips = 0
         self.deadline = None
         self.symmetries: tuple[tuple[int, ...], ...] = ()
+        self.cut: int | None = None
+        self.jobs: list[tuple[tuple[int, ...], int]] = []
 
     def _add(self, p):
         self.partial.append(p)
@@ -209,10 +224,13 @@ class _Searcher:
                 self._remove()
 
     def _dfs(self, n_target, excluded_mask, exact_size, collect):
+        size = len(self.partial)
+        if self.cut is not None and (size == self.cut or self.once == self.twice):
+            self.jobs.append((tuple(self.partial), excluded_mask))
+            return False
         self.nodes += 1
         if self.deadline is not None and self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
             raise SearchTimeout(self.nodes, self.skips)
-        size = len(self.partial)
         free = self.all_points_mask & ~self.partial_mask & ~excluded_mask
         if exact_size and size + free.bit_count() < n_target:
             return False
@@ -242,7 +260,7 @@ def _enumerate_with_state(plane: Plane, n_target: int, seed_members=(), excluded
     returns (sets, node count)."""
     s = _Searcher(plane)
     out: list[tuple[int, ...]] = []
-    s.run(n_target, sum(1 << p for p in set(excluded)), True,
+    s.run(n_target, mask_of(excluded), True,
           lambda t: out.append(tuple(sorted(t))), seed=seed_members)
     result = sorted(set(out))
     assert len(result) == len(out), "duplicate generation"
@@ -315,72 +333,55 @@ def _exists_from(plane, n, members, ex_mask, deadline):
     return (box[0] if box else None), s.nodes, s.skips
 
 
-def _exists_serial(plane, n, deadline=None):
-    """Tangent-free set of size <= n containing the frame seed, the node count
-    and the symmetric siblings skipped; raises SearchTimeout on the deadline."""
-    return _exists_from(plane, n, frame_seed(plane), 0, deadline)
-
-
 def _frontier_jobs(plane, n, min_jobs):
-    """Expand the frame-seeded root into independent (partial, excluded)
-    subtrees: the first levels of the DFS, branching, pruning and skipping
-    symmetric siblings by the same repair step.  Returns the jobs and the
-    siblings skipped above them."""
-    st = _Searcher(plane)
-    st.symmetries = frame_symmetries(plane)
-    jobs = []
-
-    def expand(ex_mask, depth):
-        if depth == 0 or st.once == st.twice:
-            jobs.append((tuple(st.partial), ex_mask))
-            return
-        branch, keep = st._branch(st.all_points_mask & ~st.partial_mask & ~ex_mask, n)
-        while keep:
-            bit = keep & -keep
-            keep ^= bit
-            st._add(bit.bit_length() - 1)
-            expand(ex_mask | (branch & (bit - 1)), depth - 1)
-            st._remove()
-
-    for p in frame_seed(plane):
-        st._add(p)
+    """Split the frame-seeded root into independent (partial, excluded)
+    subtrees: the DFS cut at 1..6 points past the seed, at the first depth
+    that gives min_jobs of them, so the frontier branches, prunes and skips
+    symmetric siblings by the DFS's own repair step.  Returns the jobs, in DFS
+    order, and the nodes expanded and siblings skipped above them."""
+    seed = frame_seed(plane)
     for depth in range(1, 7):
-        jobs.clear()
-        st.skips = 0
-        expand(0, depth)
-        if len(jobs) >= min_jobs:
+        st = _Searcher(plane)
+        st.symmetries = frame_symmetries(plane)
+        st.cut = len(seed) + depth
+        st.run(n, 0, False, None, seed=seed)
+        if len(st.jobs) >= min_jobs:
             break
-    return jobs, st.skips
+    return st.jobs, st.nodes, st.skips
 
 
 def _run_job(args):
     """One frontier subtree: (witness or None, nodes, skips, timed out)."""
-    q, n, members, ex_mask, deadline = args
+    spec, n, members, ex_mask, deadline = args
     if deadline is not None and time.monotonic() > deadline:
         return None, 0, 0, True
     try:
         # a forked worker inherits the parent's plane and symmetry caches
-        return *_exists_from(plane_for_order(q), n, members, ex_mask, deadline), False
+        plane = plane_for(spec.p, spec.h, spec.modulus)
+        return *_exists_from(plane, n, members, ex_mask, deadline), False
     except SearchTimeout as e:
         return None, e.nodes, e.skips, True
 
 
-def _exists_parallel(plane, q, n, workers, deadline=None):
+def _exists(plane, n, workers=1, deadline=None):
+    """Tangent-free set of size <= n containing the frame seed, the node count
+    and the symmetric siblings skipped; raises SearchTimeout on the deadline.
+
+    The frontier splits the level into jobs, at least 3 per worker where its
+    depth allows.  They run in job order, in this process for one worker or
+    one job and in a fork pool otherwise; the first job that finds a witness
+    or runs out of time settles the level, as in the serial DFS, and the pool
+    is terminated with the later jobs unfinished and uncounted.
+    """
     import multiprocessing as mp
 
-    jobs, skips = _frontier_jobs(plane, n, 3 * workers)
-    if len(jobs) <= 1:
-        return _exists_serial(plane, n, deadline)
-    nodes = 0
-    mpctx = mp.get_context("fork")
-    with mpctx.Pool(workers) as pool:
-        # results arrive in job order; the first job that finds a witness or
-        # runs out of time settles the level, as in the serial scan, and the
-        # pool is terminated with the later jobs unfinished.  Counting only
-        # the jobs up to that one keeps the counts deterministic.  The
-        # frontier's own nodes are not counted, but its skips are, so a
-        # refuted level reports the serial DFS's skips.
-        for witness, cnt, skipped, timed_out in pool.imap(_run_job, [(q, n, m, e, deadline) for m, e in jobs]):
+    jobs, nodes, skips = _frontier_jobs(plane, n, 3 * workers)
+    args = [(plane.gf.spec, n, members, ex_mask, deadline) for members, ex_mask in jobs]
+    with ExitStack() as stack:
+        run = map
+        if workers > 1 and len(jobs) > 1:
+            run = stack.enter_context(mp.get_context("fork").Pool(workers)).imap
+        for witness, cnt, skipped, timed_out in run(_run_job, args):
             nodes += cnt
             skips += skipped
             if timed_out:
@@ -467,10 +468,7 @@ def min_tangent_free(q: int, size_cap: int | None = None, workers: int | None = 
             return SearchResult(q, size_cap, True, n, w, nodes, n,
                                 time.monotonic() - t0, "ok", "construction", symmetry_skips=skips)
         try:
-            if workers > 1 and n - 2 >= 6:
-                wit, cnt, skipped = _exists_parallel(plane, q, n, workers, deadline)
-            else:
-                wit, cnt, skipped = _exists_serial(plane, n, deadline)
+            wit, cnt, skipped = _exists(plane, n, workers, deadline)
         except SearchTimeout as e:
             return SearchResult(q, size_cap, False, None, best_witness(),
                                 nodes + e.nodes, n, time.monotonic() - t0, "budget_exceeded",
@@ -508,9 +506,7 @@ def brute_force_min(q: int) -> int:
     masks = plane.line_masks
     for n in range(1, plane.n + 1):
         for comb in combinations(range(plane.n), n):
-            m = 0
-            for p in comb:
-                m |= 1 << p
+            m = mask_of(comb)
             if all((lm & m).bit_count() != 1 for lm in masks):
                 return n
     raise AssertionError("unreachable")

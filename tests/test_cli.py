@@ -71,6 +71,21 @@ def test_search_min_cli(capsys):
     assert obj["verdicts"]["witness_tangent_free"]
 
 
+def test_search_min_budget_alone_bounds_the_run(capsys):
+    code, out, _ = run(capsys, "search-min", "--q", "9", "--budget", "0", "--workers", "1")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["results"]["status"] == "budget_exceeded"
+    assert obj["results"]["sizes_refuted_below"] == 13 and obj["results"]["u"] is None
+
+
+@pytest.mark.parametrize("budget", ["-1", "nan", "inf"])
+def test_search_min_rejects_bad_budget(capsys, budget):
+    code, out, err = run(capsys, "search-min", "--q", "9", "--budget", budget, "--workers", "1")
+    assert code == 2 and out == ""
+    assert "--budget" in err
+
+
 @pytest.mark.parametrize("workers", ["-3", "0", str((os.cpu_count() or 1) + 1)])
 def test_search_min_rejects_bad_workers(capsys, workers):
     # at q = 3 the construction settles the run before any pool could start

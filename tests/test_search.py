@@ -16,9 +16,8 @@ from pg2q.search import (
     OrbitRep,
     SearchTimeout,
     _enumerate_with_state,
+    _exists,
     _exists_from,
-    _exists_parallel,
-    _exists_serial,
     _frontier_jobs,
     _Searcher,
     brute_force_min,
@@ -89,7 +88,7 @@ def test_frame_seed_agrees_with_triple_seeds():
     for q, u in [(3, 6), (4, 6), (5, 10), (7, 12)]:
         pl = plane_for_order(q)
         for n in range(lower_bound(q), u + 1):
-            wf = _exists_serial(pl, n)[0]
+            wf = _exists(pl, n)[0]
             wt = _triple_seed_witness(pl, n)
             assert (wf is None) == (wt is None) == (n < u)
             if wf is not None:
@@ -118,7 +117,7 @@ def test_symmetry_skips_keep_verdict_and_witness(q, levels):
     pl = plane_for_order(q)
     assert levels.start == lower_bound(q)
     for n in levels:
-        assert _exists_serial(pl, n)[0] == _unpruned_witness(pl, n)
+        assert _exists(pl, n)[0] == _unpruned_witness(pl, n)
 
 
 def _frame_stabiliser_reference(pl):
@@ -245,10 +244,10 @@ def test_kernel_masks_match_line_counts(q, data):
 def test_exact_node_counts():
     """The DFS makes the same decisions, so its node and skip counts are
     fixed."""
-    assert _exists_serial(plane_for_order(7), 11) == (None, 3926, 3)
-    assert _exists_serial(plane_for_order(9), 13) == (None, 26_068, 10)
-    assert _exists_serial(plane_for_order(9), 14) == (None, 333_643, 10)
-    w, nodes, _ = _exists_serial(plane_for_order(8), 10)
+    assert _exists(plane_for_order(7), 11) == (None, 3926, 3)
+    assert _exists(plane_for_order(9), 13) == (None, 26_068, 10)
+    assert _exists(plane_for_order(9), 14) == (None, 333_643, 10)
+    w, nodes, _ = _exists(plane_for_order(8), 10)
     assert nodes == 26
     assert is_tangent_free(PointSet(plane_for_order(8), w)) and len(w) == 10
     sets, nodes = _enumerate_with_state(plane_for_order(5), 10)
@@ -304,8 +303,8 @@ def test_parallel_level_settled_by_first_witness():
     """A level with a witness returns the serial scan's witness without
     running the frontier jobs after the one that found it."""
     pl = plane_for_order(9)
-    ws = _exists_serial(pl, 15)[0]
-    wp, nodes, _ = _exists_parallel(pl, 9, 15, 2)
+    ws = _exists(pl, 15)[0]
+    wp, nodes, _ = _exists(pl, 15, 2)
     assert ws is not None and wp == ws
     assert nodes < 10_000  # the whole sweep of every job spends 2,433,353
 
@@ -330,28 +329,33 @@ def test_frame_seed_over_extension_fields(q):
     assert _exists_from(pl, 2 * q, seed, ex_mask, None)[0] == tuple(sorted(trivial_set))
 
 
-@pytest.mark.parametrize("q,n", [(7, 11), (7, 12), (9, 13), (9, 15), (16, 18)])
+@pytest.mark.parametrize("q,n", [(5, 9), (7, 11), (7, 12), (9, 13), (9, 15), (16, 18)])
 def test_parallel_witness_equals_serial(q, n):
     """The workers skip symmetric siblings at their job roots as the serial
     DFS does at the same nodes, so workers=2 settles each level with the
-    workers=1 witness, and a refuted level (the frontier's skips included)
-    has the serial skip count."""
+    workers=1 witness, and a refuted level (the frontier's nodes and skips
+    included) has the serial node and skip counts."""
     pl = plane_for_order(q)
-    wp, _, skips_p = _exists_parallel(pl, q, n, 2)
-    ws, _, skips_s = _exists_serial(pl, n)
+    wp, nodes_p, skips_p = _exists(pl, n, 2)
+    ws, nodes_s, skips_s = _exists(pl, n, 1)
     assert wp == ws
-    assert ws is not None or skips_p == skips_s
+    assert ws is not None or (nodes_p, skips_p) == (nodes_s, skips_s)
 
 
 def test_budget_cut_keeps_symmetry_skips():
-    """A cut at the first deadline check keeps the level's nodes and skips."""
+    """A cut at the first deadline check in the DFS keeps the nodes and skips
+    of the search so far; a deadline that has passed before the first job
+    stops the level with the frontier's nodes and skips."""
     pl = plane_for_order(9)
     with pytest.raises(SearchTimeout) as cut:
-        _exists_serial(pl, 14, time.monotonic())
+        _exists_from(pl, 14, frame_seed(pl), 0, time.monotonic())
     assert (cut.value.nodes, cut.value.skips) == (4096, 7)
+    with pytest.raises(SearchTimeout) as cut:
+        _exists(pl, 14, 1, time.monotonic())
+    assert (cut.value.nodes, cut.value.skips) == (3, 7)
     res = min_tangent_free(9, 18, workers=1, budget_s=0.0)
     assert res.status == "budget_exceeded" and res.exhausted_below == 13
-    assert (res.nodes, res.symmetry_skips) == (4096, 7)
+    assert (res.nodes, res.symmetry_skips) == (3, 7)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

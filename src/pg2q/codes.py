@@ -15,10 +15,15 @@ from itertools import product
 
 import numpy as np
 
-from .gfq import GF, field_for_order
+from .gfq import field_for_order
 from .linalg import nullspace
 from .plane import Plane, PointSet, as_plane, mask_of, plane_for_order
 from .tangency import is_tangent_free
+
+
+# dual_codeword_on_support searches a nullspace of at most this many vectors
+# exhaustively, and a larger one by random combinations
+EXHAUSTIVE_CAP = 10**7
 
 
 class NotCodeword(ValueError):
@@ -76,13 +81,13 @@ class IncidenceCode:
             out.append(v)
         return out
 
-    def dual_codeword_on_support(self, members, exhaustive_cap: int = 10**7):
+    def dual_codeword_on_support(self, members):
         """A dual codeword with support exactly the given point set, if any.
 
         Works in the nullspace of the lines-by-members submatrix.  When the
-        nullspace has at most `exhaustive_cap` vectors the search is
-        exhaustive and the answer exact; otherwise a randomized search is used
-        and `exact` comes back False.
+        nullspace has at most EXHAUSTIVE_CAP vectors the search is exhaustive
+        and the answer exact; otherwise random combinations are tried and
+        `exact` comes back False.
 
         Returns (vector over all points or None, exact).
         """
@@ -94,26 +99,15 @@ class IncidenceCode:
         dim = len(basis)
         if dim == 0:
             return None, True
-        if self.p**dim <= exhaustive_cap:
-            for coeffs in product(range(self.p), repeat=dim):
-                if not any(coeffs):
-                    continue
-                w = [0] * len(cols)
-                for c, b in zip(coeffs, basis):
-                    if c:
-                        for i, bi in enumerate(b):
-                            w[i] = (w[i] + c * bi) % self.p
-                if all(w):
-                    v = np.zeros(self.plane.n, dtype=np.int64)
-                    v[cols] = w
-                    assert self.is_dual_codeword(v)
-                    return v, True
-            return None, True
-        rng = random.Random(0xC0DE)
-        for _ in range(200000):
+        exact = self.p**dim <= EXHAUSTIVE_CAP
+        if exact:
+            draws = (c for c in product(range(self.p), repeat=dim) if any(c))
+        else:
+            rng = random.Random(0xC0DE)
+            draws = ([rng.randrange(self.p) for _ in basis] for _ in range(200000))
+        for coeffs in draws:
             w = [0] * len(cols)
-            for b in basis:
-                c = rng.randrange(self.p)
+            for c, b in zip(coeffs, basis):
                 if c:
                     for i, bi in enumerate(b):
                         w[i] = (w[i] + c * bi) % self.p
@@ -121,8 +115,8 @@ class IncidenceCode:
                 v = np.zeros(self.plane.n, dtype=np.int64)
                 v[cols] = w
                 assert self.is_dual_codeword(v)
-                return v, False
-        return None, False
+                return v, exact
+        return None, exact
 
 
 _code_of = lru_cache(maxsize=None)(IncidenceCode)  # one code per Plane
@@ -171,10 +165,7 @@ def peel_decode(plane: Plane | int, erased, rng: random.Random | None = None) ->
     """
     plane = as_plane(plane)
     erased = set(erased)
-    counts = [0] * plane.n
-    for pt in erased:
-        for l in plane.lines_through_point[pt]:
-            counts[l] += 1
+    counts = list(PointSet(plane, erased).per_line)
     changed = True
     while changed:
         changed = False

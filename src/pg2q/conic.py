@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .gfq import GF, QuadChar
 from .linalg import mat_mul, mat_transpose
-from .plane import Plane, mask_bits, mask_of
+from .plane import Plane, PointSet, mask_bits, mask_of
 
 
 class DegenerateConic(ValueError):
@@ -50,10 +50,8 @@ class Conic:
         pts = self.points
         if len(pts) != self.plane.q + 1:
             raise DegenerateConic(f"form has {len(pts)} rational points, expected q+1")
-        mask = self.point_mask
-        for lm in self.plane.line_masks:
-            if lm & mask == lm:
-                raise DegenerateConic("form vanishes on a full line")
+        if self.plane.q + 1 in self.line_intersections:
+            raise DegenerateConic("form vanishes on a full line")
 
     def evaluate(self, v) -> int:
         gf = self.plane.gf
@@ -72,13 +70,8 @@ class Conic:
         return tuple(i for i, c in enumerate(self.plane.coords) if self.evaluate(c) == 0)
 
     @cached_property
-    def point_mask(self) -> int:
-        return mask_of(self.points)
-
-    @cached_property
-    def line_intersections(self) -> list[int]:
-        mask = self.point_mask
-        return [(lm & mask).bit_count() for lm in self.plane.line_masks]
+    def line_intersections(self) -> tuple[int, ...]:
+        return PointSet(self.plane, self.points).per_line
 
     @cached_property
     def tangent_lines(self) -> tuple[int, ...]:
@@ -105,12 +98,9 @@ class Conic:
         return LineClass.SECANT if c == 2 else LineClass.EXTERNAL
 
     @cached_property
-    def _tangent_counts(self) -> list[int]:
-        counts = [0] * self.plane.n
-        for l in self.tangent_lines:
-            for p in self.plane.points_on_line[l]:
-                counts[p] += 1
-        return counts
+    def _tangent_counts(self) -> tuple[int, ...]:
+        # self-duality: the lines of a set L through point p are the members of L on line p
+        return PointSet(self.plane, self.tangent_lines).per_line
 
     def classify_point(self, p: int) -> PointClass:
         c = self._tangent_counts[p]
@@ -186,18 +176,13 @@ def discriminant_point_class(conic_line_a: int, xi: int, gf: GF) -> PointClass:
 
 def is_arc(plane: Plane, indices) -> bool:
     """No line carries three of the given points."""
-    m = mask_of(indices)
-    return all((lm & m).bit_count() <= 2 for lm in plane.line_masks)
+    return all(c <= 2 for c in PointSet(plane, indices).per_line)
 
 
 def is_dual_arc(plane: Plane, line_indices) -> bool:
     """No three of the given lines are concurrent."""
-    lines = list(line_indices)
-    through = [0] * plane.n
-    for l in lines:
-        for p in plane.points_on_line[l]:
-            through[p] += 1
-    return max(through) <= 2
+    # self-duality: the lines of a set L through point p are the members of L on line p
+    return all(c <= 2 for c in PointSet(plane, line_indices).per_line)
 
 
 def fit_quadratic_form(plane: Plane, coord_triples) -> tuple[int, ...] | None:

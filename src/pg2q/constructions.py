@@ -178,12 +178,9 @@ def verify_desargues(s: PointSet) -> bool:
     three = [l for l, c in enumerate(s.per_line) if c == 3]
     if len(three) != 10 or any(c >= 4 for c in s.per_line):
         return False
-    per_point = {p: 0 for p in s.members}
-    for l in three:
-        for p in plane.points_on_line[l]:
-            if p in s.members:
-                per_point[p] += 1
-    return all(v == 3 for v in per_point.values())
+    # self-duality: the lines of a set L through point p are the members of L on line p
+    through = PointSet(plane, three).per_line
+    return all(through[p] == 3 for p in s.members)
 
 
 # -- the construction list ----------------------------------------------------------

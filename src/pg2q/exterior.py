@@ -21,11 +21,8 @@ class NotExternal(ValueError):
 def is_exterior_set(conic: Conic, members) -> bool:
     """Every line through two of the points must be external to the conic:
     each other line meets them in fewer than two points."""
-    m = mask_of(members)
     ext = conic.external_lines
-    return all(
-        (lm & m).bit_count() < 2 for l, lm in enumerate(conic.plane.line_masks) if not ext >> l & 1
-    )
+    return all(c < 2 for l, c in enumerate(PointSet(conic.plane, members).per_line) if not ext >> l & 1)
 
 
 def exterior_points_on_line(conic: Conic, line: int) -> list[int]:
@@ -235,7 +232,7 @@ def exterior_clique_search(q: int, no_three_collinear: bool = False) -> list[Poi
         if not no_three_collinear or is_arc(plane, members)
     ]
     if q % 4 == 1 and not no_three_collinear:
-        assert all(any(lm & s.mask == s.mask for lm in plane.line_masks) for s in out), (
+        assert all(len(s) in s.per_line for s in out), (
             "q = 1 mod 4: every half-line exterior set must be collinear"
         )
     return out

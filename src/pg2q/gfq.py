@@ -128,6 +128,7 @@ def _digits(n, p, h):
     return out
 
 
+@lru_cache(maxsize=None)
 def _auto_modulus(p, h):
     """Smallest monic irreducible of degree h, ordered by code of the low part."""
     for n in range(p**h):
@@ -137,17 +138,23 @@ def _auto_modulus(p, h):
     raise ReducibleModulus(f"no irreducible polynomial of degree {h} over GF({p})")
 
 
+def _checked_order(p: int, h: int) -> int:
+    """p^h, once p is a prime, h >= 1 and p^h is within MAX_ORDER."""
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    if h < 1:
+        raise ValueError("extension degree must be >= 1")
+    q = p**h
+    if q > MAX_ORDER:
+        raise ValueError(f"field order {q} exceeds cap {MAX_ORDER}")
+    return q
+
+
 class GF:
     """The field GF(p^h).  Immutable after construction; all tables read-only."""
 
     def __init__(self, p: int, h: int = 1, modulus=None):
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
-        if h < 1:
-            raise ValueError("extension degree must be >= 1")
-        q = p**h
-        if q > MAX_ORDER:
-            raise ValueError(f"field order {q} exceeds cap {MAX_ORDER}")
+        q = _checked_order(p, h)
         if modulus is None:
             modulus = _auto_modulus(p, h)
         else:
@@ -342,10 +349,11 @@ def _cached_field(p: int, h: int, modulus) -> GF:
 def field_new(p: int, h: int = 1, modulus=None) -> GF:
     """Field factory; Auto modulus picks the smallest monic irreducible.
 
-    Cached, so repeated lookups share the same table set.
+    Cached by the resolved, reduced modulus, so every spelling of one field
+    shares the same table set.
     """
-    if modulus is not None:
-        modulus = tuple(int(c) for c in modulus)
+    _checked_order(p, h)
+    modulus = _auto_modulus(p, h) if modulus is None else tuple(int(c) % p for c in modulus)
     return _cached_field(p, h, modulus)
 
 

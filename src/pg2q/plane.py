@@ -12,7 +12,7 @@ so the points on line i and the lines through point i are the same indices.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .gfq import GF, FieldSpec, field_for_order, field_new
 
@@ -160,35 +160,20 @@ def as_plane(plane: Plane | int) -> Plane:
 
 
 class PointSet:
-    """Mutable set of point indices with per-line intersection counts.
-
-    Counts are maintained incrementally on add/remove; `recomputed_counts`
-    rebuilds them from scratch for verification.
-    """
+    """An immutable set of point indices; per_line[l] is the number of its
+    points on line l, the one line-count table of a set."""
 
     def __init__(self, plane: Plane, members=()):
         self.plane = plane
-        self.members: set[int] = set()
-        self.per_line = [0] * plane.n
-        self.mask = 0
-        for p in members:
-            self.add(p)
+        self.members: frozenset[int] = frozenset(members)
+        if self.members and not (min(self.members) >= 0 and max(self.members) < plane.n):
+            raise IndexError(f"point indices must lie in [0, {plane.n})")
+        self.mask = mask_of(self.members)
 
-    def add(self, p: int) -> None:
-        if p in self.members:
-            return
-        self.members.add(p)
-        self.mask |= 1 << p
-        for l in self.plane.lines_through_point[p]:
-            self.per_line[l] += 1
-
-    def remove(self, p: int) -> None:
-        if p not in self.members:
-            raise KeyError(p)
-        self.members.remove(p)
-        self.mask &= ~(1 << p)
-        for l in self.plane.lines_through_point[p]:
-            self.per_line[l] -= 1
+    @cached_property
+    def per_line(self) -> tuple[int, ...]:
+        mask = self.mask
+        return tuple((mask & lm).bit_count() for lm in self.plane.line_masks)
 
     def __contains__(self, p: int) -> bool:
         return p in self.members
@@ -198,17 +183,6 @@ class PointSet:
 
     def __iter__(self):
         return iter(sorted(self.members))
-
-    def copy(self) -> "PointSet":
-        out = PointSet.__new__(PointSet)
-        out.plane = self.plane
-        out.members = set(self.members)
-        out.per_line = list(self.per_line)
-        out.mask = self.mask
-        return out
-
-    def recomputed_counts(self) -> list[int]:
-        return [(self.mask & m).bit_count() for m in self.plane.line_masks]
 
     def sorted_tuple(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))

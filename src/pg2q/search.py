@@ -431,7 +431,7 @@ def known_witnesses(q: int) -> dict[int, tuple[int, ...]]:
 
 
 def min_tangent_free(q: int, size_cap: int | None = None, workers: int | None = None,
-                     budget_s: float | None = None, extra_witnesses: dict | None = None) -> SearchResult:
+                     budget_s: float | None = None) -> SearchResult:
     """Exact minimum size of a non-empty tangent-free set in PG(2,q).
 
     Iterative deepening from the sqrt lower bound: each size is exhausted by
@@ -448,12 +448,7 @@ def min_tangent_free(q: int, size_cap: int | None = None, workers: int | None = 
     bound = lower_bound(q)
     if size_cap < bound:
         raise CapTooSmall(f"cap {size_cap} below the proven lower bound {bound}")
-    witnesses = dict(known_witnesses(q))
-    if extra_witnesses:
-        for m, w in extra_witnesses.items():
-            ps = PointSet(plane, w)
-            assert is_tangent_free(ps) and len(ps) == m
-            witnesses.setdefault(m, tuple(sorted(w)))
+    witnesses = known_witnesses(q)
     nodes = skips = 0
     deadline = None if budget_s is None else t0 + budget_s
 
@@ -503,11 +498,9 @@ def brute_force_min(q: int) -> int:
     if q != 3:
         raise TooLarge("brute force enumeration is only run for q=3")
     plane = plane_for_order(q)
-    masks = plane.line_masks
     for n in range(1, plane.n + 1):
         for comb in combinations(range(plane.n), n):
-            m = mask_of(comb)
-            if all((lm & m).bit_count() != 1 for lm in masks):
+            if is_tangent_free(PointSet(plane, comb)):
                 return n
     raise AssertionError("unreachable")
 
@@ -582,13 +575,10 @@ def _closure(start: tuple[int, ...], moves) -> set[tuple[int, ...]]:
     return seen
 
 
-_GROUPS: dict[int, PGLGroup] = {}
-
-
+@lru_cache(maxsize=None)
 def pgl_group(q: int) -> PGLGroup:
-    if q not in _GROUPS:
-        _GROUPS[q] = PGLGroup(plane_for_order(q))
-    return _GROUPS[q]
+    """PGL(3,q) on the default PG(2,q), one per order."""
+    return PGLGroup(plane_for_order(q))
 
 
 @dataclass(frozen=True)

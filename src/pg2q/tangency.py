@@ -160,9 +160,7 @@ def redei_completion(affine: PointSet, linf: int) -> PointSet:
     limit = (q + 3) // 2
     if len(ds.determined) >= limit:
         raise TooManyDirections(len(ds.determined), limit)
-    out = affine.copy()
-    for d in ds.non_determined:
-        out.add(d)
+    out = PointSet(plane, affine.members | ds.non_determined)
     assert is_tangent_free(out), "completion must be tangent-free"
     return out
 
@@ -188,9 +186,7 @@ def one_mod_p_check(affine: PointSet, linf: int) -> bool:
     plane = affine.plane
     p = plane.gf.p
     ds = determined_directions(affine, linf)
-    full = affine.copy()
-    for d in ds.determined:
-        full.add(d)
+    full = PointSet(plane, affine.members | ds.determined)
     return all(c % p == 1 for c in full.per_line)
 
 

@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from pg2q import codes
 from pg2q.codes import (
     NotCodeword,
     batch_peel_fixpoint,
@@ -90,6 +91,16 @@ def test_dual_codeword_on_support_trivial():
     v, exact = code.dual_codeword_on_support(trivial(5).members)
     assert exact and v is not None
     assert len(code.support(v)) == 10
+
+
+def test_dual_codeword_on_support_sampled_path(monkeypatch):
+    """Past the exhaustive cap the same body runs on random combinations."""
+    monkeypatch.setattr(codes, "EXHAUSTIVE_CAP", 1)
+    code = incidence_code(5)
+    s = trivial(5)
+    v, exact = code.dual_codeword_on_support(s.members)
+    assert exact is False and v is not None
+    assert code.is_dual_codeword(v) and code.support(v) == s.members
 
 
 def test_dual_codeword_on_support_frobenius_completion():

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pg2q import gfq
 from pg2q.gfq import (
     GF,
     FieldSpec,
@@ -40,6 +41,24 @@ def test_field_new_examples():
         field_new(3, 2, [2, 0, 1])  # t^2 + 2 has the root t = 1
     with pytest.raises(NotPrime):
         field_new(6, 1)
+
+
+def test_field_new_caches_by_resolved_modulus():
+    assert field_new(3, 2, (1, 0, 1)) is field_for_order(9)
+    assert field_new(3, 2, (4, 3, 1)) is field_for_order(9)  # reduced mod 3 first
+
+
+def test_field_new_checks_the_order_before_any_modulus_search(monkeypatch):
+    def no_search(p, h):
+        raise AssertionError("searched for a modulus")
+
+    monkeypatch.setattr(gfq, "_auto_modulus", no_search)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        field_new(2, 30)
+    with pytest.raises(NotPrime):
+        field_new(6, 2)
+    with pytest.raises(ValueError, match="degree"):
+        field_new(3, 0)
 
 
 def test_auto_modulus_deterministic():

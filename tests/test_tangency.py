@@ -110,10 +110,6 @@ def test_determined_directions_edge_cases():
     two = PointSet(pl, [pl.index_of((1, 0, 1)), pl.index_of((1, 1, 1))])
     ds = determined_directions(two, linf)
     assert len(ds.determined) == 1
-    allpts = PointSet(pl, (pl.index_of((1, y, 1)) for y in range(5)))
-    for x in range(1, 5):
-        for y in range(5):
-            allpts.add(pl.index_of((1, y, pl.gf.inv(x))))  # all affine points z != 0
     # every direction determined by the full affine plane
     full = PointSet(pl, [p for p in range(pl.n) if not pl.incident(p, linf)])
     ds_full = determined_directions(full, linf)

@@ -5,16 +5,20 @@ The core is a repair DFS: while the partial set has a tangent line, every
 completion must pick up another point of that line, so we branch over its
 available points (accumulating exclusions across siblings, which makes the
 enumeration duplicate-free).  One repair step, `_Searcher._branch`, picks the
-branch line and prunes by a greedy matching of tangent lines with pairwise
-disjoint candidate pools and by the largest tangent pencil.  Iterative
+branch line and prunes by three bounds on the points still to add: a greedy
+matching of tangent lines with pairwise disjoint candidate pools, the largest
+tangent pencil, and the cover, the r points still to add repairing at most the
+sum of the r largest tangent counts through a free point.  Iterative
 deepening starts at the sqrt lower bound on u_q.
 
 An existence level has one path, `_exists`.  The frontier is the same DFS cut
 at a size: each node it reaches there (or a tangent-free node above it) is
 recorded as a (partial, excluded) job instead of being searched.  The jobs
 run in DFS order, in this process for one worker and in a fork pool for
-more, and the first job that finds a witness settles the level.  The
-frontier's nodes and skips are counted with the jobs', so a level has the
+more, and the first job that finds a witness settles the level.  A pool
+is stopped without a signal: the level sets a stop event that the jobs
+read, so the later jobs return at once, and the pool is closed and joined.
+The frontier's nodes and skips are counted with the jobs', so a level has the
 serial DFS's witness at every worker count, and a refuted level its node and
 skip counts too.
 
@@ -32,8 +36,8 @@ Enumeration searches every subtree.
 from __future__ import annotations
 
 import os
+import signal
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -99,6 +103,9 @@ class _Searcher:
     symmetric siblings: none by default, `frame_symmetries` for an existence
     search whose partial set begins with the frame seed.
 
+    The DFS checks every 4096 nodes whether the `deadline` has passed or the
+    `stop` event is set, and raises SearchTimeout if so.
+
     With a `cut` size set, the DFS records every node of that size, and every
     tangent-free node, as a (partial, excluded) job in `jobs`, uncounted and
     unsearched: this is the frontier of `_frontier_jobs`.
@@ -117,6 +124,7 @@ class _Searcher:
         self.nodes = 0
         self.skips = 0
         self.deadline = None
+        self.stop = None
         self.symmetries: tuple[tuple[int, ...], ...] = ()
         self.cut: int | None = None
         self.jobs: list[tuple[tuple[int, ...], int]] = []
@@ -142,11 +150,18 @@ class _Searcher:
         from the subtrees of the later ones.
 
         One pass over the current tangent lines, lowest index first.  A tangent
-        with no available point is dead.  The bound is the larger of a greedy
-        matching of avail-disjoint tangents and the largest tangent pencil
-        through a single member (each new point can repair at most one tangent
-        per pencil); no completion of size n_target exists when the partial
-        set plus the bound exceeds it.  The branch line has the fewest
+        with no available point is dead.  With r = n_target - |P| points still
+        to add, the node is pruned when one of three bounds says r points
+        cannot repair every tangent: a greedy matching of avail-disjoint
+        tangents needs more than r points, or so does the largest tangent
+        pencil through a single member (each new point can repair at most one
+        tangent per pencil), or the cover falls short: a free point x repairs
+        c(x) tangents, the tangents through it, so r points repair at most the
+        sum of the r largest c(x), and the node is pruned when that sum is
+        less than the number of tangents.  The cover runs last, as it costs the most; it counts
+        the available points of the tangents into levels, level v holding the
+        points with c(x) > v, and the sum of the r largest c(x) is the sum
+        over the levels of min(r, |level|).  The branch line has the fewest
         available points (ties to the smallest index).  `keep` drops the
         symmetric siblings (module docstring).
         """
@@ -157,6 +172,7 @@ class _Searcher:
         k = 0
         best_avail = 0
         best_cnt = self.plane.n + 1
+        avails = []
         while rest:
             low = rest & -rest
             rest ^= low
@@ -170,13 +186,30 @@ class _Searcher:
             if cnt < best_cnt:
                 best_cnt = cnt
                 best_avail = avail
+            avails.append(avail)
         # every tangent holds exactly one member, so this is the largest
         # number of tangents through a single member.  The pencil of p has
         # line p's mask; a name of its own keeps line_masks in the loop above
         # a fast local rather than a closure cell.
         pencils = self.line_masks
+        r = n_target - len(self.partial)
         max_pencil = max([(tangents & pencils[p]).bit_count() for p in self.partial])
-        if len(self.partial) + max(k, max_pencil) > n_target:
+        if max(k, max_pencil) > r:
+            return 0, 0
+        levels: list[int] = []
+        for avail in avails:
+            for i, level in enumerate(levels):
+                levels[i] = level | avail
+                avail &= level
+                if not avail:
+                    break
+            else:
+                levels.append(avail)
+        cover = 0
+        for level in levels:
+            size = level.bit_count()
+            cover += size if size < r else r
+        if cover < tangents.bit_count():
             return 0, 0
         if not self.symmetries:
             return best_avail, best_avail
@@ -229,7 +262,9 @@ class _Searcher:
             self.jobs.append((tuple(self.partial), excluded_mask))
             return False
         self.nodes += 1
-        if self.deadline is not None and self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
+        if self.nodes % 4096 == 0 and (
+                (self.deadline is not None and time.monotonic() > self.deadline)
+                or (self.stop is not None and self.stop.is_set())):
             raise SearchTimeout(self.nodes, self.skips)
         free = self.all_points_mask & ~self.partial_mask & ~excluded_mask
         if exact_size and size + free.bit_count() < n_target:
@@ -319,13 +354,14 @@ def frame_symmetries(plane) -> tuple[tuple[int, ...], ...]:
     return tuple(frame_collineation(plane, quad) for quad in permutations(frame) if quad != frame)
 
 
-def _exists_from(plane, n, members, ex_mask, deadline):
+def _exists_from(plane, n, members, ex_mask, deadline, stop=None):
     """Tangent-free set of size <= n containing `members` and avoiding
     `ex_mask`, the node count and the symmetric siblings skipped; raises
-    SearchTimeout on the deadline.  Siblings are skipped when `members`
-    begins with the frame seed."""
+    SearchTimeout on the deadline or once the `stop` event is set.  Siblings
+    are skipped when `members` begins with the frame seed."""
     s = _Searcher(plane)
     s.deadline = deadline
+    s.stop = stop
     if tuple(members[:4]) == frame_seed(plane):
         s.symmetries = frame_symmetries(plane)
     box = []
@@ -350,15 +386,29 @@ def _frontier_jobs(plane, n, min_jobs):
     return st.jobs, st.nodes, st.skips
 
 
+_stop = None  # a pool worker's stop event, set by `_start_worker`
+
+
+def _start_worker(stop):
+    """Pool initializer.  A worker ignores SIGINT, so an interrupt reaches only
+    the level, which then stops its jobs through `stop`; a worker killed
+    mid-job would leave its result missing and the pool's join waiting."""
+    global _stop
+    _stop = stop
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 def _run_job(args):
-    """One frontier subtree: (witness or None, nodes, skips, timed out)."""
+    """One frontier subtree: (witness or None, nodes, skips, unfinished).  A
+    job returns unfinished when the deadline passes or, in a pool worker, once
+    the level has set the stop event."""
     spec, n, members, ex_mask, deadline = args
-    if deadline is not None and time.monotonic() > deadline:
+    if (deadline is not None and time.monotonic() > deadline) or (_stop is not None and _stop.is_set()):
         return None, 0, 0, True
     try:
         # a forked worker inherits the parent's plane and symmetry caches
         plane = plane_for(spec.p, spec.h, spec.modulus)
-        return *_exists_from(plane, n, members, ex_mask, deadline), False
+        return *_exists_from(plane, n, members, ex_mask, deadline, _stop), False
     except SearchTimeout as e:
         return None, e.nodes, e.skips, True
 
@@ -370,25 +420,35 @@ def _exists(plane, n, workers=1, deadline=None):
     The frontier splits the level into jobs, at least 3 per worker where its
     depth allows.  They run in job order, in this process for one worker or
     one job and in a fork pool otherwise; the first job that finds a witness
-    or runs out of time settles the level, as in the serial DFS, and the pool
-    is terminated with the later jobs unfinished and uncounted.
+    or runs out of time settles the level, as in the serial DFS, and the later
+    jobs stay uncounted.  The pool is never terminated, since a worker
+    signalled while it sends a result can leave the result queue locked: the
+    level sets the stop event the workers inherit, so every job still queued
+    or running returns within 4096 nodes, and the pool is closed and joined.
     """
     import multiprocessing as mp
 
     jobs, nodes, skips = _frontier_jobs(plane, n, 3 * workers)
     args = [(plane.gf.spec, n, members, ex_mask, deadline) for members, ex_mask in jobs]
-    with ExitStack() as stack:
-        run = map
-        if workers > 1 and len(jobs) > 1:
-            run = stack.enter_context(mp.get_context("fork").Pool(workers)).imap
-        for witness, cnt, skipped, timed_out in run(_run_job, args):
+    pool = None
+    if workers > 1 and len(jobs) > 1:
+        ctx = mp.get_context("fork")
+        stop = ctx.Event()
+        pool = ctx.Pool(workers, initializer=_start_worker, initargs=(stop,))
+    try:
+        for witness, cnt, skipped, timed_out in (pool.imap if pool else map)(_run_job, args):
             nodes += cnt
             skips += skipped
             if timed_out:
                 raise SearchTimeout(nodes, skips)
             if witness is not None:
                 return witness, nodes, skips
-    return None, nodes, skips
+        return None, nodes, skips
+    finally:
+        if pool is not None:
+            stop.set()
+            pool.close()
+            pool.join()
 
 
 @dataclass

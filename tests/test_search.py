@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from pg2q.codes import hyperoval
 from pg2q.constructions import constructions_at, interior_points, trivial
 from pg2q.conic import canonical_conic
-from pg2q.plane import PointSet, plane_for_order
+from pg2q.plane import PointSet, mask_bits, plane_for_order
 from pg2q.search import (
     FRAME,
     CapTooSmall,
@@ -107,9 +107,14 @@ def _unpruned_witness(pl, n):
     return box[0] if box else None
 
 
-@pytest.mark.parametrize("q,levels", [(3, range(6, 7)), (4, range(6, 7)), (5, range(8, 11)),
-                                      (7, range(10, 13)), (8, range(10, 11)), (9, range(13, 14))],
-                         ids=["q3", "q4", "q5", "q7", "q8", "q9-n13"])
+# every level from the sqrt bound to u_q, and q=9 n=13
+LEVELS = pytest.mark.parametrize(
+    "q,levels", [(3, range(6, 7)), (4, range(6, 7)), (5, range(8, 11)), (7, range(10, 13)),
+                 (8, range(10, 11)), (9, range(13, 14))],
+    ids=["q3", "q4", "q5", "q7", "q8", "q9-n13"])
+
+
+@LEVELS
 def test_symmetry_skips_keep_verdict_and_witness(q, levels):
     """Skipping symmetric siblings settles every level from the sqrt bound to
     u_q (and q=9 n=13) as the search without skips does, with the same
@@ -118,6 +123,83 @@ def test_symmetry_skips_keep_verdict_and_witness(q, levels):
     assert levels.start == lower_bound(q)
     for n in levels:
         assert _exists(pl, n)[0] == _unpruned_witness(pl, n)
+
+
+class _PreCoverSearcher(_Searcher):
+    """The repair step without the cover bound: dead tangents, the greedy
+    matching and the largest pencil prune, as before the cover was added."""
+
+    def _branch(self, free, n_target):
+        tangents = self.once & ~self.twice
+        used = k = 0
+        best_avail, best_cnt = 0, self.plane.n + 1
+        for l in mask_bits(tangents):
+            avail = self.line_masks[l] & free
+            if not avail:
+                return 0, 0
+            if not avail & used:
+                k += 1
+                used |= avail
+            if avail.bit_count() < best_cnt:
+                best_avail, best_cnt = avail, avail.bit_count()
+        max_pencil = max((tangents & self.line_masks[p]).bit_count() for p in self.partial)
+        if len(self.partial) + max(k, max_pencil) > n_target:
+            return 0, 0
+        if not self.symmetries:
+            return best_avail, best_avail
+        skip = self._symmetric_siblings(best_avail, free)
+        self.skips += skip.bit_count()
+        return best_avail, best_avail & ~skip
+
+
+@LEVELS
+def test_cover_bound_keeps_verdict_and_witness(q, levels):
+    """The cover bound prunes only nodes without a completion, so every level
+    is settled with the witness of the search without it, in no more nodes."""
+    pl = plane_for_order(q)
+    for n in levels:
+        s = _PreCoverSearcher(pl)
+        s.symmetries = frame_symmetries(pl)
+        box = []
+        s.run(n, 0, False, lambda t: box.append(tuple(sorted(t))) or True, seed=frame_seed(pl))
+        witness, nodes, _ = _exists(pl, n)
+        assert witness == (box[0] if box else None)
+        assert witness is not None or nodes <= s.nodes
+
+
+@pytest.mark.parametrize("q,n", [(4, 11), (5, 10)])
+def test_cover_bound_keeps_enumeration(q, n):
+    """Enumeration with the cover bound lists the same sets in fewer nodes."""
+    pl = plane_for_order(q)
+    s = _PreCoverSearcher(pl)
+    out = []
+    s.run(n, 0, True, lambda t: out.append(tuple(sorted(t))))
+    sets, nodes = _enumerate_with_state(pl, n)
+    assert sets == sorted(out)
+    assert nodes < s.nodes
+
+
+def test_cover_bound_alone_prunes():
+    """The frame of PG(2,4) lies in one hyperoval, whose other two points are
+    the points on none of the frame's six secants.  With one of them excluded
+    and 2 points to add, the matching and pencil bounds keep the node (2
+    tangents through each frame point, 8 in all), but the best 2 free points
+    repair 4 + 2 < 8 tangents, so the cover prunes it."""
+    pl = plane_for_order(4)
+    frame = frame_seed(pl)
+    secants = {pl.line_through(a, b) for a in frame for b in frame if a < b}
+    off = [x for x in range(pl.n) if x not in frame and not any(pl.incident(x, l) for l in secants)]
+    assert len(off) == 2
+    s = _Searcher(pl)
+    for p in frame:
+        s._add(p)
+    free = s.all_points_mask & ~s.partial_mask & ~(1 << off[0])
+    assert _reference_scan(pl, s.partial, free, 6, cover=False)[1]
+    assert _reference_scan(pl, s.partial, free, 6)[1] == 0
+    assert s._branch(free, 6) == (0, 0)
+    assert s._branch(free | 1 << off[0], 6) != (0, 0)
+    assert _exists_from(pl, 6, frame, 1 << off[0], None)[0] is None
+    assert _exists_from(pl, 6, frame, 0, None)[0] == tuple(sorted(frame + tuple(off)))
 
 
 def _frame_stabiliser_reference(pl):
@@ -184,11 +266,13 @@ def test_frame_collineation_inverts_a_random_collineation(q):
         frame_collineation(pl, (line[0], line[1], line[2], off))
 
 
-def _reference_scan(pl, partial, free, n_target):
+def _reference_scan(pl, partial, free, n_target, cover=True):
     """The per-line definition of `_Searcher._branch`: tangent lines from
-    per-line counts, a pencil dict keyed by each tangent's member, and a
-    greedy matching over the tangents in sorted order.  Returns the tangent
-    lines and the branch line's available points, 0 when the node is pruned."""
+    per-line counts, a pencil dict keyed by each tangent's member, a greedy
+    matching over the tangents in sorted order, and, with `cover`, the cover
+    bound from a count per free point of the tangents listing it.  Returns the
+    tangent lines and the branch line's available points, 0 when the node is
+    pruned."""
     pmask = sum(1 << p for p in partial)
     tangents = [l for l, lm in enumerate(pl.line_masks) if bin(lm & pmask).count("1") == 1]
     used = k = 0
@@ -209,8 +293,17 @@ def _reference_scan(pl, partial, free, n_target):
             best = (cnt, avail)
     if best is None:
         return tangents, None
-    if len(partial) + max(k, max(pencil.values())) > n_target:
+    r = n_target - len(partial)
+    if max(k, max(pencil.values())) > r:
         return tangents, 0
+    if cover:
+        on_tangents = {x: 0 for x in range(pl.n) if free >> x & 1}
+        for l in tangents:
+            for x in pl.points_on_line[l]:
+                if x in on_tangents:
+                    on_tangents[x] += 1
+        if sum(sorted(on_tangents.values(), reverse=True)[:r]) < len(tangents):
+            return tangents, 0
     return tangents, best[1]
 
 
@@ -244,15 +337,18 @@ def test_kernel_masks_match_line_counts(q, data):
 def test_exact_node_counts():
     """The DFS makes the same decisions, so its node and skip counts are
     fixed."""
-    assert _exists(plane_for_order(7), 11) == (None, 3926, 3)
-    assert _exists(plane_for_order(9), 13) == (None, 26_068, 10)
-    assert _exists(plane_for_order(9), 14) == (None, 333_643, 10)
+    assert _exists(plane_for_order(7), 11) == (None, 702, 3)
+    assert _exists(plane_for_order(9), 13) == (None, 2_680, 10)
+    assert _exists(plane_for_order(9), 14) == (None, 30_022, 10)
+    assert _exists(plane_for_order(11), 15) == (None, 64_064, 6)
     w, nodes, _ = _exists(plane_for_order(8), 10)
     assert nodes == 26
     assert is_tangent_free(PointSet(plane_for_order(8), w)) and len(w) == 10
     sets, nodes = _enumerate_with_state(plane_for_order(5), 10)
-    assert len(sets) == 3565 and nodes == 153_581
-    assert secant_bound_check(5).nodes == 14_785
+    assert len(sets) == 3565 and nodes == 84_511
+    sets, nodes = _enumerate_with_state(plane_for_order(4), 11)
+    assert len(sets) == 8568 and nodes == 64_220
+    assert secant_bound_check(5).nodes == 6_892
 
 
 def _reference_frontier_jobs(pl, n, min_jobs, seed):
@@ -306,7 +402,7 @@ def test_parallel_level_settled_by_first_witness():
     ws = _exists(pl, 15)[0]
     wp, nodes, _ = _exists(pl, 15, 2)
     assert ws is not None and wp == ws
-    assert nodes < 10_000  # the whole sweep of every job spends 2,433,353
+    assert nodes < 10_000  # running every job to its end spends 125,108
 
 
 @pytest.mark.parametrize("q", [9, 25, 27])
@@ -360,11 +456,40 @@ def test_budget_cut_keeps_symmetry_skips():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_budget_exceeded_keeps_level_nodes(workers):
-    """A search cut off mid-level still reports the nodes it expanded."""
-    res = min_tangent_free(9, 18, workers=workers, budget_s=2.0)
+    """A search cut off mid-level still reports the nodes it expanded (q=11
+    levels 15 and 16 each take longer than the budget)."""
+    res = min_tangent_free(11, 22, workers=workers, budget_s=2.0)
     assert res.status == "budget_exceeded"
-    assert res.exhausted_below >= lower_bound(9)
+    assert res.exhausted_below >= lower_bound(11)
     assert res.nodes > 0
+
+
+def test_pool_stops_without_terminate(monkeypatch):
+    """A level settled early and a level cut by the budget stop the pool by
+    its stop event, then close and join it: no worker is signalled, and none
+    is left running.  Levels settled early with more workers than CPUs give
+    the serial witness; a hang dumps the stacks and ends the run."""
+    import faulthandler
+    import multiprocessing
+    import multiprocessing.pool
+
+    def refuse(self):
+        raise AssertionError("Pool.terminate called")
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", refuse)
+    faulthandler.dump_traceback_later(120, exit=True)
+    try:
+        witness = _exists(plane_for_order(9), 15, 2)[0]
+        assert witness is not None and len(witness) == 15
+        res = min_tangent_free(11, 22, workers=2, budget_s=1.0)
+        assert res.status == "budget_exceeded" and res.nodes > 0
+        for _ in range(3):
+            for q, n in [(7, 12), (9, 15), (16, 18)]:
+                pl = plane_for_order(q)
+                assert _exists(pl, n, 4)[0] == _exists(pl, n, 1)[0] is not None
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert multiprocessing.active_children() == []
 
 
 def test_enumerate_q3_size6_all_trivial():

@@ -5,11 +5,13 @@ The core is a repair DFS: while the partial set has a tangent line, every
 completion must pick up another point of that line, so we branch over its
 available points (accumulating exclusions across siblings, which makes the
 enumeration duplicate-free).  One repair step, `_Searcher._branch`, picks the
-branch line and prunes by three bounds on the points still to add: a greedy
-matching of tangent lines with pairwise disjoint candidate pools, the largest
-tangent pencil, and the cover, the r points still to add repairing at most the
-sum of the r largest tangent counts through a free point.  Iterative
-deepening starts at the sqrt lower bound on u_q.
+branch line and prunes by three bounds on the r points still to add, cheapest
+per node first: the largest tangent pencil; the cover, the r points repairing
+at most the sum of the r largest tangent counts through a free point, counted
+from one mask per member (the points on its tangents); and, only at the nodes
+those two keep, a greedy matching of tangent lines with pairwise disjoint
+candidate pools, in the one pass over the tangents that also picks the branch
+line.  Iterative deepening starts at the sqrt lower bound on u_q.
 
 An existence level has one path, `_exists`.  The frontier is the same DFS cut
 at a size: each node it reaches there (or a tangent-free node above it) is
@@ -149,30 +151,64 @@ class _Searcher:
         (0, 0) when the node is pruned.  Every point of `branch` is excluded
         from the subtrees of the later ones.
 
-        One pass over the current tangent lines, lowest index first.  A tangent
-        with no available point is dead.  With r = n_target - |P| points still
-        to add, the node is pruned when one of three bounds says r points
-        cannot repair every tangent: a greedy matching of avail-disjoint
-        tangents needs more than r points, or so does the largest tangent
-        pencil through a single member (each new point can repair at most one
-        tangent per pencil), or the cover falls short: a free point x repairs
-        c(x) tangents, the tangents through it, so r points repair at most the
-        sum of the r largest c(x), and the node is pruned when that sum is
-        less than the number of tangents.  The cover runs last, as it costs the most; it counts
-        the available points of the tangents into levels, level v holding the
-        points with c(x) > v, and the sum of the r largest c(x) is the sum
-        over the levels of min(r, |level|).  The branch line has the fewest
-        available points (ties to the smallest index).  `keep` drops the
-        symmetric siblings (module docstring).
+        With r = n_target - |P| points still to add, the node is pruned when a
+        tangent is dead (no available point) or one of three bounds says r
+        points cannot repair every tangent, cheapest per node first:
+
+        1. The pencil: a new point repairs at most one tangent through a given
+           member, so no member may lie on more than r tangents.
+        2. The cover: a free point x repairs c(x) tangents, those through it,
+           so r points repair at most the sum of the r largest c(x), and the
+           node is pruned when that sum is less than the number of tangents.
+           Every tangent holds exactly one member, and two lines through a
+           member p meet only in p, so with A_p the points on the tangents
+           through p, c(x) = #{p : x in A_p}.  The |P| masks A_p & free are
+           counted into levels, level v holding the points with c(x) > v, and
+           the sum of the r largest c(x) is the sum of min(r, |level|).
+        3. At the nodes the first two keep, one pass over the tangents, lowest
+           index first, finds a dead tangent or a greedy matching of
+           avail-disjoint tangents that needs more than r points, and picks
+           the branch line: the fewest available points, ties to the smallest
+           index.
+
+        `keep` drops the symmetric siblings (module docstring).
         """
         line_masks = self.line_masks
         tangents = self.once & ~self.twice
+        r = n_target - len(self.partial)
+        pencils = []
+        for p in self.partial:
+            through = tangents & line_masks[p]
+            if through:
+                if through.bit_count() > r:
+                    return 0, 0
+                pencils.append(through)
+        levels: list[int] = []
+        for through in pencils:
+            reach = 0
+            while through:
+                low = through & -through
+                through ^= low
+                reach |= line_masks[low.bit_length() - 1]
+            reach &= free
+            for i, level in enumerate(levels):
+                levels[i] = level | reach
+                reach &= level
+                if not reach:
+                    break
+            else:
+                levels.append(reach)
+        cover = 0
+        for level in levels:
+            size = level.bit_count()
+            cover += size if size < r else r
+        if cover < tangents.bit_count():
+            return 0, 0
         rest = tangents
         used = 0
         k = 0
         best_avail = 0
         best_cnt = self.plane.n + 1
-        avails = []
         while rest:
             low = rest & -rest
             rest ^= low
@@ -181,36 +217,13 @@ class _Searcher:
                 return 0, 0
             if not avail & used:
                 k += 1
+                if k > r:
+                    return 0, 0
                 used |= avail
             cnt = avail.bit_count()
             if cnt < best_cnt:
                 best_cnt = cnt
                 best_avail = avail
-            avails.append(avail)
-        # every tangent holds exactly one member, so this is the largest
-        # number of tangents through a single member.  The pencil of p has
-        # line p's mask; a name of its own keeps line_masks in the loop above
-        # a fast local rather than a closure cell.
-        pencils = self.line_masks
-        r = n_target - len(self.partial)
-        max_pencil = max([(tangents & pencils[p]).bit_count() for p in self.partial])
-        if max(k, max_pencil) > r:
-            return 0, 0
-        levels: list[int] = []
-        for avail in avails:
-            for i, level in enumerate(levels):
-                levels[i] = level | avail
-                avail &= level
-                if not avail:
-                    break
-            else:
-                levels.append(avail)
-        cover = 0
-        for level in levels:
-            size = level.bit_count()
-            cover += size if size < r else r
-        if cover < tangents.bit_count():
-            return 0, 0
         if not self.symmetries:
             return best_avail, best_avail
         skip = self._symmetric_siblings(best_avail, free)

@@ -307,8 +307,50 @@ def _reference_scan(pl, partial, free, n_target, cover=True):
     return tangents, best[1]
 
 
+class _CheckedSearcher(_Searcher):
+    """A searcher whose repair step is checked against the per-line
+    definition at every node it reaches.  `cover_only` counts the nodes that
+    only the cover prunes, `shared` those kept by the pencil bound with two
+    or more tangents through one member."""
+
+    cover_only = shared = 0
+
+    def _branch(self, free, n_target):
+        got = super()._branch(free, n_target)
+        tangents, ref = _reference_scan(self.plane, self.partial, free, n_target)
+        assert self.once & ~self.twice == sum(1 << l for l in tangents)
+        assert got[0] == ref and (ref or got == (0, 0))
+        r = n_target - len(self.partial)
+        pencils = [(self.once & ~self.twice & self.line_masks[p]).bit_count() for p in self.partial]
+        if 1 < max(pencils) <= r:
+            self.shared += 1
+        if not ref and _reference_scan(self.plane, self.partial, free, n_target, cover=False)[1]:
+            self.cover_only += 1
+        return got
+
+
+def test_repair_step_matches_reference_at_every_node():
+    """At every node of a frame-seeded existence level with symmetric
+    sibling skips, and of an enumeration, the repair step prunes and
+    branches as the per-line definition does.  Both searches reach nodes
+    with several tangents through one member, which the cover counts once
+    per member, and nodes that only the cover prunes."""
+    pl = plane_for_order(7)
+    s = _CheckedSearcher(pl)
+    s.symmetries = frame_symmetries(pl)
+    box = []
+    s.run(11, 0, False, lambda t: box.append(t) or True, seed=frame_seed(pl))
+    assert not box and (s.nodes, s.skips) == (702, 3)
+    assert s.shared and s.cover_only
+    s = _CheckedSearcher(plane_for_order(4))
+    out = []
+    s.run(8, 0, True, out.append)
+    assert len(out) == 210 and s.nodes == 4497
+    assert s.shared and s.cover_only
+
+
 @settings(max_examples=60, deadline=None)
-@given(q=st.sampled_from([4, 5, 7, 9]), data=st.data())
+@given(q=st.sampled_from([4, 5, 7, 9, 11]), data=st.data())
 def test_kernel_masks_match_line_counts(q, data):
     """Over random add/remove sequences the bitmask state gives the tangent
     lines of the partial set and the same repair step as the per-line
@@ -457,7 +499,8 @@ def test_budget_cut_keeps_symmetry_skips():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_budget_exceeded_keeps_level_nodes(workers):
     """A search cut off mid-level still reports the nodes it expanded (q=11
-    levels 15 and 16 each take longer than the budget)."""
+    level 15, 64,064 nodes, takes about 1.3 CPU s at workers=1, so the cut
+    lands in level 16, whose 919,015 nodes take far longer than the budget)."""
     res = min_tangent_free(11, 22, workers=workers, budget_s=2.0)
     assert res.status == "budget_exceeded"
     assert res.exhausted_below >= lower_bound(11)

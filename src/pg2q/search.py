@@ -32,7 +32,12 @@ point a_i to it, and stays excluded from the later siblings: g^-1 maps every
 set of subtree j to a set that contains P + a_i and avoids E, which an earlier
 subtree covers.  So a refutation stays exact, and the first subtree that holds
 a witness is never skipped, which keeps the witness of every level.
-Enumeration searches every subtree.
+
+Enumeration (`enumerate_tangent_free`) runs the same exact-size DFS from the
+frame seed, with the same skips, and closes the sets it finds under PGL(3,q)
+by generator BFS: every class has a member through the frame, and a skipped
+subtree holds only images of sets already found.  `_enumerate_with_state`,
+the secant-bound search's enumeration from its own seeds, skips nothing.
 """
 
 from __future__ import annotations
@@ -102,8 +107,8 @@ class _Searcher:
     an undo stack and `_remove` pops it.
 
     `symmetries` lists the collineations the repair step may use to skip
-    symmetric siblings: none by default, `frame_symmetries` for an existence
-    search whose partial set begins with the frame seed.
+    symmetric siblings: none by default, `frame_symmetries` for a search
+    whose partial set begins with the frame seed.
 
     The DFS checks every 4096 nodes whether the `deadline` has passed or the
     `stop` event is set, and raises SearchTimeout if so.
@@ -315,14 +320,41 @@ def _enumerate_with_state(plane: Plane, n_target: int, seed_members=(), excluded
     return result, s.nodes
 
 
+def _frame_sets(plane: Plane, n: int):
+    """Tangent-free n-sets through the frame, one at least per PGL(3,q)
+    class: the exact-size DFS from `frame_seed` with the `frame_symmetries`
+    sibling skips of an existence search.  Returns (sets, nodes, skips), the
+    sets as sorted tuples in the order found."""
+    s = _Searcher(plane)
+    s.symmetries = frame_symmetries(plane)
+    out: list[tuple[int, ...]] = []
+    s.run(n, 0, True, lambda t: out.append(tuple(sorted(t))), seed=frame_seed(plane))
+    return out, s.nodes, s.skips
+
+
 def enumerate_tangent_free(q: int, n: int) -> list[tuple[int, ...]]:
-    """Complete duplicate-free list of tangent-free n-sets in PG(2,q)."""
+    """Complete duplicate-free list of tangent-free n-sets in PG(2,q), as
+    sorted tuples in ascending order.
+
+    The sets through the frame that `_frame_sets` finds are closed under
+    PGL(3,q).  Every class is reached: a non-empty tangent-free set has a
+    quadrangle and so an image through the frame (`frame_seed`), and a
+    skipped sibling's subtree holds only images of sets in an earlier one.
+    A set of 1 to 3 points has a tangent, so those sizes return [] at once.
+    """
     if n < 1:
         raise Infeasible("need n >= 1")
     plane = plane_for_order(q)
     if n > plane.n:
         raise Infeasible(f"n={n} exceeds the number of points")
-    return _enumerate_with_state(plane, n)[0]
+    if n < len(FRAME):
+        return []
+    moves = pgl_group(q).set_moves()
+    found: set[tuple[int, ...]] = set()
+    for s in _frame_sets(plane, n)[0]:
+        if s not in found:
+            _closure(s, moves, found)
+    return sorted(found)
 
 
 FRAME = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
@@ -592,6 +624,20 @@ class PGLGroup:
         self._elements = None
 
     def generators(self) -> list[tuple[int, ...]]:
+        """Four point permutations that generate PGL(3,q) at every q: the
+        transvections I + E01 and I + E10, the 3-cycle of the coordinates and
+        D = diag(g,1,1), g the field's primitive element.
+
+        D^k (I + E01) D^-k = I + g^k E01, and a product of such matrices adds
+        their off-diagonal entries.  The powers of g span GF(q) over GF(p),
+        since g lies in no proper subfield, so these products give I + a E01
+        for every a; likewise I + a E10 from the powers g^-k.  Conjugating by
+        the 3-cycle moves the entry to every other off-diagonal place, so
+        every elementary transvection is reached, and these generate
+        SL(3,q).  det D = g generates GF(q)*, so with D the group is
+        GL(3,q), which acts on the points as PGL(3,q).  `elements` checks the
+        order for q <= 5; `enumerate_tangent_free` relies on it at every q.
+        """
         gf = self.plane.gf
         g = gf.generator if gf.q > 2 else 1
         mats = [
@@ -610,31 +656,35 @@ class PGLGroup:
         (row g lists g(0), ..., g(n-1)), rows in ascending order.
 
         The rows are the closure of `generators()` acting on the identity, so
-        reaching the group order proves that the generators generate PGL(3,q),
-        which `orbit` relies on.  The table holds order x n entries (372000 x
-        31 at q = 5), so it is built only for q <= 5.
+        reaching the group order checks the argument of `generators` for
+        q <= 5.  The table holds order x n entries (372000 x 31 at q = 5), so
+        it is built only for q <= 5.
         """
         if self.q > 5:
             raise GroupTooLarge(f"full enumeration not supported for q={self.q}")
         if self._elements is None:
             # itemgetter(*g) sends a permutation t to t o g
-            perms = _closure(tuple(range(self.plane.n)), [itemgetter(*g) for g in self.generators()])
+            perms = _closure(tuple(range(self.plane.n)), [itemgetter(*g) for g in self.generators()], set())
             if len(perms) != self.order:
                 raise AssertionError(f"generator closure has {len(perms)} != {self.order} elements")
             self._elements = np.array(sorted(perms), dtype=np.int32)
         return self._elements
 
+    def set_moves(self):
+        """One move per generator, sending a sorted index tuple to its sorted image."""
+        return [lambda t, g=g: tuple(sorted(map(g.__getitem__, t))) for g in self.generators()]
+
     def orbit(self, members) -> list[tuple[int, ...]]:
         """PGL orbit of a point set, as sorted index tuples in ascending order:
-        the closure of the set under `generators()`, which generate the group
-        (see `elements`)."""
-        moves = [lambda t, g=g: tuple(sorted(map(g.__getitem__, t))) for g in self.generators()]
-        return sorted(_closure(tuple(sorted(members)), moves))
+        the closure of the set under `generators()`, which generate PGL(3,q)
+        at every q (see `generators`)."""
+        return sorted(_closure(tuple(sorted(members)), self.set_moves(), set()))
 
 
-def _closure(start: tuple[int, ...], moves) -> set[tuple[int, ...]]:
-    """Every tuple reached from `start` by repeated moves, breadth first."""
-    seen = {start}
+def _closure(start: tuple[int, ...], moves, seen: set[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """Add to `seen` every tuple reached from `start` by repeated moves,
+    breadth first, and return it; `seen` holds none of them yet."""
+    seen.add(start)
     frontier = [start]
     while frontier:
         nxt = []

@@ -314,6 +314,12 @@ def test_enumerate_cli(capsys):
     assert obj["results"]["count"] == 78
 
 
+@pytest.mark.parametrize("cmd", ["enumerate", "classify"])
+def test_enumerate_size_zero_exits_2(capsys, cmd):
+    code, out, err = run(capsys, cmd, "--q", "3", "--n", "0")
+    assert code == 2 and out == "" and "n >= 1" in err
+
+
 def test_classify_cli_pg25(capsys):
     """`classify --q 5 --n 10` prints the two PGL(3,5) classes of tangent-free 10-sets."""
     code, out, err = run(capsys, "classify", "--q", "5", "--n", "10")

@@ -13,11 +13,13 @@ from pg2q.plane import PointSet, mask_bits, plane_for_order
 from pg2q.search import (
     FRAME,
     CapTooSmall,
+    Infeasible,
     OrbitRep,
     SearchTimeout,
     _enumerate_with_state,
     _exists,
     _exists_from,
+    _frame_sets,
     _frontier_jobs,
     _Searcher,
     brute_force_min,
@@ -390,6 +392,10 @@ def test_exact_node_counts():
     assert len(sets) == 3565 and nodes == 84_511
     sets, nodes = _enumerate_with_state(plane_for_order(4), 11)
     assert len(sets) == 8568 and nodes == 64_220
+    sets, nodes, skips = _frame_sets(plane_for_order(5), 10)
+    assert (nodes, len(sets), skips) == (554, 21, 2)
+    sets, nodes, skips = _frame_sets(plane_for_order(4), 11)
+    assert (nodes, len(sets), skips) == (1_972, 316, 2)
     assert secant_bound_check(5).nodes == 6_892
 
 
@@ -549,6 +555,27 @@ def test_enumerate_q3_size6_all_trivial():
 
 def test_enumerate_q5_size9_empty():
     assert enumerate_tangent_free(5, 9) == []
+
+
+# the benchmark's classification cases, (8,10) (the one field with h = 3 in
+# reach) and three empty answers
+@pytest.mark.parametrize("q,n", [(3, 6), (3, 8), (3, 9), (4, 6), (4, 8), (4, 9), (4, 10), (4, 11), (5, 10),
+                                 (8, 10), (5, 9), (5, 11), (7, 10)])
+def test_enumeration_matches_full_plane_dfs(q, n):
+    """The frame-seeded enumeration closed under PGL(3,q) lists exactly the
+    sets of the full-plane DFS, which skips no symmetry."""
+    assert enumerate_tangent_free(q, n) == _enumerate_with_state(plane_for_order(q), n)[0]
+
+
+def test_enumeration_edge_sizes():
+    """A set of 1 to 3 points has a tangent; the whole plane has none."""
+    for q in (3, 4, 5):
+        for n in (1, 2, 3):
+            assert enumerate_tangent_free(q, n) == []
+    assert enumerate_tangent_free(3, 13) == [tuple(range(13))]
+    for n in (0, 14):
+        with pytest.raises(Infeasible):
+            enumerate_tangent_free(3, n)
 
 
 def test_enumerate_q5_size10():

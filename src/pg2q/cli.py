@@ -193,11 +193,11 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from .search import classify_up_to_pgl, enumerate_tangent_free, pgl_group
+    from .search import _frame_sets, classify_up_to_pgl, pgl_group
 
-    sets = enumerate_tangent_free(args.q, args.n)
-    reps = classify_up_to_pgl(args.q, sets)
+    # the frame sets meet every class, and every member of a class is one of the sets classified
     plane = plane_for_order(args.q)
+    reps = classify_up_to_pgl(args.q, _frame_sets(plane, args.n)[0])
     group = pgl_group(args.q)
     report = {
         "command": "classify",
@@ -205,13 +205,13 @@ def cmd_classify(args) -> int:
         "field": plane.gf.spec.to_json(),
         "results": {
             "group_order": group.order,
-            "total_sets": len(sets),
+            "total_sets": sum(r.class_size for r in reps),
             "classes": [
                 {
                     "representative": [list(plane.coords[p]) for p in r.canonical],
                     "class_size": r.class_size,
                     "stabilizer_order": r.stabilizer_order,
-                    "members_classified": r.member_count,
+                    "members_classified": r.class_size,
                     "spectrum": str(spectrum(PointSet(plane, r.canonical))),
                 }
                 for r in reps

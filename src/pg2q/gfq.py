@@ -138,16 +138,22 @@ def _auto_modulus(p, h):
     raise ReducibleModulus(f"no irreducible polynomial of degree {h} over GF({p})")
 
 
+def order_exceeds(p: int, h: int, cap: int) -> bool:
+    """Whether p^h > cap, for p >= 2 and h >= 1; h is bounded before the
+    power is taken, so a huge h costs nothing."""
+    return p > 1 and (h >= cap.bit_length() or p**h > cap)
+
+
 def _checked_order(p: int, h: int) -> int:
-    """p^h, once p is a prime, h >= 1 and p^h is within MAX_ORDER."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    """p^h, once h >= 1, p^h is within MAX_ORDER and p is a prime.  The cap
+    comes first, so an oversized order is refused without a primality test."""
     if h < 1:
         raise ValueError("extension degree must be >= 1")
-    q = p**h
-    if q > MAX_ORDER:
-        raise ValueError(f"field order {q} exceeds cap {MAX_ORDER}")
-    return q
+    if order_exceeds(p, h, MAX_ORDER):
+        raise ValueError(f"field order {p}^{h} exceeds cap {MAX_ORDER}")
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    return p**h
 
 
 class GF:
@@ -358,15 +364,14 @@ def field_new(p: int, h: int = 1, modulus=None) -> GF:
 
 
 def field_for_order(q: int) -> GF:
-    """GF(q) for a prime power q, with the auto-selected modulus."""
-    for p in range(2, q + 1):
-        if is_prime(p) and q % p == 0:
-            h = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                h += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return field_new(p, h)
-    raise ValueError(f"{q} is not a prime power")
+    """GF(q) for a prime power q, with the auto-selected modulus.  An order
+    above MAX_ORDER is refused before q is factored."""
+    if q > MAX_ORDER:
+        raise ValueError(f"field order {q} exceeds cap {MAX_ORDER}")
+    factors = prime_factors(q)
+    if len(factors) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    p, h = factors[0], 1
+    while p**h < q:
+        h += 1
+    return field_new(p, h)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from functools import cached_property, lru_cache
 
-from .gfq import GF, FieldSpec, field_for_order, field_new
+from .gfq import GF, FieldSpec, field_for_order, field_new, order_exceeds
 
 
 # Plane keeps per-line tables of O(n q) entries (n = q^2+q+1), and line_masks
@@ -36,8 +36,7 @@ class Plane:
     def __init__(self, gf: GF):
         self.gf = gf
         q = gf.q
-        if q > MAX_PLANE_ORDER:
-            raise ValueError(f"PG(2,{q}) exceeds the plane order cap {MAX_PLANE_ORDER}")
+        _check_plane_order(gf.p, gf.h)
         self.q = q
         self.n = q * q + q + 1
         coords = []
@@ -144,13 +143,23 @@ def mask_of(points) -> int:
 _plane_of = lru_cache(maxsize=None)(Plane)
 
 
+def _check_plane_order(p: int, h: int = 1) -> None:
+    """Refuse PG(2,p^h) above MAX_PLANE_ORDER before its field is built: a
+    field near gfq.MAX_ORDER takes seconds to tabulate."""
+    if h >= 1 and order_exceeds(p, h, MAX_PLANE_ORDER):
+        order = f"{p}^{h}" if h > 1 else p
+        raise ValueError(f"PG(2,{order}) exceeds the plane order cap {MAX_PLANE_ORDER}")
+
+
 def plane_for(p: int, h: int = 1, modulus=None) -> Plane:
     """PG(2,p^h) over the given modulus (None: the default one)."""
+    _check_plane_order(p, h)
     return _plane_of(field_new(p, h, modulus))
 
 
 def plane_for_order(q: int) -> Plane:
     """PG(2,q) over the default modulus of GF(q)."""
+    _check_plane_order(q)
     return _plane_of(field_for_order(q))
 
 

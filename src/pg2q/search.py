@@ -34,10 +34,12 @@ subtree covers.  So a refutation stays exact, and the first subtree that holds
 a witness is never skipped, which keeps the witness of every level.
 
 Enumeration (`enumerate_tangent_free`) runs the same exact-size DFS from the
-frame seed, with the same skips, and closes the sets it finds under PGL(3,q)
-by generator BFS: every class has a member through the frame, and a skipped
-subtree holds only images of sets already found.  `_enumerate_with_state`,
-the secant-bound search's enumeration from its own seeds, skips nothing.
+frame seed, with the same skips: every class has a member through the frame,
+and a skipped subtree holds only images of sets already found.  Enumeration
+and classification share one orbit pass, `pgl_orbits`, which closes each
+PGL(3,q) class that its input meets by one generator BFS.
+`_enumerate_with_state`, the secant-bound search's enumeration from its own
+seeds, skips nothing.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from __future__ import annotations
 import os
 import signal
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -324,7 +327,17 @@ def _frame_sets(plane: Plane, n: int):
     """Tangent-free n-sets through the frame, one at least per PGL(3,q)
     class: the exact-size DFS from `frame_seed` with the `frame_symmetries`
     sibling skips of an existence search.  Returns (sets, nodes, skips), the
-    sets as sorted tuples in the order found."""
+    sets as sorted tuples in the order found.
+
+    Raises Infeasible unless 1 <= n <= the number of points.  A set of 1 to
+    3 points has a tangent, so those sizes give no sets and no nodes.
+    """
+    if n < 1:
+        raise Infeasible("need n >= 1")
+    if n > plane.n:
+        raise Infeasible(f"n={n} exceeds the number of points")
+    if n < len(FRAME):
+        return [], 0, 0
     s = _Searcher(plane)
     s.symmetries = frame_symmetries(plane)
     out: list[tuple[int, ...]] = []
@@ -334,27 +347,14 @@ def _frame_sets(plane: Plane, n: int):
 
 def enumerate_tangent_free(q: int, n: int) -> list[tuple[int, ...]]:
     """Complete duplicate-free list of tangent-free n-sets in PG(2,q), as
-    sorted tuples in ascending order.
-
-    The sets through the frame that `_frame_sets` finds are closed under
-    PGL(3,q).  Every class is reached: a non-empty tangent-free set has a
-    quadrangle and so an image through the frame (`frame_seed`), and a
-    skipped sibling's subtree holds only images of sets in an earlier one.
-    A set of 1 to 3 points has a tangent, so those sizes return [] at once.
+    sorted tuples in ascending order: the PGL(3,q) orbits of the sets
+    `_frame_sets` finds.  Every class is reached: a non-empty tangent-free
+    set has a quadrangle and so an image through the frame (`frame_seed`),
+    and a skipped sibling's subtree holds only images of sets in an earlier
+    one.
     """
-    if n < 1:
-        raise Infeasible("need n >= 1")
-    plane = plane_for_order(q)
-    if n > plane.n:
-        raise Infeasible(f"n={n} exceeds the number of points")
-    if n < len(FRAME):
-        return []
-    moves = pgl_group(q).set_moves()
-    found: set[tuple[int, ...]] = set()
-    for s in _frame_sets(plane, n)[0]:
-        if s not in found:
-            _closure(s, moves, found)
-    return sorted(found)
+    sets = _frame_sets(plane_for_order(q), n)[0]
+    return sorted(t for orbit in pgl_orbits(q, sets) for t in orbit)
 
 
 FRAME = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
@@ -681,27 +681,32 @@ class PGLGroup:
         return sorted(_closure(tuple(sorted(members)), self.set_moves(), set()))
 
 
-def _closure(start: tuple[int, ...], moves, seen: set[tuple[int, ...]]) -> set[tuple[int, ...]]:
-    """Add to `seen` every tuple reached from `start` by repeated moves,
-    breadth first, and return it; `seen` holds none of them yet."""
+def _closure(start: tuple[int, ...], moves, seen: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Every tuple reached from `start` by repeated moves, breadth first, in
+    the order reached; each is added to `seen`, which holds none of them yet."""
     seen.add(start)
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for move in moves:
-                img = move(t)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return seen
+    reached = [start]
+    for t in reached:  # the list grows behind the loop: a BFS queue
+        for move in moves:
+            img = move(t)
+            if img not in seen:
+                seen.add(img)
+                reached.append(img)
+    return reached
 
 
 @lru_cache(maxsize=None)
 def pgl_group(q: int) -> PGLGroup:
     """PGL(3,q) on the default PG(2,q), one per order."""
     return PGLGroup(plane_for_order(q))
+
+
+def pgl_orbits(q: int, sets) -> list[list[tuple[int, ...]]]:
+    """The PGL(3,q) orbits that the sorted index tuples `sets` meet, one
+    generator BFS each, in the order of their first member in `sets`."""
+    moves = pgl_group(q).set_moves()
+    seen: set[tuple[int, ...]] = set()
+    return [_closure(s, moves, seen) for s in sets if s not in seen]
 
 
 @dataclass(frozen=True)
@@ -713,21 +718,13 @@ class OrbitRep:
 
 
 def classify_up_to_pgl(q: int, sets) -> list[OrbitRep]:
-    """Partition the given point-index sets into PGL(3,q) orbits."""
-    group = pgl_group(q)
-    normalized = [tuple(sorted(s)) for s in sets]
-    unassigned = set(normalized)
+    """Partition the given point-index sets into PGL(3,q) orbits, in
+    ascending order of their least member; a set given twice counts twice."""
+    order = pgl_group(q).order
+    counts = Counter(tuple(sorted(s)) for s in sets)
     reps = []
-    for s in sorted(set(normalized)):
-        if s not in unassigned:
-            continue
-        orbit = group.orbit(s)
-        orbit_set = set(orbit)
-        hit = [t for t in unassigned if t in orbit_set]
-        for t in hit:
-            unassigned.discard(t)
-        if group.order % len(orbit):
+    for orbit in pgl_orbits(q, counts):
+        if order % len(orbit):
             raise AssertionError("orbit size does not divide the group order")
-        counted = sum(1 for t in normalized if t in orbit_set)
-        reps.append(OrbitRep(orbit[0], len(orbit), group.order // len(orbit), counted))
+        reps.append(OrbitRep(min(orbit), len(orbit), order // len(orbit), sum(counts[t] for t in orbit)))
     return sorted(reps, key=lambda r: r.canonical)

@@ -2,10 +2,11 @@
 
 quick: seconds (q <= 7) -- censuses, constructions, u_3/u_5, extension
 dichotomy for q in {5,7}, spectrum system, codes basics.
-full: minutes -- adds u_7, the PG(2,5) classification, clique searches up to
-q=11, dichotomy to q=13, construction certificates to q=31.
-long: opt-in hours -- u_9, u_11, dichotomy to q=29, clique q=13, the prime
-secant-bound search for p=7.
+full: minutes -- adds u_7, the classifications of the tangent-free sets of
+PG(2,5) of size 10 and PG(2,7) of size 12, clique searches up to q=11,
+dichotomy to q=13, construction certificates to q=31.
+long: minutes, mostly u_11 -- u_9, u_11, dichotomy to q=29, clique q=13, the
+prime secant-bound search for p=7, the classification for PG(2,9) at size 15.
 """
 
 from __future__ import annotations
@@ -93,13 +94,14 @@ def _check_codes_quick():
     return True, "trivial signing weight 10; hyperoval weight 6"
 
 
-def _check_classification():
-    from .search import classify_up_to_pgl, enumerate_tangent_free
+def _check_classification(q, n, expected):
+    from .plane import plane_for_order
+    from .search import _frame_sets, classify_up_to_pgl
 
-    sets = enumerate_tangent_free(5, 10)
-    reps = classify_up_to_pgl(5, sets)
-    ok = len(reps) == 2 and sorted(r.class_size for r in reps) == [465, 3100]
-    return ok, f"{len(sets)} sets in {len(reps)} classes {[r.class_size for r in reps]}"
+    reps = classify_up_to_pgl(q, _frame_sets(plane_for_order(q), n)[0])
+    got = sorted((r.class_size, r.stabilizer_order) for r in reps)
+    total = sum(size for size, _ in got)
+    return got == expected, f"({q},{n}): {total} sets in {len(got)} classes (size, |Stab|) {got}"
 
 
 def _check_cliques(qs):
@@ -173,7 +175,8 @@ def run_suite(level: str, workers: int | None = None, note=print):
             ("censuses_q<=31", lambda: _check_censuses([17, 19, 23, 25, 27, 29, 31])),
             ("constructions_q<=31", lambda: _check_constructions([9, 11, 13, 17, 19, 23, 25, 27, 29, 31])),
             ("u7", lambda: _check_u(7, 12, workers)),
-            ("classification_pg25", _check_classification),
+            ("classification_pg25", lambda: _check_classification(5, 10, [(465, 800), (3100, 120)])),
+            ("classification_pg27", lambda: _check_classification(7, 12, [(78_204, 72)])),
             ("dichotomy_q<=13", lambda: _check_dichotomy([9, 11, 13])),
             ("cliques_5_7_11", lambda: _check_cliques([5, 7, 11])),
             ("stopping_equivalence", lambda: _check_stopping([3, 4, 5])),
@@ -185,6 +188,7 @@ def run_suite(level: str, workers: int | None = None, note=print):
             ("u9", lambda: _check_u_long(9, 15, workers, 3600.0)),
             ("u11", lambda: _check_u_long(11, 18, workers, 4 * 3600.0)),
             ("secant_bound_p7", lambda: _check_secant_bound([7])),
+            ("classification_pg29", lambda: _check_classification(9, 15, [(98_280, 432)])),
         ]
     summary = {}
     all_ok = True

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import time
 from itertools import product
 
 import pytest
@@ -285,6 +286,36 @@ def test_verify_rejects_malformed_coordinates(capsys, monkeypatch, doc, message)
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv,doc",
+    [
+        (("search-min", "--q", "2000003"), None),
+        (("search-min", "--q", "1000000007"), None),
+        (("field-info", "--p", "3", "--h", "4000000"), None),
+        (("field-info", "--p", "1000000007"), None),
+        (("verify", "--set", "-"), {"field": {"p": 1000000007, "h": 1, "modulus": [0, 1]}, "points": [[1, 0, 0]]}),
+        (("verify", "--set", "-"), {"field": {"p": 3, "h": 4000000, "modulus": [0, 1]}, "points": [[1, 0, 0]]}),
+        # within the field cap but above the plane cap: refused before GF(2^20) is built
+        (("search-min", "--q", "1048576"), None),
+        (("verify", "--set", "-"), {"field": {"p": 2, "h": 20, "modulus": [1, 0, 0, 1] + [0] * 16 + [1]},
+                                    "points": [[1, 0, 0]]}),
+    ],
+    ids=["q-2000003", "q-1000000007", "h-4000000", "p-1000000007", "json-p", "json-h", "plane-q", "plane-json"],
+)
+def test_oversized_order_refused_at_once(capsys, monkeypatch, argv, doc):
+    """An order above the field or the plane cap exits 2 with a message
+    before any primality test, factoring, field table or power of the order
+    is computed."""
+    import io
+
+    if doc is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    t0 = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - t0 < 0.5
+    assert code == 2 and out == "" and "exceeds" in err and "cap" in err
 
 
 def test_usage_error_exit_2(capsys):

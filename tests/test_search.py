@@ -1,5 +1,5 @@
 import time
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -563,8 +563,16 @@ def test_enumerate_q5_size9_empty():
                                  (8, 10), (5, 9), (5, 11), (7, 10)])
 def test_enumeration_matches_full_plane_dfs(q, n):
     """The frame-seeded enumeration closed under PGL(3,q) lists exactly the
-    sets of the full-plane DFS, which skips no symmetry."""
-    assert enumerate_tangent_free(q, n) == _enumerate_with_state(plane_for_order(q), n)[0]
+    sets of the full-plane DFS, which skips no symmetry, and the classes read
+    from the frame sets are the classes of that full list."""
+    pl = plane_for_order(q)
+    full = _enumerate_with_state(pl, n)[0]
+    assert enumerate_tangent_free(q, n) == full
+    classes = classify_up_to_pgl(q, full)
+    assert all(r.member_count == r.class_size for r in classes)
+    from_frame = classify_up_to_pgl(q, _frame_sets(pl, n)[0])
+    assert ([(r.canonical, r.class_size, r.stabilizer_order) for r in from_frame]
+            == [(r.canonical, r.class_size, r.stabilizer_order) for r in classes])
 
 
 def test_enumeration_edge_sizes():
@@ -650,6 +658,32 @@ def test_classification_pg25():
             assert sp[5] == 2
         else:
             assert sp.max_secant() == 3
+
+
+@pytest.mark.parametrize("q,n,stabilisers", [(5, 10, [120, 800]), (4, 11, None)])
+def test_stabiliser_by_quadrangle_maps(q, n, stabilisers):
+    """|Stab(S)| counted without the generator BFS.  The map of an ordered
+    quadrangle of S onto the frame sends S to a set through the frame, and two
+    such maps give the same image exactly when they differ by an element of
+    Stab(S), so the ordered quadrangles of S number |Stab(S)| times their
+    distinct images."""
+    pl = plane_for_order(q)
+
+    def collinear(a, b, c):
+        return c in pl.points_on_line[pl.line_through(a, b)]
+
+    reps = classify_up_to_pgl(q, _frame_sets(pl, n)[0])
+    for r in reps:
+        quads = [quad for four in combinations(r.canonical, 4)
+                 if not any(collinear(*three) for three in combinations(four, 3))
+                 for quad in permutations(four)]
+        images = set()
+        for quad in quads:
+            g = frame_collineation(pl, quad)
+            images.add(tuple(sorted(g[p] for p in r.canonical)))
+        assert len(quads) == len(images) * r.stabilizer_order
+    if stabilisers is not None:
+        assert sorted(r.stabilizer_order for r in reps) == stabilisers
 
 
 def test_known_witnesses_sizes():

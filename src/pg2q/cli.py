@@ -17,52 +17,66 @@ from .plane import PointSet, plane_for_order
 from .tangency import is_tangent_free, spectrum
 
 
-def _emit(report: dict, wall_time: float) -> None:
-    report = dict(report)
-    report["wall_time"] = round(wall_time, 3)
-    json.dump(report, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
-
-
-def _load_set(path: str) -> PointSet:
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return PointSet.load(text)
+def _load_set(args) -> PointSet:
+    """The point set that --set names: a JSON file, or - for stdin.  A command
+    with --q (peel) also reads a bare JSON list of point indices in PG(2, --q),
+    and refuses a point set that lies in another plane."""
+    if args.set == "-":
+        obj = json.load(sys.stdin)
+    else:
+        with open(args.set) as f:
+            obj = json.load(f)
+    q = getattr(args, "q", None)
+    if isinstance(obj, dict) or not hasattr(args, "q"):
+        ps = PointSet.from_json(obj)
+        if q is not None and ps.plane.q != q:
+            raise ValueError(f"the set lies in PG(2,{ps.plane.q}), not in PG(2,{q}) as --q says")
+        return ps
+    if q is None:
+        raise ValueError("a list of point indices needs --q")
+    plane = plane_for_order(q)
+    if not isinstance(obj, list) or not all(type(i) is int and 0 <= i < plane.n for i in obj):
+        raise ValueError(f"--set must be a point set or a list of point indices in [0, {plane.n})")
+    return PointSet(plane, obj)
 
 
 def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def cmd_field_info(args) -> int:
+# Each command returns (field spec or None, report body, exit code); dispatch
+# adds "command", "field" and "wall_time" and prints the report.
+
+
+def cmd_field_info(args):
     from .gfq import QuadChar, field_new
 
     modulus = [int(c) for c in args.modulus.split(",")] if args.modulus else None
     gf = field_new(args.p, args.h, modulus)
     squares = sum(1 for x in range(1, gf.q) if gf.quad_char(x) is QuadChar.SQUARE)
-    report = {
-        "command": "field-info",
-        "field": gf.spec.to_json(),
-        "results": {
-            "q": gf.q,
-            "generator": gf.generator,
-            "nonzero_squares": squares,
-            "nonzero_nonsquares": gf.q - 1 - squares if gf.q % 2 else 0,
-        },
+    results = {
+        "q": gf.q,
+        "generator": gf.generator,
+        "nonzero_squares": squares,
+        "nonzero_nonsquares": gf.q - 1 - squares if gf.q % 2 else 0,
     }
-    _emit(report, time.monotonic() - args._t0)
-    return 0
+    return gf.spec, {"results": results}, 0
 
 
-def cmd_construct(args) -> int:
+# the construction that reads each construction-specific option
+_OPTION_OWNERS = {"a": "two_conics", "r": "punctured_interior"}
+
+
+def cmd_construct(args):
     from . import constructions as cons
     from .conic import canonical_conic, exterior_point_indices
 
     q = args.q
     plane = plane_for_order(q)
     name = args.name
-    if args.r is not None and name != "punctured_interior":
-        _note(f"--r applies only to punctured_interior, not to {name}")
-        return 2
+    for option, owner in _OPTION_OWNERS.items():
+        if getattr(args, option) is not None and name != owner:
+            raise ValueError(f"--{option} applies only to {owner}, not to {name}")
     r = args.r or 0
     notes = ""
     if name == "trivial":
@@ -87,35 +101,28 @@ def cmd_construct(args) -> int:
         from .exterior import pg25_ten_set
 
         if q != 5:
-            _note("pg25_ten_set is defined for q=5")
-            return 2
+            raise ValueError("pg25_ten_set is defined for q=5")
         ps = pg25_ten_set()
     else:
-        _note(f"unknown construction {name}")
-        return 2
+        raise ValueError(f"unknown construction {name}")
     claimed = cons.claimed_size(name, q, r)
     cert = cons.certify(name, ps, claimed, notes)
-    report = {
-        "command": "construct",
-        "parameters": {"name": name, "q": q, "r": r, "a": args.a},
-        "field": plane.gf.spec.to_json(),
-        "results": {"point_set": ps.to_json(), "certificate": cert.to_json()},
-        "verdicts": {"tangent_free": cert.tangent_free, "status": cert.status},
-    }
-    _emit(report, time.monotonic() - args._t0)
     if args.out:
         with open(args.out, "w") as f:
             f.write(ps.dump())
-    return 0 if cert.tangent_free else 1
+    body = {
+        "parameters": {"name": name, "q": q, "r": r, "a": args.a},
+        "results": {"point_set": ps.to_json(), "certificate": cert.to_json()},
+        "verdicts": {"tangent_free": cert.tangent_free, "status": cert.status},
+    }
+    return plane.gf.spec, body, 0 if cert.tangent_free else 1
 
 
-def cmd_verify(args) -> int:
-    ps = _load_set(args.set)
+def cmd_verify(args):
+    ps = _load_set(args)
     sp = spectrum(ps)
     ok = is_tangent_free(ps) and len(ps) > 0 and sp.check_identities()
-    report = {
-        "command": "verify",
-        "field": ps.plane.gf.spec.to_json(),
+    body = {
         "results": {
             "size": len(ps),
             "tangent_free": is_tangent_free(ps),
@@ -125,35 +132,26 @@ def cmd_verify(args) -> int:
         },
         "verdicts": {"valid": ok},
     }
-    _emit(report, time.monotonic() - args._t0)
-    return 0 if ok else 1
+    return ps.plane.gf.spec, body, 0 if ok else 1
 
 
-def cmd_spectrum(args) -> int:
-    ps = _load_set(args.set)
+def cmd_spectrum(args):
+    ps = _load_set(args)
     sp = spectrum(ps)
-    report = {
-        "command": "spectrum",
-        "field": ps.plane.gf.spec.to_json(),
-        "results": {"size": len(ps), "spectrum": str(sp), "identities": sp.check_identities()},
-    }
-    _emit(report, time.monotonic() - args._t0)
-    return 0 if sp.check_identities() else 1
+    body = {"results": {"size": len(ps), "spectrum": str(sp), "identities": sp.check_identities()}}
+    return ps.plane.gf.spec, body, 0 if sp.check_identities() else 1
 
 
-def cmd_search_min(args) -> int:
+def cmd_search_min(args):
     from .search import lower_bound, min_tangent_free
 
     if args.budget is not None and not (math.isfinite(args.budget) and args.budget >= 0):
-        _note(f"error: --budget must be a finite number of seconds >= 0, got {args.budget}")
-        return 2
+        raise ValueError(f"--budget must be a finite number of seconds >= 0, got {args.budget}")
     res = min_tangent_free(args.q, args.cap, workers=args.workers, budget_s=args.budget)
     plane = plane_for_order(args.q)
     verified = res.witness is not None and is_tangent_free(PointSet(plane, res.witness))
-    report = {
-        "command": "search-min",
+    body = {
         "parameters": {"q": args.q, "cap": res.cap, "workers": args.workers},
-        "field": plane.gf.spec.to_json(),
         "results": {
             "u": res.u,
             "witness": [list(plane.coords[p]) for p in res.witness] if res.witness else None,
@@ -167,11 +165,10 @@ def cmd_search_min(args) -> int:
         },
         "verdicts": {"witness_tangent_free": verified},
     }
-    _emit(report, time.monotonic() - args._t0)
-    return 0 if (res.found and verified) or res.status == "budget_exceeded" else 1
+    return plane.gf.spec, body, 0 if (res.found and verified) or res.status == "budget_exceeded" else 1
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args):
     from .search import enumerate_tangent_free
 
     sets = enumerate_tangent_free(args.q, args.n)
@@ -179,30 +176,25 @@ def cmd_enumerate(args) -> int:
     from collections import Counter
 
     spectra = Counter(str(spectrum(PointSet(plane, s))) for s in sets)
-    report = {
-        "command": "enumerate",
-        "parameters": {"q": args.q, "n": args.n},
-        "field": plane.gf.spec.to_json(),
-        "results": {"count": len(sets), "spectra": dict(sorted(spectra.items()))},
-    }
     if args.out:
         with open(args.out, "w") as f:
             json.dump([list(s) for s in sets], f)
-    _emit(report, time.monotonic() - args._t0)
-    return 0
+    body = {
+        "parameters": {"q": args.q, "n": args.n},
+        "results": {"count": len(sets), "spectra": dict(sorted(spectra.items()))},
+    }
+    return plane.gf.spec, body, 0
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args):
     from .search import _frame_sets, classify_up_to_pgl, pgl_group
 
     # the frame sets meet every class, and every member of a class is one of the sets classified
     plane = plane_for_order(args.q)
     reps = classify_up_to_pgl(args.q, _frame_sets(plane, args.n)[0])
     group = pgl_group(args.q)
-    report = {
-        "command": "classify",
+    body = {
         "parameters": {"q": args.q, "n": args.n},
-        "field": plane.gf.spec.to_json(),
         "results": {
             "group_order": group.order,
             "total_sets": sum(r.class_size for r in reps),
@@ -218,11 +210,10 @@ def cmd_classify(args) -> int:
             ],
         },
     }
-    _emit(report, time.monotonic() - args._t0)
-    return 0
+    return plane.gf.spec, body, 0
 
 
-def cmd_exterior_extend(args) -> int:
+def cmd_exterior_extend(args):
     from .exterior import check_extension_dichotomy
 
     rep = check_extension_dichotomy(args.q, all_lines=args.all_lines)
@@ -231,10 +222,8 @@ def cmd_exterior_extend(args) -> int:
 
     conic, line, a = canonical_external_line(plane)
     full = find_extenders(conic, line)
-    report = {
-        "command": "exterior-extend",
+    body = {
         "parameters": {"q": args.q, "all_lines": args.all_lines},
-        "field": plane.gf.spec.to_json(),
         "results": {
             "canonical_a": a,
             "report": full.to_json(plane),
@@ -244,11 +233,10 @@ def cmd_exterior_extend(args) -> int:
         },
         "verdicts": {"dichotomy": rep.ok},
     }
-    _emit(report, time.monotonic() - args._t0)
-    return 0 if rep.ok else 1
+    return plane.gf.spec, body, 0 if rep.ok else 1
 
 
-def cmd_exterior_clique(args) -> int:
+def cmd_exterior_clique(args):
     from .exterior import exterior_clique_search, conic_union_check
     from .conic import canonical_conic
 
@@ -256,10 +244,8 @@ def cmd_exterior_clique(args) -> int:
     plane = plane_for_order(args.q)
     conic = canonical_conic(plane)
     unions = [conic_union_check(conic, c.members) for c in cliques]
-    report = {
-        "command": "exterior-clique",
+    body = {
         "parameters": {"q": args.q, "no3col": args.no3col},
-        "field": plane.gf.spec.to_json(),
         "results": {
             "clique_size": (args.q + 1) // 2,
             "count": len(cliques),
@@ -267,19 +253,18 @@ def cmd_exterior_clique(args) -> int:
             "witness": [list(plane.coords[p]) for p in sorted(cliques[0].members)] if cliques else None,
         },
     }
-    _emit(report, time.monotonic() - args._t0)
-    return 0
+    return plane.gf.spec, body, 0
 
 
-def cmd_dual_codeword(args) -> int:
+def cmd_dual_codeword(args):
     from .codes import incidence_code
 
-    ps = _load_set(args.set)
+    ps = _load_set(args)
     code = incidence_code(ps.plane)
     v, exact = code.dual_codeword_on_support(ps.members)
-    report = {
-        "command": "dual-codeword",
-        "field": ps.plane.gf.spec.to_json(),
+    if v is None:
+        _note("NONE")
+    body = {
         "results": {
             "found": v is not None,
             "exact": exact,
@@ -287,40 +272,18 @@ def cmd_dual_codeword(args) -> int:
             "weight": None if v is None else int((v != 0).sum()),
         },
     }
-    _emit(report, time.monotonic() - args._t0)
-    if v is None:
-        _note("NONE")
-    return 0
+    return ps.plane.gf.spec, body, 0
 
 
-def cmd_peel(args) -> int:
+def cmd_peel(args):
     from .codes import batch_peel_fixpoint, peel_decode
 
-    if args.erased is None and args.set is None:
-        raise ValueError("peel needs --erased or --set")
-    if args.erased is not None:
-        with open(args.erased) as f:
-            obj = json.load(f)
-        if isinstance(obj, dict):
-            ps = PointSet.from_json(obj)
-        else:
-            if args.q is None:
-                raise ValueError("a list of point indices needs --q")
-            plane = plane_for_order(args.q)
-            if not isinstance(obj, list) or not all(type(i) is int and 0 <= i < plane.n for i in obj):
-                raise ValueError(f"--erased must be a point set or a list of point indices in [0, {plane.n})")
-            ps = PointSet(plane, obj)
-    else:
-        ps = _load_set(args.set)
+    ps = _load_set(args)
     plane = ps.plane
-    if args.q is not None and plane.q != args.q:
-        raise ValueError(f"the set lies in PG(2,{plane.q}), not in PG(2,{args.q}) as --q says")
     residual = peel_decode(plane, ps.members)
     oracle = batch_peel_fixpoint(plane, ps.members)
-    report = {
-        "command": "peel",
+    body = {
         "parameters": {"q": plane.q},
-        "field": plane.gf.spec.to_json(),
         "results": {
             "erased": len(ps),
             "residual": PointSet(plane, residual).to_json(),
@@ -329,17 +292,14 @@ def cmd_peel(args) -> int:
         },
         "verdicts": {"confluent": residual == oracle},
     }
-    _emit(report, time.monotonic() - args._t0)
-    return 0 if residual == oracle else 1
+    return plane.gf.spec, body, 0 if residual == oracle else 1
 
 
-def cmd_theoremsuite(args) -> int:
+def cmd_theoremsuite(args):
     from .suite import run_suite
 
     summary, ok = run_suite(args.level, workers=args.workers, note=_note)
-    report = {"command": "theoremsuite", "parameters": {"level": args.level}, "results": summary}
-    _emit(report, time.monotonic() - args._t0)
-    return 0 if ok else 1
+    return None, {"parameters": {"level": args.level}, "results": summary}, 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,9 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dual_codeword)
 
     p = sub.add_parser("peel", help="peeling decoder residual of an erasure set")
+    p.add_argument("--set", required=True, help="JSON point set or list of point indices, or - for stdin")
     p.add_argument("--q", type=int, default=None, help="plane order; needed for a list of point indices")
-    p.add_argument("--erased", type=str, default=None, help="JSON point set or index list")
-    p.add_argument("--set", type=str, default=None)
     p.set_defaults(func=cmd_peel)
 
     p = sub.add_parser("theoremsuite", help="run the verification suite")
@@ -415,12 +374,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv) -> int:
+    """Run one command and print its report, the only output on stdout: one
+    JSON line with the command's body, "command", "field" (for a command in
+    a declared field) and "wall_time"."""
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
-    args._t0 = time.monotonic()
+    t0 = time.monotonic()
     cpus = os.cpu_count() or 1
     workers = getattr(args, "workers", None)
     if workers is not None and not 1 <= workers <= cpus:
@@ -428,13 +390,19 @@ def dispatch(argv) -> int:
         return 2
     args.workers = workers or cpus
     try:
-        return args.func(args)
+        field, body, code = args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
         _note(f"error: {type(e).__name__}: {e}")
         return 2
     except AssertionError as e:
         _note(f"assertion failed: {e}")
         return 1
+    report = {"command": args.cmd, **body, "wall_time": round(time.monotonic() - t0, 3)}
+    if field is not None:
+        report["field"] = field.to_json()
+    json.dump(report, sys.stdout, sort_keys=True)
+    sys.stdout.write("\n")
+    return code
 
 
 def main() -> None:

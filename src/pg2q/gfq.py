@@ -174,7 +174,6 @@ class GF:
         self.q = q
         self.modulus = modulus
         self.spec = FieldSpec(p, h, modulus)
-        self._reduction_rows = self._build_reduction_rows()
         self._exp, self._log = self._build_exp_log()
         self._add = None
         self._mul = None
@@ -183,22 +182,6 @@ class GF:
             self._mul = [[self._mul_slow(a, b) for b in range(q)] for a in range(q)]
 
     # -- construction helpers ------------------------------------------------
-
-    def _build_reduction_rows(self):
-        # t^k for k in [h, 2h-2], reduced mod modulus, as digit vectors
-        p, h, mod = self.p, self.h, self.modulus
-        rows = {}
-        cur = [(-c) % p for c in mod[:h]]  # t^h
-        rows[h] = list(cur)
-        for k in range(h + 1, 2 * h - 1):
-            nxt = [0] + cur[: h - 1]
-            top = cur[h - 1]
-            if top:
-                for i in range(h):
-                    nxt[i] = (nxt[i] + top * rows[h][i]) % p
-            cur = [c % p for c in nxt]
-            rows[k] = list(cur)
-        return rows
 
     def _raw_mul(self, a: int, b: int) -> int:
         p, h = self.p, self.h
@@ -210,16 +193,10 @@ class GF:
             if ca:
                 for j, cb in enumerate(db):
                     conv[i + j] += ca * cb
-        res = [c % p for c in conv[:h]]
-        for k in range(h, 2 * h - 1):
-            c = conv[k] % p
-            if c:
-                row = self._reduction_rows[k]
-                for i in range(h):
-                    res[i] = (res[i] + c * row[i]) % p
+        _, rem = _poly_divmod(conv, self.modulus, p)
         code = 0
-        for i in range(h - 1, -1, -1):
-            code = code * p + res[i]
+        for c in reversed(rem):
+            code = code * p + c
         return code
 
     def _raw_pow(self, a: int, e: int) -> int:

@@ -134,17 +134,6 @@ def _check_stopping(qs):
     return True, f"peeling fixpoints = tangent-free sets for q in {list(qs)}"
 
 
-def _check_u_long(q, expected, workers, budget):
-    from .search import u_extended
-
-    res = u_extended(q, budget_s=budget, workers=workers)
-    if res.status == "budget_exceeded":
-        floor = {9: 13, 11: 16}[q]
-        ok = res.exhausted_below >= floor
-        return ok, f"budget exceeded; verified u_{q} >= {res.exhausted_below} (need >= {floor}), best witness {None if not res.witness else len(res.witness)}"
-    return res.u == expected, f"u_{q} = {res.u} (nodes {res.nodes})"
-
-
 def _check_secant_bound(ps):
     from .tangency import secant_bound_check
 
@@ -185,8 +174,8 @@ def run_suite(level: str, workers: int | None = None, note=print):
         checks += [
             ("dichotomy_q<=29", lambda: _check_dichotomy([17, 19, 23, 25, 27, 29])),
             ("cliques_q13", lambda: _check_cliques([13])),
-            ("u9", lambda: _check_u_long(9, 15, workers, 3600.0)),
-            ("u11", lambda: _check_u_long(11, 18, workers, 4 * 3600.0)),
+            ("u9", lambda: _check_u(9, 15, workers)),
+            ("u11", lambda: _check_u(11, 18, workers)),
             ("secant_bound_p7", lambda: _check_secant_bound([7])),
             ("classification_pg29", lambda: _check_classification(9, 15, [(98_280, 432)])),
         ]

@@ -133,20 +133,24 @@ def test_peel_cli(capsys, tmp_path):
         assert obj["verdicts"]["confluent"]
 
 
-def test_peel_rejects_set_from_another_plane(capsys, tmp_path):
+def test_peel_rejects_set_from_another_plane(capsys, tmp_path, monkeypatch):
+    import io
+
     f = tmp_path / "s9.json"
     f.write_text(trivial(9).dump())
-    code, out, err = run(capsys, "peel", "--q", "5", "--set", str(f))
-    assert code == 2
-    assert out == ""
-    assert "PG(2,9)" in err
+    monkeypatch.setattr("sys.stdin", io.StringIO(trivial(9).dump()))
+    for source in (str(f), "-"):
+        code, out, err = run(capsys, "peel", "--q", "5", "--set", source)
+        assert code == 2
+        assert out == ""
+        assert "PG(2,9)" in err
 
 
 @pytest.mark.parametrize("indices", [[0, 1, 200], [0, -1], [0, "1"], 7])
 def test_peel_rejects_bad_index_list(capsys, tmp_path, indices):
     f = tmp_path / "e.json"
     f.write_text(json.dumps(indices))
-    code, out, err = run(capsys, "peel", "--q", "5", "--erased", str(f))
+    code, out, err = run(capsys, "peel", "--q", "5", "--set", str(f))
     assert code == 2
     assert out == ""
     assert "[0, 31)" in err
@@ -155,9 +159,26 @@ def test_peel_rejects_bad_index_list(capsys, tmp_path, indices):
 def test_peel_index_list_needs_q(capsys, tmp_path):
     f = tmp_path / "e.json"
     f.write_text("[0, 1, 2]")
-    code, out, err = run(capsys, "peel", "--erased", str(f))
-    assert code == 2
+    code, out, err = run(capsys, "peel", "--set", str(f))
+    assert code == 2 and out == ""
     assert "--q" in err
+
+
+def test_peel_reads_index_list_with_q(capsys, tmp_path):
+    f = tmp_path / "e.json"
+    f.write_text(json.dumps(sorted(trivial(5).members)))
+    code, out, _ = run(capsys, "peel", "--set", str(f), "--q", "5")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["results"]["residual"] == trivial(5).to_json()
+    assert obj["verdicts"]["confluent"]
+
+
+def test_peel_has_no_erased_option(capsys, tmp_path):
+    f = tmp_path / "e.json"
+    f.write_text("[0, 1, 2]")
+    assert dispatch(["peel", "--erased", str(f), "--q", "5"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_construct_rejects_plane_above_cap(capsys):
@@ -189,6 +210,14 @@ def test_construct_refuses_r_outside_punctured_interior(capsys, name):
     code, out, err = run(capsys, "construct", "--name", name, "--q", "5", "--r", "0")
     assert code == 2 and out == ""
     assert "--r" in err
+
+
+@pytest.mark.parametrize("name", ["trivial", "interior", "punctured_interior", "trace_graph", "frobenius_graph",
+                                  "pg25_ten_set"])
+def test_construct_refuses_a_outside_two_conics(capsys, name):
+    code, out, err = run(capsys, "construct", "--name", name, "--q", "5", "--a", "3")
+    assert code == 2 and out == ""
+    assert "--a" in err
 
 
 @pytest.mark.parametrize("r,size", [(None, 36), ("1", 31)])
@@ -358,6 +387,39 @@ def test_classify_cli_pg25(capsys):
     res = json.loads(out)["results"]
     assert res["total_sets"] == 3565
     assert sorted((c["class_size"], c["stabilizer_order"]) for c in res["classes"]) == [(465, 800), (3100, 120)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("field-info", "--p", "3"),
+        ("construct", "--name", "trivial", "--q", "3"),
+        ("verify", "--set", "{t3}"),
+        ("spectrum", "--set", "{t3}"),
+        ("search-min", "--q", "3", "--workers", "1"),
+        ("enumerate", "--q", "3", "--n", "6"),
+        ("classify", "--q", "3", "--n", "6"),
+        ("exterior-extend", "--q", "5"),
+        ("exterior-clique", "--q", "5"),
+        ("dual-codeword", "--set", "{t3}"),
+        ("peel", "--set", "{t3}"),
+        ("theoremsuite", "--level", "quick", "--workers", "1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_command_prints_one_report(capsys, tmp_path, argv):
+    """Each command prints exactly one JSON line on stdout, with its name and
+    wall time, and with its field unless it spans many fields."""
+    t3 = tmp_path / "t3.json"
+    t3.write_text(trivial(3).dump())
+    code, out, err = run(capsys, *(a.format(t3=t3) for a in argv))
+    assert code == 0, err
+    lines = out.splitlines()
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    assert report["command"] == argv[0]
+    assert isinstance(report["wall_time"], float)
+    assert ("field" in report) == (argv[0] != "theoremsuite")
 
 
 def test_theoremsuite_quick(capsys):

@@ -77,12 +77,12 @@ def cmd_construct(args):
     for option, owner in _OPTION_OWNERS.items():
         if getattr(args, option) is not None and name != owner:
             raise ValueError(f"--{option} applies only to {owner}, not to {name}")
-    r = args.r or 0
+    r, a = args.r or 0, args.a
     notes = ""
     if name == "trivial":
         ps = cons.trivial(q)
     elif name == "two_conics":
-        a = args.a if args.a is not None else min(cons.find_valid_a(q), default=None)
+        a = min(cons.find_valid_a(q), default=None) if a is None else a
         if a is None:
             raise cons.InvalidA(f"no valid two-conic parameter exists for q={q}")
         ps = cons.two_conics(q, a)
@@ -111,7 +111,7 @@ def cmd_construct(args):
         with open(args.out, "w") as f:
             f.write(ps.dump())
     body = {
-        "parameters": {"name": name, "q": q, "r": r, "a": args.a},
+        "parameters": {"name": name, "q": q, "r": r, "a": a},
         "results": {"point_set": ps.to_json(), "certificate": cert.to_json()},
         "verdicts": {"tangent_free": cert.tangent_free, "status": cert.status},
     }
@@ -187,11 +187,10 @@ def cmd_enumerate(args):
 
 
 def cmd_classify(args):
-    from .search import _frame_sets, classify_up_to_pgl, pgl_group
+    from .search import classify_tangent_free, pgl_group
 
-    # the frame sets meet every class, and every member of a class is one of the sets classified
     plane = plane_for_order(args.q)
-    reps = classify_up_to_pgl(args.q, _frame_sets(plane, args.n)[0])
+    reps = classify_tangent_free(args.q, args.n)
     group = pgl_group(args.q)
     body = {
         "parameters": {"q": args.q, "n": args.n},
@@ -214,12 +213,10 @@ def cmd_classify(args):
 
 
 def cmd_exterior_extend(args):
-    from .exterior import check_extension_dichotomy
+    from .exterior import canonical_external_line, check_extension_dichotomy, find_extenders
 
     rep = check_extension_dichotomy(args.q, all_lines=args.all_lines)
     plane = plane_for_order(args.q)
-    from .exterior import canonical_external_line, find_extenders
-
     conic, line, a = canonical_external_line(plane)
     full = find_extenders(conic, line)
     body = {
@@ -268,8 +265,8 @@ def cmd_dual_codeword(args):
         "results": {
             "found": v is not None,
             "exact": exact,
-            "coefficients": None if v is None else [int(x) for x in v],
-            "weight": None if v is None else int((v != 0).sum()),
+            "coefficients": None if v is None else list(v),
+            "weight": None if v is None else sum(1 for x in v if x),
         },
     }
     return ps.plane.gf.spec, body, 0

@@ -4,6 +4,8 @@ are the stopping sets of the plane's LDPC code.
 
 Convention: rows of the incidence matrix are lines, columns are points.  The
 matrix is never stored densely: its rows are read off the plane's line masks.
+A codeword is a tuple of n ints in [0, p), entry i on point i; the checks read
+any integer sequence of length n.
 """
 
 from __future__ import annotations
@@ -11,9 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
-
-import numpy as np
+from itertools import combinations, product
 
 from .gfq import field_for_order
 from .linalg import nullspace
@@ -42,17 +42,19 @@ class IncidenceCode:
         """The incidence matrix restricted to the given point columns, one row per line."""
         return [[m >> c & 1 for c in cols] for m in self.plane.line_masks]
 
+    def _residues(self, v) -> list[int]:
+        """The entries of v mod p; raises ValueError unless v has n entries."""
+        if len(v) != self.plane.n:
+            raise ValueError(f"vector length must be {self.plane.n}")
+        return [int(x) % self.p for x in v]
+
     def is_dual_codeword(self, v) -> bool:
         """Every line sum must vanish mod p."""
-        v = np.asarray(v, dtype=np.int64) % self.p
-        if v.shape != (self.plane.n,):
-            raise ValueError(f"vector length must be {self.plane.n}")
-        vals = v.tolist()
+        vals = self._residues(v)
         return all(sum(vals[i] for i in pts) % self.p == 0 for pts in self.plane.points_on_line)
 
     def support(self, v) -> frozenset[int]:
-        v = np.asarray(v, dtype=np.int64) % self.p
-        return frozenset(int(i) for i in np.flatnonzero(v))
+        return frozenset(i for i, x in enumerate(self._residues(v)) if x)
 
     def support_tangency(self, v) -> bool:
         """Verdict of the tangency module on the support of a dual codeword."""
@@ -61,27 +63,28 @@ class IncidenceCode:
         s = PointSet(self.plane, self.support(v))
         return is_tangent_free(s)
 
-    def nullspace_basis(self) -> list[np.ndarray]:
+    def nullspace_basis(self) -> list[tuple[int, ...]]:
         """Basis of the dual code (right nullspace of the incidence matrix)."""
         if self._null_basis is None:
             gfp = field_for_order(self.p)
             rows = self._rows(range(self.plane.n))
-            self._null_basis = [np.array(b, dtype=np.int64) for b in nullspace(rows, gfp)]
+            self._null_basis = [tuple(b) for b in nullspace(rows, gfp)]
         return self._null_basis
 
-    def random_dual_codewords(self, count: int, rng: random.Random) -> list[np.ndarray]:
-        basis = self.nullspace_basis()
-        out = []
-        for _ in range(count):
-            v = np.zeros(self.plane.n, dtype=np.int64)
-            for b in basis:
-                c = rng.randrange(self.p)
-                if c:
-                    v = (v + c * b) % self.p
-            out.append(v)
-        return out
+    def _combination(self, coeffs, basis, length: int) -> list[int]:
+        """sum(c * b) over the coefficients c and basis vectors b, mod p, as a list."""
+        p, w = self.p, [0] * length  # a local: in the comprehension, self.p is looked up per entry
+        for c, b in zip(coeffs, basis):
+            if c:
+                w = [(x + c * y) % p for x, y in zip(w, b)]
+        return w
 
-    def dual_codeword_on_support(self, members):
+    def random_dual_codewords(self, count: int, rng: random.Random) -> list[tuple[int, ...]]:
+        basis = self.nullspace_basis()
+        n = self.plane.n
+        return [tuple(self._combination([rng.randrange(self.p) for _ in basis], basis, n)) for _ in range(count)]
+
+    def dual_codeword_on_support(self, members) -> tuple[tuple[int, ...] | None, bool]:
         """A dual codeword with support exactly the given point set, if any.
 
         Works in the nullspace of the lines-by-members submatrix.  When the
@@ -106,14 +109,10 @@ class IncidenceCode:
             rng = random.Random(0xC0DE)
             draws = ([rng.randrange(self.p) for _ in basis] for _ in range(200000))
         for coeffs in draws:
-            w = [0] * len(cols)
-            for c, b in zip(coeffs, basis):
-                if c:
-                    for i, bi in enumerate(b):
-                        w[i] = (w[i] + c * bi) % self.p
+            w = self._combination(coeffs, basis, len(cols))
             if all(w):
-                v = np.zeros(self.plane.n, dtype=np.int64)
-                v[cols] = w
+                entry = dict(zip(cols, w))
+                v = tuple(entry.get(i, 0) for i in range(self.plane.n))
                 assert self.is_dual_codeword(v)
                 return v, exact
         return None, exact
@@ -127,19 +126,17 @@ def incidence_code(plane: Plane | int) -> IncidenceCode:
     return _code_of(as_plane(plane))
 
 
-def trivial_signing(q: int) -> np.ndarray:
+def trivial_signing(q: int) -> tuple[int, ...]:
     """+1 on the first line minus the meet, -1 on the second: weight 2q."""
     plane = plane_for_order(q)
     l1, l2 = 0, 1
-    z = plane.meet(l1, l2)
-    v = np.zeros(plane.n, dtype=np.int64)
-    p = plane.gf.p
+    v = [0] * plane.n
     for pt in plane.points_on_line[l1]:
         v[pt] = 1
     for pt in plane.points_on_line[l2]:
-        v[pt] = p - 1
-    v[z] = 0
-    return v
+        v[pt] = plane.gf.p - 1
+    v[plane.meet(l1, l2)] = 0
+    return tuple(v)
 
 
 def hyperoval(q: int = 4) -> PointSet:
@@ -213,8 +210,6 @@ def stopping_equivalence_check(plane: Plane | int, samples: int = 300, rng: rand
     Exhaustive over all 6-subsets for q=3; random subsets plus the known
     stopping sets for larger q.
     """
-    from itertools import combinations
-
     plane = as_plane(plane)
     rng = rng or random.Random(plane.q * 7919)
     cases = 0

@@ -50,10 +50,8 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from operator import itemgetter
-
-import numpy as np
 
 from .linalg import mat_inverse, mat_transpose, mat_vec
 from .plane import Plane, PointSet, mask_bits, mask_of, plane_for, plane_for_order
@@ -598,8 +596,6 @@ def u_extended(q: int, budget_s: float = 3600.0, workers: int | None = None) -> 
 
 def brute_force_min(q: int) -> int:
     """Independent oracle: direct subset enumeration, feasible only for q=3."""
-    from itertools import combinations
-
     if q != 3:
         raise TooLarge("brute force enumeration is only run for q=3")
     plane = plane_for_order(q)
@@ -651,9 +647,9 @@ class PGLGroup:
             perms.append(tuple(self.plane.apply_matrix(m, p) for p in range(self.plane.n)))
         return perms
 
-    def elements(self) -> np.ndarray:
-        """Every group element as a point permutation, one row per element
-        (row g lists g(0), ..., g(n-1)), rows in ascending order.
+    def elements(self) -> "numpy.ndarray":
+        """Every group element as a point permutation, one row per element of
+        an int32 numpy array (row g lists g(0), ..., g(n-1)), rows ascending.
 
         The rows are the closure of `generators()` acting on the identity, so
         reaching the group order checks the argument of `generators` for
@@ -663,11 +659,13 @@ class PGLGroup:
         if self.q > 5:
             raise GroupTooLarge(f"full enumeration not supported for q={self.q}")
         if self._elements is None:
+            import numpy  # the package's one use of numpy
+
             # itemgetter(*g) sends a permutation t to t o g
             perms = _closure(tuple(range(self.plane.n)), [itemgetter(*g) for g in self.generators()], set())
             if len(perms) != self.order:
                 raise AssertionError(f"generator closure has {len(perms)} != {self.order} elements")
-            self._elements = np.array(sorted(perms), dtype=np.int32)
+            self._elements = numpy.array(sorted(perms), dtype=numpy.int32)
         return self._elements
 
     def set_moves(self):
@@ -728,3 +726,10 @@ def classify_up_to_pgl(q: int, sets) -> list[OrbitRep]:
             raise AssertionError("orbit size does not divide the group order")
         reps.append(OrbitRep(min(orbit), len(orbit), order // len(orbit), sum(counts[t] for t in orbit)))
     return sorted(reps, key=lambda r: r.canonical)
+
+
+def classify_tangent_free(q: int, n: int) -> list[OrbitRep]:
+    """The PGL(3,q) classes of the tangent-free n-sets of PG(2,q), classified
+    from the `_frame_sets` sets alone: they meet every class, and the orbit
+    pass closes each class it meets, so each class has its full size."""
+    return classify_up_to_pgl(q, _frame_sets(plane_for_order(q), n)[0])

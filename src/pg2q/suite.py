@@ -95,10 +95,9 @@ def _check_codes_quick():
 
 
 def _check_classification(q, n, expected):
-    from .plane import plane_for_order
-    from .search import _frame_sets, classify_up_to_pgl
+    from .search import classify_tangent_free
 
-    reps = classify_up_to_pgl(q, _frame_sets(plane_for_order(q), n)[0])
+    reps = classify_tangent_free(q, n)
     got = sorted((r.class_size, r.stabilizer_order) for r in reps)
     total = sum(size for size, _ in got)
     return got == expected, f"({q},{n}): {total} sets in {len(got)} classes (size, |Stab|) {got}"

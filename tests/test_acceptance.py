@@ -185,7 +185,7 @@ def test_criterion_8_codes():
         code = incidence_code(q)
         rng = random.Random(1000 + q)
         for w in code.random_dual_codewords(100, rng):
-            if w.any():
+            if any(w):
                 assert code.support_tangency(w)
                 sampled += 1
 

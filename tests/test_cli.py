@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pg2q.cli import dispatch
 from pg2q.conic import canonical_conic
-from pg2q.constructions import interior_points, trivial
+from pg2q.constructions import find_valid_a, interior_points, trivial
 from pg2q.gfq import ReducibleModulus, field_new
 from pg2q.linalg import random_invertible
 from pg2q.plane import PointSet, plane_for, plane_for_order
@@ -194,6 +194,15 @@ def test_construct_two_conics_rejects_a_outside_field(capsys, a):
     code, out, err = run(capsys, "construct", "--name", "two_conics", "--q", "7", "--a", a)
     assert code == 2 and out == ""
     assert "InvalidA" in err and f"a={a}" in err
+
+
+def test_construct_two_conics_reports_the_a_it_used(capsys):
+    # without --a the least valid a is used, and parameters used to read a = null
+    code, out, _ = run(capsys, "construct", "--name", "two_conics", "--q", "7")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["parameters"]["a"] == 6 == min(find_valid_a(7))
+    assert obj["results"]["certificate"]["notes"] == "a=6"
 
 
 @pytest.mark.parametrize("q", ["3", "4", "5"])

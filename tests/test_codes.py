@@ -45,6 +45,36 @@ def test_incidence_weights(q):
         assert code.is_dual_codeword(v) == bool(np.all(a_ref @ v % p == 0))
 
 
+def test_codewords_are_tuples_of_ints():
+    code = incidence_code(5)
+    v, _ = code.dual_codeword_on_support(trivial(5).members)
+    vectors = [trivial_signing(5), v] + code.nullspace_basis() + code.random_dual_codewords(5, random.Random(5))
+    assert all(type(w) is tuple and len(w) == 31 and all(type(x) is int for x in w) for w in vectors)
+
+
+def test_codeword_input_formats():
+    """A tuple, a list and an ndarray of the same vector get the same answers."""
+    code = incidence_code(5)
+    v = trivial_signing(5)
+    signed = tuple(x - 5 if x == 4 else x for x in v)  # -1 for 4: the same residues
+    bumped = ((v[0] + 1) % 5,) + v[1:]
+    for w, is_codeword in ((v, True), (signed, True), (bumped, False)):
+        answers = {(code.is_dual_codeword(form(w)), code.support(form(w)))
+                   for form in (tuple, list, lambda x: np.array(x, dtype=np.int64))}
+        assert answers == {(is_codeword, frozenset(i for i, x in enumerate(w) if x % 5))}
+
+
+@pytest.mark.parametrize("length", [0, 30, 32])
+@pytest.mark.parametrize("form", [tuple, list, np.array])
+def test_codeword_of_wrong_length_raises(form, length):
+    code = incidence_code(5)
+    v = form([1] * length)
+    with pytest.raises(ValueError, match="length must be 31"):
+        code.is_dual_codeword(v)
+    with pytest.raises(ValueError, match="length must be 31"):
+        code.support(v)
+
+
 def test_trivial_signing_q5():
     code = incidence_code(5)
     v = trivial_signing(5)
@@ -82,7 +112,7 @@ def test_nullspace_sampling_supports_tangent_free(q):
     rng = random.Random(q)
     for v in code.random_dual_codewords(100, rng):
         assert code.is_dual_codeword(v)
-        if v.any():
+        if any(v):
             assert code.support_tangency(v)
 
 

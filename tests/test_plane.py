@@ -82,16 +82,36 @@ def test_tables_match_dense_reference(spec):
 
 
 def test_core_runs_without_numpy():
-    """The field, plane, conic and tangency layers import and run with numpy blocked."""
+    """The whole package runs with numpy blocked: every pg2q module imports,
+    the field, plane, conic and tangency layers answer at q = 49, the quick
+    suite passes, and the dual-codeword, peel and verify commands run through
+    `cli.dispatch`.  numpy is needed only by `PGLGroup.elements()` and the tests."""
     script = (
-        "import sys\n"
+        "import contextlib, importlib, io, json, pkgutil, sys\n"
         "sys.modules['numpy'] = None\n"
         "import pg2q\n"
+        "for m in pkgutil.iter_modules(pg2q.__path__):\n"
+        "    importlib.import_module('pg2q.' + m.name)\n"
         "from pg2q.conic import interior_point_indices\n"
         "pl = pg2q.plane_for_order(49)\n"
         "interior = interior_point_indices(pg2q.canonical_conic(pl))\n"
         "assert len(interior) == 49 * 48 // 2\n"
         "assert pg2q.is_tangent_free(pg2q.PointSet(pl, interior))\n"
+        "from pg2q.suite import run_suite\n"
+        "summary, ok = run_suite('quick', workers=1, note=lambda msg: None)\n"
+        "assert ok, summary\n"
+        "from pg2q import cli\n"
+        "from pg2q.constructions import trivial\n"
+        "reports = {}\n"
+        "for cmd in ('dual-codeword', 'peel', 'verify'):\n"
+        "    sys.stdin, out = io.StringIO(trivial(5).dump()), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert cli.dispatch([cmd, '--set', '-']) == 0, cmd\n"
+        "    reports[cmd] = json.loads(out.getvalue())['results']\n"
+        "assert reports['dual-codeword']['weight'] == 10\n"
+        "assert reports['peel']['residual_size'] == 10\n"
+        "assert reports['verify']['verdict'] == 'VALID'\n"
+        "assert sys.modules['numpy'] is None\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     r = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)

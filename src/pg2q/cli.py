@@ -110,8 +110,9 @@ def cmd_construct(args):
     if args.out:
         with open(args.out, "w") as f:
             f.write(ps.dump())
+    owned = {o: v for o, v in (("r", r), ("a", a)) if _OPTION_OWNERS[o] == name}
     body = {
-        "parameters": {"name": name, "q": q, "r": r, "a": a},
+        "parameters": {"name": name, "q": q, **owned},
         "results": {"point_set": ps.to_json(), "certificate": cert.to_json()},
         "verdicts": {"tangent_free": cert.tangent_free, "status": cert.status},
     }

@@ -6,6 +6,11 @@ Convention: rows of the incidence matrix are lines, columns are points.  The
 matrix is never stored densely: its rows are read off the plane's line masks.
 A codeword is a tuple of n ints in [0, p), entry i on point i; the checks read
 any integer sequence of length n.
+
+A codeword on a given support is a combination of the nullspace basis of the
+lines-by-support submatrix.  Basis vector j is 1 at its own free column and 0
+at the other free columns, so a combination with a zero coefficient vanishes at
+a support point: only nowhere-zero coefficient vectors are tried.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .tangency import is_tangent_free
 
 
 # dual_codeword_on_support searches a nullspace of at most this many vectors
+# (p**dim, counting the draws with a zero coefficient, which it skips)
 # exhaustively, and a larger one by random combinations
 EXHAUSTIVE_CAP = 10**7
 
@@ -87,10 +93,14 @@ class IncidenceCode:
     def dual_codeword_on_support(self, members) -> tuple[tuple[int, ...] | None, bool]:
         """A dual codeword with support exactly the given point set, if any.
 
-        Works in the nullspace of the lines-by-members submatrix.  When the
-        nullspace has at most EXHAUSTIVE_CAP vectors the search is exhaustive
-        and the answer exact; otherwise random combinations are tried and
-        `exact` comes back False.
+        Works in the nullspace of the lines-by-members submatrix.  Only
+        combinations with every coefficient non-zero can have full support
+        (basis vector j alone is non-zero at free column j), so only those are
+        combined.  When the nullspace has at most EXHAUSTIVE_CAP vectors
+        (p**dim, zero coefficients included) they are walked in lexicographic
+        order and the answer is exact; otherwise 200000 seeded random draws
+        are made, those with a zero coefficient are dropped, and `exact` comes
+        back False.
 
         Returns (vector over all points or None, exact).
         """
@@ -104,10 +114,11 @@ class IncidenceCode:
             return None, True
         exact = self.p**dim <= EXHAUSTIVE_CAP
         if exact:
-            draws = (c for c in product(range(self.p), repeat=dim) if any(c))
+            draws = product(range(1, self.p), repeat=dim)
         else:
             rng = random.Random(0xC0DE)
             draws = ([rng.randrange(self.p) for _ in basis] for _ in range(200000))
+            draws = (c for c in draws if all(c))
         for coeffs in draws:
             w = self._combination(coeffs, basis, len(cols))
             if all(w):

@@ -13,7 +13,7 @@ from enum import Enum
 from functools import cached_property
 
 from .gfq import GF, QuadChar
-from .linalg import mat_mul, mat_transpose
+from .linalg import mat_inverse, mat_mul, mat_transpose, nullspace
 from .plane import Plane, PointSet, mask_bits, mask_of
 
 
@@ -124,8 +124,6 @@ class Conic:
 
     def transform(self, mat) -> "Conic":
         """Conic with point set mapped by x -> Mx (substitute x -> M^-1 x)."""
-        from .linalg import mat_inverse
-
         gf = self.plane.gf
         a = self._sym_matrix()
         minv = mat_inverse(mat, gf)
@@ -188,8 +186,6 @@ def is_dual_arc(plane: Plane, line_indices) -> bool:
 def fit_quadratic_form(plane: Plane, coord_triples) -> tuple[int, ...] | None:
     """Six coefficients of a form vanishing on the given triples, or None if
     only the zero form does or the solution is not unique up to scale."""
-    from .linalg import nullspace
-
     gf = plane.gf
     rows = []
     for x, y, z in coord_triples:

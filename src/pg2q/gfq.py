@@ -175,11 +175,12 @@ class GF:
         self.modulus = modulus
         self.spec = FieldSpec(p, h, modulus)
         self._exp, self._log = self._build_exp_log()
-        self._add = None
-        self._mul = None
+        # add_table[a][b] = a + b and mul_table[a][b] = a * b; None above _TABLE_LIMIT
+        self.add_table = None
+        self.mul_table = None
         if q <= _TABLE_LIMIT:
-            self._add = [[self.add(a, b) for b in range(q)] for a in range(q)]
-            self._mul = [[self._mul_slow(a, b) for b in range(q)] for a in range(q)]
+            self.add_table = [[self.add(a, b) for b in range(q)] for a in range(q)]
+            self.mul_table = [[self._mul_slow(a, b) for b in range(q)] for a in range(q)]
 
     # -- construction helpers ------------------------------------------------
 
@@ -236,8 +237,8 @@ class GF:
     # -- arithmetic ------------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self._add is not None:
-            return self._add[a][b]
+        if self.add_table is not None:
+            return self.add_table[a][b]
         if self.h == 1:
             return (a + b) % self.p
         p, code, mul = self.p, 0, 1
@@ -262,8 +263,8 @@ class GF:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul is not None:
-            return self._mul[a][b]
+        if self.mul_table is not None:
+            return self.mul_table[a][b]
         return self._mul_slow(a, b)
 
     def inv(self, a: int) -> int:

@@ -8,7 +8,16 @@ from .gfq import GF
 
 
 def rref(rows: list[list[int]], gf: GF) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    Needs a tabled field (`gf.add_table` and `gf.mul_table` set: order at
+    most `gfq._TABLE_LIMIT`), as every plane field and its prime subfield
+    is.  A row is scaled through the multiplication-table row of the pivot's
+    inverse, and another row loses f times the pivot row as
+    add[v][(-f) * w], so each entry costs two list lookups, not three GF
+    method calls.
+    """
+    add, mul = gf.add_table, gf.mul_table
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
@@ -19,12 +28,13 @@ def rref(rows: list[list[int]], gf: GF) -> tuple[list[list[int]], list[int]]:
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = gf.inv(m[r][c])
-        m[r] = [gf.mul(inv, v) for v in m[r]]
+        scale = mul[gf.inv(m[r][c])]
+        row = m[r] = [scale[v] for v in m[r]]
         for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [gf.sub(vi, gf.mul(f, vr)) for vi, vr in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f != 0:
+                negf = mul[gf.neg(f)]
+                m[i] = [add[vi][negf[vr]] for vi, vr in zip(m[i], row)]
         pivots.append(c)
         r += 1
         if r == nrows:

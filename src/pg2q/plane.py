@@ -15,6 +15,7 @@ import json
 from functools import cached_property, lru_cache
 
 from .gfq import GF, FieldSpec, field_for_order, field_new, order_exceeds
+from .linalg import mat_inverse, mat_transpose, mat_vec
 
 
 # Plane keeps per-line tables of O(n q) entries (n = q^2+q+1), and line_masks
@@ -108,14 +109,10 @@ class Plane:
 
     def apply_matrix(self, mat, p: int) -> int:
         """Image of a point index under a 3x3 matrix (row-major codes)."""
-        from .linalg import mat_vec
-
         return self._index[self.normalize(mat_vec(mat, self.coords[p], self.gf))]
 
     def apply_matrix_to_line(self, mat, l: int) -> int:
         """Image of a line under a point map x -> Mx: duals map by (M^-1)^T."""
-        from .linalg import mat_inverse, mat_transpose, mat_vec
-
         mt = mat_transpose(mat_inverse(mat, self.gf))
         return self._index[self.normalize(mat_vec(mt, self.coords[l], self.gf))]
 

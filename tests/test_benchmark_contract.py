@@ -17,3 +17,13 @@ def test_traced_exact_u_round_reports_every_layer():
     assert out["problems"] == []
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert set(out["layer"]) == {m["name"] for m in spec["per_layer"]}
+
+
+def test_geometry_round_is_correct():
+    # the round checks every answer, the CLI's dual-codeword ones over all three GF(9) moduli among them
+    cmd = [sys.executable, str(ROOT / "perfbench" / "round.py"), "--workload", "geometry", "--seed", "1", "--trace", "0"]
+    r = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout.strip().splitlines()[-1])
+    assert out["problems"] == []
+    assert out["failed"] == 0

@@ -229,6 +229,18 @@ def test_construct_refuses_a_outside_two_conics(capsys, name):
     assert "--a" in err
 
 
+@pytest.mark.parametrize("name,q,parameters", [
+    ("two_conics", "7", {"name": "two_conics", "q": 7, "a": 6}),
+    ("trivial", "7", {"name": "trivial", "q": 7}),
+    ("interior", "5", {"name": "interior", "q": 5}),
+])
+def test_construct_reports_only_the_options_it_reads(capsys, name, q, parameters):
+    # every construction used to report "r": 0 and "a": null, read or not
+    code, out, _ = run(capsys, "construct", "--name", name, "--q", q)
+    assert code == 0
+    assert json.loads(out)["parameters"] == parameters
+
+
 @pytest.mark.parametrize("r,size", [(None, 36), ("1", 31)])
 def test_construct_punctured_interior_reads_r(capsys, r, size):
     argv = ["construct", "--name", "punctured_interior", "--q", "9"] + (["--r", r] if r else [])

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -14,9 +14,11 @@ from pg2q.codes import (
     stopping_equivalence_check,
     trivial_signing,
 )
-from pg2q.constructions import frobenius_graph, interior_points, trivial
-from pg2q.conic import canonical_conic
-from pg2q.plane import PointSet, plane_for_order
+from pg2q.constructions import constructions_at, frobenius_graph, interior_points, punctured_interior, trivial
+from pg2q.conic import canonical_conic, exterior_point_indices
+from pg2q.gfq import field_for_order
+from pg2q.linalg import nullspace, random_invertible
+from pg2q.plane import PointSet, plane_for, plane_for_order
 from pg2q.tangency import is_tangent_free
 
 
@@ -139,6 +141,94 @@ def test_dual_codeword_on_support_frobenius_completion():
     v, exact = code.dual_codeword_on_support(s.members)
     assert exact and v is not None
     assert code.support(v) == frozenset(s.members)
+
+
+def reference_codeword_on_support(code, members):
+    """The search as it was before it skipped zero coefficients: the full
+    product(range(p)) scan, and a sampled loop that combines every draw."""
+    cols = sorted(members)
+    if not cols:
+        return None, True
+    basis = nullspace(code._rows(cols), field_for_order(code.p), ncols=len(cols))
+    if not basis:
+        return None, True
+    exact = code.p ** len(basis) <= codes.EXHAUSTIVE_CAP
+    if exact:
+        draws = (c for c in product(range(code.p), repeat=len(basis)) if any(c))
+    else:
+        rng = random.Random(0xC0DE)
+        draws = ([rng.randrange(code.p) for _ in basis] for _ in range(200000))
+    for coeffs in draws:
+        w = code._combination(coeffs, basis, len(cols))
+        if all(w):
+            entry = dict(zip(cols, w))
+            return tuple(entry.get(i, 0) for i in range(code.plane.n)), exact
+    return None, exact
+
+
+def _images(plane, members, count, rng):
+    return [frozenset(plane.apply_matrix(m, p) for p in members)
+            for m in (random_invertible(plane.gf, rng) for _ in range(count))]
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_dual_codeword_search_matches_the_full_scan(q):
+    """Skipping the draws with a zero coefficient changes no answer: every
+    construction, two projective images of each and random subsets get the
+    vector and flag of the old scan."""
+    plane = plane_for_order(q)
+    code = incidence_code(plane)
+    rng = random.Random(q)
+    sets = []
+    for c in constructions_at(q):
+        sets += [c.points.members] + _images(plane, c.points.members, 2, rng)
+    sets += [rng.sample(range(plane.n), rng.randrange(1, plane.n // 2)) for _ in range(6)]
+    for s in sets:
+        assert code.dual_codeword_on_support(s) == reference_codeword_on_support(code, s)
+
+
+@pytest.mark.parametrize("q,subsets,codewords", [(3, 20, 5), (4, 20, 5), (7, 0, 3), (8, 0, 3)])
+def test_dual_codeword_search_matches_on_random_supports(q, subsets, codewords):
+    """Random subsets of any size, and supports of random codewords: at q = 7
+    these take the sampled branch under the real cap.  (Larger supports at
+    q = 5, 8 and 9 leave the old scan millions of draws, or 200000 misses.)"""
+    plane = plane_for_order(q)
+    code = incidence_code(plane)
+    rng = random.Random(100 + q)
+    sets = [rng.sample(range(plane.n), rng.randrange(1, plane.n + 1)) for _ in range(subsets)]
+    sets += [code.support(v) for v in code.random_dual_codewords(codewords, rng)]
+    for s in sets:
+        assert code.dual_codeword_on_support(s) == reference_codeword_on_support(code, s)
+
+
+def test_dual_codeword_search_matches_on_images_over_every_gf9_modulus():
+    rng = random.Random(9)
+    for modulus in [(1, 0, 1), (2, 1, 1), (2, 2, 1)]:
+        plane = plane_for(3, 2, modulus)
+        code = incidence_code(plane)
+        interior = interior_points(canonical_conic(plane)).members
+        for s in [interior] + _images(plane, interior, 2, rng):
+            v, exact = code.dual_codeword_on_support(s)
+            assert (v, exact) == reference_codeword_on_support(code, s)
+            assert exact and code.support(v) == s
+
+
+def test_dual_codeword_sampled_branch_matches_every_draw_combined(monkeypatch):
+    """Past the cap the same seeded stream is drawn; dropping the draws with a
+    zero coefficient leaves the first hit, and a miss, where they were."""
+    monkeypatch.setattr(codes, "EXHAUSTIVE_CAP", 1)
+    plane9 = plane_for_order(9)
+    interior9 = interior_points(canonical_conic(plane9)).members
+    cases = [(5, trivial(5).members), (4, hyperoval(4).members), (3, trivial(3).members), (9, interior9)]
+    cases += [(9, s) for s in _images(plane9, interior9, 2, random.Random(1))]
+    con = canonical_conic(plane9)
+    cases.append((9, punctured_interior(con, exterior_point_indices(con)[0], 2).members))  # a miss
+    for q, s in cases:
+        code = incidence_code(q)
+        got = code.dual_codeword_on_support(s)
+        assert got == reference_codeword_on_support(code, s)
+        assert got[1] is False
+    assert got[0] is None
 
 
 def test_dual_codeword_negative_controls():

@@ -11,6 +11,11 @@ A codeword on a given support is a combination of the nullspace basis of the
 lines-by-support submatrix.  Basis vector j is 1 at its own free column and 0
 at the other free columns, so a combination with a zero coefficient vanishes at
 a support point: only nowhere-zero coefficient vectors are tried.
+
+Peeling reads its line counts off the plane's Singer cycle (`Plane.singer`):
+the lines are the translates D + j of one perfect difference set D mod n, so
+the counts of a set on all n lines are one integer product, not n line-mask
+popcounts, and a round of the batch oracle is two products.
 """
 
 from __future__ import annotations
@@ -18,13 +23,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, compress, product
 
 from .gfq import field_for_order
 from .linalg import nullspace
-from .plane import Plane, PointSet, as_plane, mask_of, plane_for_order
+from .plane import Plane, PointSet, as_plane, plane_for_order
 from .tangency import is_tangent_free
 
+
+# byte translation tables: 1 where a count is 1, and 1 where it is 0
+_IS_ONE = bytes(int(b == 1) for b in range(256))
+_IS_ZERO = bytes(int(b == 0) for b in range(256))
 
 # dual_codeword_on_support searches a nullspace of at most this many vectors
 # (p**dim, counting the draws with a zero coefficient, which it skips)
@@ -168,44 +177,57 @@ def peel_decode(plane: Plane | int, erased, rng: random.Random | None = None) ->
     """Repeatedly delete an erased point lying on a line with exactly one
     erased point; the fixpoint is the unique maximal stopping subset.
 
+    The line counts come from one Singer-cycle product (`Plane.singer`); a
+    set with no singleton line is returned at once.  Otherwise points are
+    peeled one at a time, in passes over the lines whose count is 1,
+    decrementing the counts of the q+1 lines through each deleted point.
+
     The processing order is immaterial (peeling is confluent); pass an rng to
     randomize it for confluence tests.
     """
     plane = as_plane(plane)
     erased = set(erased)
-    counts = list(PointSet(plane, erased).per_line)
-    changed = True
-    while changed:
-        changed = False
-        lines = [l for l, c in enumerate(counts) if c == 1]
+    singer = plane.singer
+    live = singer.indicator(erased)
+    counts = singer.line_counts(int.from_bytes(live, "little"))
+    if 1 not in counts:
+        return frozenset(erased)
+    counts = bytearray(counts)
+    n, diffs = singer.n, singer.difference_set
+    # a bytearray reads index i - n as i, so j + d - n, in [-n, n), is slot
+    # (j + d) mod n and v - d, in (-n, n), is line (v - d) mod n
+    shifted = [d - n for d in diffs]
+    while lines := list(compress(range(n), counts.translate(_IS_ONE))):
         if rng is not None:
             rng.shuffle(lines)
-        for l in lines:
-            if counts[l] != 1:
+        for j in lines:
+            if counts[j] != 1:
                 continue
-            victim = next(pt for pt in plane.points_on_line[l] if pt in erased)
-            erased.remove(victim)
-            for m in plane.lines_through_point[victim]:
-                counts[m] -= 1
-            changed = True
-    return frozenset(erased)
+            for d in shifted:
+                if live[j + d]:
+                    break
+            victim = (j + d) % n
+            live[victim] = 0
+            for d in diffs:
+                counts[victim - d] -= 1
+    return frozenset(singer.points(live))
 
 
 def batch_peel_fixpoint(plane: Plane | int, erased) -> frozenset[int]:
     """Oracle: recompute from scratch each round, removing every point on any
-    currently singleton line simultaneously, until stable."""
+    currently singleton line simultaneously, until stable.
+
+    A round is two Singer-cycle products: the line counts of the set, then
+    the number of singleton lines through each slot, and the set keeps the
+    slots that no singleton line passes through.
+    """
     plane = as_plane(plane)
-    cur = set(erased)
-    while True:
-        mask = mask_of(cur)
-        doomed = set()
-        for lm in plane.line_masks:
-            inter = lm & mask
-            if inter and inter & (inter - 1) == 0:
-                doomed.add(inter.bit_length() - 1)
-        if not doomed:
-            return frozenset(cur)
-        cur -= doomed
+    singer = plane.singer
+    packed = int.from_bytes(singer.indicator(tuple(erased)), "little")
+    while 1 in (counts := singer.line_counts(packed)):
+        singles = int.from_bytes(counts.translate(_IS_ONE), "little")
+        packed &= int.from_bytes(singer.line_hits(singles).translate(_IS_ZERO), "little")
+    return frozenset(singer.points(packed.to_bytes(singer.n, "little")))
 
 
 @dataclass(frozen=True)

@@ -210,6 +210,44 @@ class GF:
             e >>= 1
         return r
 
+    def _times(self, g: int):
+        """The map a -> a*g, in O(1) integer operations per call.
+
+        Multiplying by g is GF(p)-linear, so a*g is the coordinate-wise sum of
+        the images of a's low k digits and of its high digits, each read from
+        a table of about sqrt(q) entries made by `_raw_mul`.  The images are
+        held "wide", coordinate i in bits [iB, iB+B) of an int, B one bit more
+        than p needs, so one integer addition adds every coordinate at once;
+        a coordinate that reached p has bit B-1 set after adding 2^(B-1) - p,
+        and p is taken off exactly there.  Two dicts read the wide halves back
+        as codes.
+        """
+        p, h = self.p, self.h
+        if h == 1:
+            return lambda a: a * g % p
+        k = (h + 1) // 2
+        lo_n, hi_n = p**k, p ** (h - k)
+        b = p.bit_length() + 1
+
+        def wide(code):
+            return sum(c << i * b for i, c in enumerate(_digits(code, p, h)))
+
+        lo_img = [wide(self._raw_mul(a, g)) for a in range(lo_n)]
+        hi_img = [wide(self._raw_mul(a * lo_n, g)) for a in range(hi_n)]
+        lo_code = {wide(a): a for a in range(lo_n)}
+        hi_code = {wide(a): a * lo_n for a in range(hi_n)}
+        ones = sum(1 << i * b for i in range(h))
+        bias = ((1 << b - 1) - p) * ones
+        lo_bits, lo_mask = k * b, (1 << k * b) - 1
+
+        def times_g(a):
+            hi, lo = divmod(a, lo_n)
+            s = lo_img[lo] + hi_img[hi]
+            s -= ((s + bias) >> b - 1 & ones) * p
+            return lo_code[s & lo_mask] + hi_code[s >> lo_bits]
+
+        return times_g
+
     def _build_exp_log(self):
         q = self.q
         rads = prime_factors(q - 1)
@@ -220,9 +258,10 @@ class GF:
                 break
         if gen is None:  # q == 2
             gen = 1
+        times_gen = self._times(gen)
         exp = [1] * (q - 1)
         for i in range(1, q - 1):
-            exp[i] = self._raw_mul(exp[i - 1], gen)
+            exp[i] = times_gen(exp[i - 1])
         log = [-1] * q
         for i, v in enumerate(exp):
             log[v] = i

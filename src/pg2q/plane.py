@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property, lru_cache
+from itertools import compress, product
 
 from .gfq import GF, FieldSpec, field_for_order, field_new, order_exceeds
 from .linalg import mat_inverse, mat_transpose, mat_vec
@@ -54,6 +55,11 @@ class Plane:
         # triple, so the lines through point i are the points on line i
         self.lines_through_point = self.points_on_line
         self.line_masks = [mask_of(pts) for pts in self.points_on_line]
+
+    @cached_property
+    def singer(self) -> SingerCycle:
+        """The plane indexed along a Singer cycle, built on first use."""
+        return SingerCycle(self)
 
     def _line_points(self, a: int, b: int, c: int) -> tuple[int, ...]:
         """The q+1 point indices on the line ax + by + cz = 0, ascending."""
@@ -115,6 +121,89 @@ class Plane:
         """Image of a line under a point map x -> Mx: duals map by (M^-1)^T."""
         mt = mat_transpose(mat_inverse(mat, self.gf))
         return self._index[self.normalize(mat_vec(mt, self.coords[l], self.gf))]
+
+
+def _singer_orbit(gf: GF, n: int) -> list[tuple[int, int, int]]:
+    """The powers 1, t, ..., t^(n-1) in GF(q)[t]/(t^3 - c2 t^2 - c1 t - c0), as
+    coordinate triples on the basis 1, t, t^2, for the first cubic, c0 varying
+    fastest, under which t has projective order n (Singer 1938).
+
+    Multiplying by t is the companion matrix (a0, a1, a2) -> (c0 a2, a0 + c1 a2,
+    a1 + c2 a2), a collineation.  A cubic with a root in GF(q) is skipped
+    unwalked; an irreducible one whose t^k is a scalar for some k < n fails.
+    When q = 1 (mod 3) every cubic with c0 a cube fails, so c0 runs innermost.
+    """
+    q, add, mul = gf.q, gf.add_table, gf.mul_table
+    cubes = [mul[x][mul[x][x]] for x in range(q)]
+    for c2, c1, c0 in product(range(q), range(q), range(1, q)):
+        if any(cubes[x] == add[mul[add[mul[c2][x]][c1]][x]][c0] for x in range(q)):
+            continue
+        m0, m1, m2 = mul[c0], mul[c1], mul[c2]
+        orbit = [(1, 0, 0)]
+        a0, a1, a2 = 1, 0, 0
+        while True:
+            a0, a1, a2 = m0[a2], add[a0][m1[a2]], add[a1][m2[a2]]
+            if not (a1 or a2):
+                break
+            orbit.append((a0, a1, a2))
+        if len(orbit) == n:
+            return orbit
+    raise RuntimeError(f"no Singer cycle over {gf!r}")
+
+
+class SingerCycle:
+    """PG(2,q) indexed along a Singer cycle: a collineation that permutes the
+    n points in one cycle.  `point_of[k]` is the k-th point from <(1,0,0)>
+    (slot k) and `slot` is its inverse.  The slots of line 0,
+    `difference_set` D, are a perfect difference set mod n, so the lines are
+    exactly the translates D + j, j in [0, n).
+
+    A set of slots packs into an int with one byte per slot, byte k 1 when
+    slot k is in the set (`indicator` gives the bytes).  Its line counts are
+    then one product: byte j of S(x) D(x^-1) mod x^n - 1 is |S & (D + j)|.
+    A count, and the number of packed lines through a slot, is at most
+    q + 1 <= MAX_PLANE_ORDER + 1 < 256, so no byte ever carries.
+    """
+
+    def __init__(self, plane: Plane):
+        n = self.n = plane.n
+        self.point_of: tuple[int, ...] = tuple(plane.index_of(v) for v in _singer_orbit(plane.gf, n))
+        slot = [0] * n
+        for k, p in enumerate(self.point_of):
+            slot[p] = k
+        self.slot: tuple[int, ...] = tuple(slot)
+        self.difference_set: tuple[int, ...] = tuple(sorted(slot[p] for p in plane.points_on_line[0]))
+        self._bits = 8 * n
+        self._low = (1 << self._bits) - 1
+        self._diffs = sum(1 << 8 * d for d in self.difference_set)  # D(x)
+        self._diffs_rev = sum(1 << 8 * (-d % n) for d in self.difference_set)  # D(x^-1)
+
+    def indicator(self, points) -> bytearray:
+        """One byte per slot, 1 at the slots of the given points (a collection;
+        a repeated point counts once).  IndexError for a point off the plane."""
+        n, slot = self.n, self.slot
+        if points and (min(points) < 0 or max(points) >= n):
+            raise IndexError(f"point indices must lie in [0, {n})")
+        out = bytearray(n)
+        for p in points:
+            out[slot[p]] = 1
+        return out
+
+    def points(self, indicator) -> set[int]:
+        """The points at the non-zero bytes of a slot indicator."""
+        return set(compress(self.point_of, indicator))
+
+    def _cyclic(self, prod: int) -> bytes:
+        """The bytes of a product reduced mod x^n - 1."""
+        return ((prod & self._low) + (prod >> self._bits)).to_bytes(self.n, "little")
+
+    def line_counts(self, packed: int) -> bytes:
+        """Byte j: the number of packed slots on the line D + j."""
+        return self._cyclic(packed * self._diffs_rev)
+
+    def line_hits(self, packed_lines: int) -> bytes:
+        """Byte k: the number of packed lines (byte j for D + j) through slot k."""
+        return self._cyclic(packed_lines * self._diffs)
 
 
 def mask_bits(mask: int) -> list[int]:

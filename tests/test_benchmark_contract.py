@@ -27,3 +27,4 @@ def test_geometry_round_is_correct():
     out = json.loads(r.stdout.strip().splitlines()[-1])
     assert out["problems"] == []
     assert out["failed"] == 0
+    assert out["attempted"] == 2085  # every checked operation of a seed-1 round

@@ -284,6 +284,68 @@ def test_peel_confluence_and_oracle():
                 assert peel_decode(q, erased, rng=random.Random(rng.random())) == base
 
 
+def _reference_peel_decode(plane, erased, rng=None):
+    """The line-mask peeling decoder that the Singer-cycle one replaced."""
+    erased = set(erased)
+    counts = list(PointSet(plane, erased).per_line)
+    changed = True
+    while changed:
+        changed = False
+        lines = [l for l, c in enumerate(counts) if c == 1]
+        if rng is not None:
+            rng.shuffle(lines)
+        for l in lines:
+            if counts[l] != 1:
+                continue
+            victim = next(pt for pt in plane.points_on_line[l] if pt in erased)
+            erased.remove(victim)
+            for m in plane.lines_through_point[victim]:
+                counts[m] -= 1
+            changed = True
+    return frozenset(erased)
+
+
+def _reference_batch_peel(plane, erased):
+    """The line-mask batch oracle that the Singer-cycle one replaced."""
+    cur = set(erased)
+    while True:
+        mask = sum(1 << p for p in cur)
+        doomed = set()
+        for lm in plane.line_masks:
+            inter = lm & mask
+            if inter and inter & (inter - 1) == 0:
+                doomed.add(inter.bit_length() - 1)
+        if not doomed:
+            return frozenset(cur)
+        cur -= doomed
+
+
+@pytest.mark.parametrize("q,modulus", [(q, None) for q in (2, 3, 4, 5, 7, 8, 9, 16, 17, 31)] + [(9, (2, 1, 1))])
+def test_peel_matches_line_mask_reference(q, modulus):
+    """Both peel functions give the answers of the line-mask code, on erasures
+    of every density, near-stopping sets, repeated indices, [] and the plane."""
+    pl = plane_for_order(q) if modulus is None else plane_for(3, 2, modulus)
+    n, rng = pl.n, random.Random(pl.n)
+    stopping = list(trivial(q).members) if modulus is None else []
+    cases = [[], list(range(n)), [0, 0, 1, 1, n - 1, n - 1, 5 % n]]
+    cases += [rng.sample(range(n), rng.randrange(n + 1)) for _ in range(30)]
+    cases += [stopping + rng.sample(range(n), 3) for _ in range(5 if stopping else 0)]
+    cases += [e + e[: len(e) // 2] for e in cases[3:8]]  # repeated indices
+    for erased in cases:
+        want = _reference_peel_decode(pl, erased)
+        assert _reference_batch_peel(pl, erased) == want
+        assert peel_decode(pl, erased) == want
+        assert batch_peel_fixpoint(pl, erased) == want
+        seed = rng.random()
+        assert peel_decode(pl, erased, rng=random.Random(seed)) == want
+        assert _reference_peel_decode(pl, erased, rng=random.Random(seed)) == want
+    for bad in ([0, 1, n], [-1, 3]):
+        with pytest.raises(IndexError):
+            peel_decode(pl, bad)
+        with pytest.raises(IndexError):
+            batch_peel_fixpoint(pl, bad)
+
+
 def test_peel_residual_is_maximal_stopping_subset():
     """The residual contains every tangent-free subset of the erasures."""
     rng = random.Random(5)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,6 +61,18 @@ def test_field_new_checks_the_order_before_any_modulus_search(monkeypatch):
         field_new(6, 2)
     with pytest.raises(ValueError, match="degree"):
         field_new(3, 0)
+
+
+@pytest.mark.parametrize("p,h", [(2, 16), (3, 10), (5, 6)])
+def test_exp_table_matches_raw_powers(p, h):
+    """The exp table, stepped by the multiply-by-generator map, holds the
+    powers of the generator that the general multiplication gives."""
+    gf = GF(p, h)
+    exps = [0, 1, gf.q - 2] + random.Random(gf.q).sample(range(gf.q - 1), 60)
+    for e in exps:
+        assert gf._exp[e] == gf._raw_pow(gf.generator, e)
+        assert gf._log[gf._exp[e]] == e
+    assert sorted(gf._exp) == list(range(1, gf.q))
 
 
 def test_auto_modulus_deterministic():

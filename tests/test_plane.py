@@ -190,3 +190,35 @@ def test_pointset_rejects_indices_off_the_plane():
 def test_plane_for_shares_the_default_plane():
     assert plane_for(3, 2, (1, 0, 1)) is plane_for_order(9)
     assert plane_for(3, 2, (4, 3, 1)) is plane_for_order(9)
+
+
+def _singer_fields():
+    """The default field of every prime power q <= 64, GF(9) over t^2 + t + 2
+    and GF(25) over t^2 + 2t + 3."""
+    specs = [field_for_order(q).spec for q in range(2, 65) if len(prime_factors(q)) == 1]
+    return specs + [field_new(3, 2, (2, 1, 1)).spec, field_new(5, 2, (3, 2, 1)).spec]
+
+
+@pytest.mark.parametrize("spec", _singer_fields(), ids=lambda s: f"{s.q}-{list(s.modulus)}")
+def test_singer_cycle(spec):
+    pl = plane_for(spec.p, spec.h, spec.modulus)
+    sc, n = pl.singer, pl.n
+    assert sorted(sc.point_of) == list(range(n))
+    assert all(sc.slot[p] == k for k, p in enumerate(sc.point_of))
+    diffs = sc.difference_set
+    assert sorted((a - b) % n for a in diffs for b in diffs if a != b) == list(range(1, n))
+    # the translates D + j are the lines; line_of[j] is the index of D + j
+    index = {frozenset(pts): l for l, pts in enumerate(pl.points_on_line)}
+    line_of = [index[frozenset(sc.point_of[(d + j) % n] for d in diffs)] for j in range(n)]
+    assert sorted(line_of) == list(range(n))
+    rng = random.Random(n)
+    samples = [rng.sample(range(n), rng.randrange(n + 1)) for _ in range(4)] + [[], list(range(n))]
+    for members in samples:
+        counts = sc.line_counts(int.from_bytes(sc.indicator(members), "little"))
+        per_line = PointSet(pl, members).per_line
+        assert list(counts) == [per_line[l] for l in line_of]
+        assert sc.points(sc.indicator(members)) == set(members)
+    # line_hits counts, at each slot, the chosen translates through it
+    chosen = bytes(rng.randrange(2) for _ in range(n))
+    hits = sc.line_hits(int.from_bytes(chosen, "little"))
+    assert list(hits) == [sum(chosen[(k - d) % n] for d in diffs) for k in range(n)]

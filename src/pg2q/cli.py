@@ -259,13 +259,14 @@ def cmd_dual_codeword(args):
 
     ps = _load_set(args)
     code = incidence_code(ps.plane)
-    v, exact = code.dual_codeword_on_support(ps.members)
+    v, exact, nodes = code.dual_codeword_on_support(ps.members)
     if v is None:
         _note("NONE")
     body = {
         "results": {
             "found": v is not None,
             "exact": exact,
+            "nodes": nodes,
             "coefficients": None if v is None else list(v),
             "weight": None if v is None else sum(1 for x in v if x),
         },

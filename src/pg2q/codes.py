@@ -10,7 +10,10 @@ any integer sequence of length n.
 A codeword on a given support is a combination of the nullspace basis of the
 lines-by-support submatrix.  Basis vector j is 1 at its own free column and 0
 at the other free columns, so a combination with a zero coefficient vanishes at
-a support point: only nowhere-zero coefficient vectors are tried.
+a support point: a depth-first search fixes the coefficients in basis order,
+each to a non-zero value, and cuts a value as soon as a column that no later
+basis vector touches has become 0.  Its node count is the certificate of a
+refutation.
 
 Peeling reads its line counts off the plane's Singer cycle (`Plane.singer`):
 the lines are the translates D + j of one perfect difference set D mod n, so
@@ -23,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress, product
+from itertools import combinations, compress
 
 from .gfq import field_for_order
 from .linalg import nullspace
@@ -35,10 +38,9 @@ from .tangency import is_tangent_free
 _IS_ONE = bytes(int(b == 1) for b in range(256))
 _IS_ZERO = bytes(int(b == 0) for b in range(256))
 
-# dual_codeword_on_support searches a nullspace of at most this many vectors
-# (p**dim, counting the draws with a zero coefficient, which it skips)
-# exhaustively, and a larger one by random combinations
-EXHAUSTIVE_CAP = 10**7
+# dual_codeword_on_support tries at most this many coefficient values; the
+# whole tree of any nullspace with p**dim <= 10**7 fits (at most 349,525)
+NODE_BUDGET = 10**6
 
 
 class NotCodeword(ValueError):
@@ -99,43 +101,66 @@ class IncidenceCode:
         n = self.plane.n
         return [tuple(self._combination([rng.randrange(self.p) for _ in basis], basis, n)) for _ in range(count)]
 
-    def dual_codeword_on_support(self, members) -> tuple[tuple[int, ...] | None, bool]:
+    def dual_codeword_on_support(self, members) -> tuple[tuple[int, ...] | None, bool, int]:
         """A dual codeword with support exactly the given point set, if any.
 
-        Works in the nullspace of the lines-by-members submatrix.  Only
-        combinations with every coefficient non-zero can have full support
-        (basis vector j alone is non-zero at free column j), so only those are
-        combined.  When the nullspace has at most EXHAUSTIVE_CAP vectors
-        (p**dim, zero coefficients included) they are walked in lexicographic
-        order and the answer is exact; otherwise 200000 seeded random draws
-        are made, those with a zero coefficient are dropped, and `exact` comes
-        back False.
+        Works in the nullspace of the lines-by-members submatrix, by a
+        depth-first search that fixes the basis coefficients in order.  Each
+        takes a value in 1..p-1, since basis vector j alone is non-zero at
+        free column j, and coefficient 0 takes only 1, since scaling keeps the
+        support.  A value is cut as soon as a column whose last non-zero basis
+        entry is at its depth has become 0.  Full assignments are met in
+        lexicographic order and only subtrees without a codeword are cut, so
+        the vector found is the first one `product(range(1, p), repeat=dim)`
+        would give.  Moving a coefficient to its next value adds its basis
+        vector once more (p times it is 0), so backtracking keeps no copies.
 
-        Returns (vector over all points or None, exact).
+        `nodes` counts the coefficient values tried, and `exact` is False only
+        when NODE_BUDGET of them did not settle the question.  A repeated
+        member counts once; IndexError for a point off the plane.
+
+        Returns (vector over all points or None, exact, nodes).
         """
-        cols = sorted(members)
-        if not cols:
-            return None, True
-        gfp = field_for_order(self.p)
-        basis = nullspace(self._rows(cols), gfp, ncols=len(cols))
+        cols = sorted(set(members))
+        n, p = self.plane.n, self.p
+        if cols and (cols[0] < 0 or cols[-1] >= n):
+            raise IndexError(f"point indices must lie in [0, {n})")
+        basis = nullspace(self._rows(cols), field_for_order(p), ncols=len(cols)) if cols else []
         dim = len(basis)
-        if dim == 0:
-            return None, True
-        exact = self.p**dim <= EXHAUSTIVE_CAP
-        if exact:
-            draws = product(range(1, self.p), repeat=dim)
-        else:
-            rng = random.Random(0xC0DE)
-            draws = ([rng.randrange(self.p) for _ in basis] for _ in range(200000))
-            draws = (c for c in draws if all(c))
-        for coeffs in draws:
-            w = self._combination(coeffs, basis, len(cols))
-            if all(w):
-                entry = dict(zip(cols, w))
-                v = tuple(entry.get(i, 0) for i in range(self.plane.n))
-                assert self.is_dual_codeword(v)
-                return v, exact
-        return None, exact
+        # steps[j]: the non-zero entries of basis vector j; closing[j]: the
+        # columns no basis vector after j touches, final once j is fixed
+        steps = [[(c, b) for c, b in enumerate(vec) if b] for vec in basis]
+        last = {c: j for j, step in enumerate(steps) for c, _ in step}
+        if dim == 0 or len(last) < len(cols):  # a column every codeword leaves at 0
+            return None, True, 0
+        closing = [[] for _ in basis]
+        for c, j in last.items():
+            closing[j].append(c)
+        top = [1] + [p - 1] * (dim - 1)
+        w, val = [0] * len(cols), [0] * dim
+        nodes, j = 0, 0
+        while True:
+            if val[j] == top[j]:
+                if j == 0:
+                    return None, True, nodes
+                for c, b in steps[j]:  # the p-th addition brings the column back
+                    w[c] = (w[c] + b) % p
+                val[j] = 0
+                j -= 1
+                continue
+            if nodes == NODE_BUDGET:
+                return None, False, nodes
+            nodes += 1
+            val[j] += 1
+            for c, b in steps[j]:
+                w[c] = (w[c] + b) % p
+            if all(w[c] for c in closing[j]):
+                if j == dim - 1:
+                    entry = dict(zip(cols, w))
+                    v = tuple(entry.get(i, 0) for i in range(n))
+                    assert self.is_dual_codeword(v)
+                    return v, True, nodes
+                j += 1
 
 
 _code_of = lru_cache(maxsize=None)(IncidenceCode)  # one code per Plane

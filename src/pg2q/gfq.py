@@ -179,8 +179,7 @@ class GF:
         self.add_table = None
         self.mul_table = None
         if q <= _TABLE_LIMIT:
-            self.add_table = [[self.add(a, b) for b in range(q)] for a in range(q)]
-            self.mul_table = [[self._mul_slow(a, b) for b in range(q)] for a in range(q)]
+            self.add_table, self.mul_table = self._build_tables()
 
     # -- construction helpers ------------------------------------------------
 
@@ -267,6 +266,23 @@ class GF:
             log[v] = i
         self.generator = gen
         return exp, log
+
+    def _build_tables(self):
+        """The add and mul tables, a row at a time.  Row a of the sum table is
+        row a-1 with 1 added to the low digit of every entry, or, when p
+        divides a, row a/p moved up one digit beside b's own low digit.  Row a
+        of the product table reads a doubled exp table from log a on."""
+        p, q = self.p, self.q
+        succ = [x + 1 if x % p != p - 1 else x + 1 - p for x in range(q)]
+        add = [list(range(q))]
+        for a in range(1, q):
+            if a % p:
+                add.append([succ[x] for x in add[a - 1]])
+            else:
+                add.append([lo + p * x for x in add[a // p][: q // p] for lo in range(p)])
+        exp2, logs = self._exp * 2, self._log[1:]
+        mul = [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
+        return add, mul
 
     def _mul_slow(self, a, b):
         if a == 0 or b == 0:

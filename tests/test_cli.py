@@ -119,6 +119,21 @@ def test_dual_codeword_cli(capsys, tmp_path):
     obj = json.loads(out)
     assert obj["results"]["found"] and obj["results"]["exact"]
     assert obj["results"]["weight"] == 10
+    assert obj["results"]["nodes"] == 1
+
+
+def test_dual_codeword_cli_on_a_q16_codeword_support(capsys, tmp_path):
+    """A support at q = 16 that random draws over GF(2) never hit."""
+    from pg2q.codes import incidence_code
+
+    code = incidence_code(16)
+    support = code.support(code.random_dual_codewords(1, random.Random(16))[0])
+    f = tmp_path / "s.json"
+    f.write_text(PointSet(code.plane, support).dump())
+    rc, out, _ = run(capsys, "dual-codeword", "--set", str(f))
+    res = json.loads(out)["results"]
+    assert rc == 0 and res["found"] and res["exact"] and res["nodes"] > 0
+    assert code.support(res["coefficients"]) == support and res["weight"] == len(support)
 
 
 def test_peel_cli(capsys, tmp_path):

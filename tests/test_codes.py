@@ -49,7 +49,7 @@ def test_incidence_weights(q):
 
 def test_codewords_are_tuples_of_ints():
     code = incidence_code(5)
-    v, _ = code.dual_codeword_on_support(trivial(5).members)
+    v, _, _ = code.dual_codeword_on_support(trivial(5).members)
     vectors = [trivial_signing(5), v] + code.nullspace_basis() + code.random_dual_codewords(5, random.Random(5))
     assert all(type(w) is tuple and len(w) == 31 and all(type(x) is int for x in w) for w in vectors)
 
@@ -120,50 +120,66 @@ def test_nullspace_sampling_supports_tangent_free(q):
 
 def test_dual_codeword_on_support_trivial():
     code = incidence_code(5)
-    v, exact = code.dual_codeword_on_support(trivial(5).members)
-    assert exact and v is not None
+    v, exact, nodes = code.dual_codeword_on_support(trivial(5).members)
+    assert exact and v is not None and nodes > 0
     assert len(code.support(v)) == 10
 
 
-def test_dual_codeword_on_support_sampled_path(monkeypatch):
-    """Past the exhaustive cap the same body runs on random combinations."""
-    monkeypatch.setattr(codes, "EXHAUSTIVE_CAP", 1)
+def test_dual_codeword_on_support_checks_its_input():
+    """A repeated index counts once; an index off the plane raises IndexError
+    (the point 31 of PG(2,5) used to read as a column of zeros, which gave the
+    zero vector as a codeword on {31})."""
     code = incidence_code(5)
-    s = trivial(5)
-    v, exact = code.dual_codeword_on_support(s.members)
-    assert exact is False and v is not None
-    assert code.is_dual_codeword(v) and code.support(v) == s.members
+    s = sorted(trivial(5).members)
+    assert code.dual_codeword_on_support(s + s[:4]) == code.dual_codeword_on_support(s)
+    assert code.dual_codeword_on_support([0, 0]) == code.dual_codeword_on_support([0]) == (None, True, 0)
+    for bad in ([31], [-1, 3], s + [31]):
+        with pytest.raises(IndexError):
+            code.dual_codeword_on_support(bad)
 
 
 def test_dual_codeword_on_support_frobenius_completion():
     code = incidence_code(9)
     s, _ = frobenius_graph(9)
-    v, exact = code.dual_codeword_on_support(s.members)
+    v, exact, _ = code.dual_codeword_on_support(s.members)
     assert exact and v is not None
     assert code.support(v) == frozenset(s.members)
 
 
+FULL_SCAN_CAP = 10**7  # the old search scanned p**dim vectors at most
+
+
 def reference_codeword_on_support(code, members):
     """The search as it was before it skipped zero coefficients: the full
-    product(range(p)) scan, and a sampled loop that combines every draw."""
+    product(range(p)) scan, as (vector or None, True).  None past
+    FULL_SCAN_CAP, where the old search drew at random instead."""
     cols = sorted(members)
     if not cols:
         return None, True
     basis = nullspace(code._rows(cols), field_for_order(code.p), ncols=len(cols))
     if not basis:
         return None, True
-    exact = code.p ** len(basis) <= codes.EXHAUSTIVE_CAP
-    if exact:
-        draws = (c for c in product(range(code.p), repeat=len(basis)) if any(c))
-    else:
-        rng = random.Random(0xC0DE)
-        draws = ([rng.randrange(code.p) for _ in basis] for _ in range(200000))
-    for coeffs in draws:
+    if code.p ** len(basis) > FULL_SCAN_CAP:
+        return None
+    for coeffs in product(range(code.p), repeat=len(basis)):
         w = code._combination(coeffs, basis, len(cols))
-        if all(w):
+        if any(coeffs) and all(w):
             entry = dict(zip(cols, w))
-            return tuple(entry.get(i, 0) for i in range(code.plane.n)), exact
-    return None, exact
+            return tuple(entry.get(i, 0) for i in range(code.plane.n)), True
+    return None, True
+
+
+def checked_search(code, members):
+    """The search's (vector, exact), checked: a vector is a codeword with
+    exactly that support, and both equal the full scan's wherever the scan
+    reaches.  Also returns whether it reached."""
+    v, exact, _ = code.dual_codeword_on_support(members)
+    if v is not None:
+        assert code.is_dual_codeword(v) and code.support(v) == frozenset(members)
+    want = reference_codeword_on_support(code, members)
+    if want is not None:
+        assert (v, exact) == want
+    return v, exact, want is not None
 
 
 def _images(plane, members, count, rng):
@@ -173,9 +189,8 @@ def _images(plane, members, count, rng):
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
 def test_dual_codeword_search_matches_the_full_scan(q):
-    """Skipping the draws with a zero coefficient changes no answer: every
-    construction, two projective images of each and random subsets get the
-    vector and flag of the old scan."""
+    """Every construction, two projective images of each and random subsets
+    get the vector and flag of the old scan."""
     plane = plane_for_order(q)
     code = incidence_code(plane)
     rng = random.Random(q)
@@ -183,22 +198,23 @@ def test_dual_codeword_search_matches_the_full_scan(q):
     for c in constructions_at(q):
         sets += [c.points.members] + _images(plane, c.points.members, 2, rng)
     sets += [rng.sample(range(plane.n), rng.randrange(1, plane.n // 2)) for _ in range(6)]
-    for s in sets:
-        assert code.dual_codeword_on_support(s) == reference_codeword_on_support(code, s)
+    assert all([checked_search(code, s)[2] for s in sets])
 
 
 @pytest.mark.parametrize("q,subsets,codewords", [(3, 20, 5), (4, 20, 5), (7, 0, 3), (8, 0, 3)])
 def test_dual_codeword_search_matches_on_random_supports(q, subsets, codewords):
-    """Random subsets of any size, and supports of random codewords: at q = 7
-    these take the sampled branch under the real cap.  (Larger supports at
-    q = 5, 8 and 9 leave the old scan millions of draws, or 200000 misses.)"""
+    """Random subsets of any size, and supports of random codewords, which are
+    found exactly: at q = 7 they lie past the old scan's reach, where the old
+    search drew at random and said `exact: false`.  (Larger supports at q = 5,
+    8 and 9 leave the old scan millions of vectors.)"""
     plane = plane_for_order(q)
     code = incidence_code(plane)
     rng = random.Random(100 + q)
-    sets = [rng.sample(range(plane.n), rng.randrange(1, plane.n + 1)) for _ in range(subsets)]
-    sets += [code.support(v) for v in code.random_dual_codewords(codewords, rng)]
-    for s in sets:
-        assert code.dual_codeword_on_support(s) == reference_codeword_on_support(code, s)
+    for s in [rng.sample(range(plane.n), rng.randrange(1, plane.n + 1)) for _ in range(subsets)]:
+        checked_search(code, s)
+    for v in code.random_dual_codewords(codewords, rng):
+        found, exact, _ = checked_search(code, code.support(v))
+        assert exact and found is not None
 
 
 def test_dual_codeword_search_matches_on_images_over_every_gf9_modulus():
@@ -208,39 +224,95 @@ def test_dual_codeword_search_matches_on_images_over_every_gf9_modulus():
         code = incidence_code(plane)
         interior = interior_points(canonical_conic(plane)).members
         for s in [interior] + _images(plane, interior, 2, rng):
-            v, exact = code.dual_codeword_on_support(s)
-            assert (v, exact) == reference_codeword_on_support(code, s)
-            assert exact and code.support(v) == s
+            v, exact, reached = checked_search(code, s)
+            assert reached and exact and v is not None
 
 
-def test_dual_codeword_sampled_branch_matches_every_draw_combined(monkeypatch):
-    """Past the cap the same seeded stream is drawn; dropping the draws with a
-    zero coefficient leaves the first hit, and a miss, where they were."""
-    monkeypatch.setattr(codes, "EXHAUSTIVE_CAP", 1)
-    plane9 = plane_for_order(9)
-    interior9 = interior_points(canonical_conic(plane9)).members
-    cases = [(5, trivial(5).members), (4, hyperoval(4).members), (3, trivial(3).members), (9, interior9)]
-    cases += [(9, s) for s in _images(plane9, interior9, 2, random.Random(1))]
-    con = canonical_conic(plane9)
-    cases.append((9, punctured_interior(con, exterior_point_indices(con)[0], 2).members))  # a miss
-    for q, s in cases:
-        code = incidence_code(q)
-        got = code.dual_codeword_on_support(s)
-        assert got == reference_codeword_on_support(code, s)
-        assert got[1] is False
-    assert got[0] is None
+@pytest.mark.parametrize("q,count", [(9, 4), (16, 3)])
+def test_dual_codeword_found_on_large_random_supports(q, count):
+    """Supports of random codewords whose nullspaces lie far past the old full
+    scan are found, with exactly that support.  The old random draws missed
+    three of the four at q = 9 and all three at q = 16."""
+    code = incidence_code(q)
+    for v in code.random_dual_codewords(count, random.Random(q)):
+        s = code.support(v)
+        w, exact, nodes = code.dual_codeword_on_support(s)
+        assert exact and w is not None and 0 < nodes
+        assert code.is_dual_codeword(w) and code.support(w) == s
+
+
+def _walk_from_first_coefficient_one(code, members):
+    """Test-local refutation over GF(3): every combination of the nullspace
+    basis with first coefficient 1 and the rest in {1, 2}, in Gray-code order
+    (one coefficient flips per step).  Returns (any with full support, count)."""
+    cols = sorted(members)
+    basis = nullspace(code._rows(cols), field_for_order(3), ncols=len(cols))
+    coeffs = [1] * len(basis)
+    w = [sum(col) % 3 for col in zip(*basis)]
+    hit, count = all(w), 1
+    for k in range(1, 2 ** (len(basis) - 1)):
+        j = (k & -k).bit_length()  # 1 + the trailing zeros of k
+        sign = 1 if coeffs[j] == 1 else -1
+        coeffs[j] = 3 - coeffs[j]
+        w = [(x + sign * y) % 3 for x, y in zip(w, basis[j])]
+        hit, count = hit or all(w), count + 1
+    return hit, count
+
+
+def test_dual_codeword_refutations_confirmed_by_a_full_walk():
+    """Two q = 9 codeword supports with one point moved, nullspace dimension
+    15 to 17 (past the old full scan): the search refutes them exactly, and
+    a walk of all 2^(dim-1) vectors with first coefficient 1 agrees."""
+    code = incidence_code(9)
+    rng = random.Random(2024)
+    refuted = []
+    for v in code.random_dual_codewords(40, rng):
+        s = set(code.support(v))
+        if rng.random() < 0.5:
+            s.discard(rng.choice(sorted(s)))
+        else:
+            s.add(rng.choice(sorted(set(range(91)) - s)))
+        dim = len(nullspace(code._rows(sorted(s)), field_for_order(3), ncols=len(s)))
+        if 15 <= dim <= 17:
+            w, exact, nodes = code.dual_codeword_on_support(s)
+            if w is None and exact:
+                refuted.append((s, dim, nodes))
+        if len(refuted) == 2:
+            break
+    assert len(refuted) >= 2
+    for s, dim, nodes in refuted:
+        assert 0 < nodes < 2**dim
+        assert _walk_from_first_coefficient_one(code, s) == (False, 2 ** (dim - 1))
+
+
+def test_dual_codeword_budget(monkeypatch):
+    """`exact` turns False exactly when the search needs more values than
+    NODE_BUDGET: on a find, a refutation, and a find in one value (whose
+    budget of 0 tries nothing)."""
+    code9 = incidence_code(9)
+    found_on = code9.support(code9.random_dual_codewords(1, random.Random(9))[0])
+    con = canonical_conic(plane_for_order(9))
+    refuted_on = punctured_interior(con, exterior_point_indices(con)[0], 2).members
+    for code, s in [(code9, found_on), (code9, refuted_on), (incidence_code(5), trivial(5).members)]:
+        v, exact, nodes = code.dual_codeword_on_support(s)
+        assert exact
+        monkeypatch.setattr(codes, "NODE_BUDGET", nodes)
+        assert code.dual_codeword_on_support(s) == (v, True, nodes)
+        monkeypatch.setattr(codes, "NODE_BUDGET", nodes - 1)
+        assert code.dual_codeword_on_support(s) == (None, False, nodes - 1)
+        monkeypatch.undo()
 
 
 def test_dual_codeword_negative_controls():
     code = incidence_code(5)
     pl = plane_for_order(5)
     # a full line: its own sum is q+1 = 1 mod p, so only the zero vector fits
-    v, exact = code.dual_codeword_on_support(pl.points_on_line[0])
+    v, exact, _ = code.dual_codeword_on_support(pl.points_on_line[0])
     assert v is None and exact
     # a tangent-free set that is NOT a codeword support
     s = interior_points(canonical_conic(pl))
     assert is_tangent_free(s)
-    v2, exact2 = code.dual_codeword_on_support(s.members)
+    v2, exact2, _ = code.dual_codeword_on_support(s.members)
     assert v2 is None and exact2
 
 

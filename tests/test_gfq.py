@@ -75,6 +75,18 @@ def test_exp_table_matches_raw_powers(p, h):
     assert sorted(gf._exp) == list(range(1, gf.q))
 
 
+@pytest.mark.parametrize("p,h,modulus", [(2, 8, None), (3, 5, None), (7, 3, None), (3, 2, (2, 1, 1))])
+def test_tables_match_raw_arithmetic(p, h, modulus):
+    """The add and mul tables, built a row at a time, hold the digit-wise sum
+    and the product that the general multiplication gives."""
+    gf = GF(p, h, modulus)
+    digits = [gfq._digits(a, p, h) for a in range(gf.q)]
+    for a in range(gf.q):
+        assert gf.add_table[a] == [sum((x + y) % p * p**i for i, (x, y) in enumerate(zip(digits[a], db)))
+                                   for db in digits]
+        assert gf.mul_table[a] == [gf._raw_mul(a, b) for b in range(gf.q)]
+
+
 def test_auto_modulus_deterministic():
     a = field_new(3, 2).modulus
     b = GF(3, 2).modulus

@@ -157,7 +157,6 @@ def cmd_search_min(args):
             "u": res.u,
             "witness": [list(plane.coords[p]) for p in res.witness] if res.witness else None,
             "nodes_expanded": res.nodes,
-            "symmetry_skips": res.symmetry_skips,
             "status": res.status,
             "sizes_refuted_below": res.exhausted_below,
             "witness_source": res.witness_source,

@@ -13,33 +13,36 @@ those two keep, a greedy matching of tangent lines with pairwise disjoint
 candidate pools, in the one pass over the tangents that also picks the branch
 line.  Iterative deepening starts at the sqrt lower bound on u_q.
 
+Every search is seeded at a heaviest line.  Let S be tangent-free with
+largest line count m; then 2 <= m <= |S| - 2, since a set on one line plus at
+most one point has a tangent.  PGL(3,q) is transitive on lines, so an
+m-secant can be taken to be L0: z = 0.  The stabiliser of L0 acts on it as
+PGL(2,q), so S and L0 can be taken to meet in one representative A of each
+orbit of m-subsets of L0 (`_line_orbits`).  The collineations that fix L0
+pointwise are transitive off L0, so S can be taken to contain P0 = (0,0,1).
+For b = (x, y, 0) the first point of L0 outside A, the line P0 b meets S in a
+point off L0, and a homology with centre P0 and axis L0 moves it to
+(x, y, 1).  So every class of tangent-free sets with largest line count m has
+a member that contains A, P0 and (x, y, 1), avoids L0 outside A, and meets
+every line in at most m points: `_seeds` lists these seeds, m going up from
+2, and each search from one keeps the line cap m (`_Searcher.blocked`).
+
 An existence level has one path, `_exists`.  The frontier is the same DFS cut
-at a size: each node it reaches there (or a tangent-free node above it) is
-recorded as a (partial, excluded) job instead of being searched.  The jobs
-run in DFS order, in this process for one worker and in a fork pool for
-more, and the first job that finds a witness settles the level.  A pool
-is stopped without a signal: the level sets a stop event that the jobs
-read, so the later jobs return at once, and the pool is closed and joined.
-The frontier's nodes and skips are counted with the jobs', so a level has the
-serial DFS's witness at every worker count, and a refuted level its node and
-skip counts too.
+at a size below each seed: each node it reaches there (or a tangent-free node
+above it) is recorded as a (partial, excluded) job instead of being searched.
+The jobs run in order of m, then seed, then DFS, in this process for one
+worker and in a fork pool for more, and the first job that finds a witness
+settles the level.  A pool is stopped without a signal: the level sets a stop
+event that the jobs read, so the later jobs return at once, and the pool is
+closed and joined.  The frontier does not depend on the worker count and its
+nodes are counted with the jobs', so a level has the same witness and node
+count at every worker count.
 
-Existence searches start from the frame seed, and the repair step also skips
-symmetric siblings.  At a node with partial set P and excluded set E, let G be
-the collineations that permute the frame (`frame_symmetries`) and fix P and E
-as sets.  Branch point a_j is skipped when some g in G maps an earlier branch
-point a_i to it, and stays excluded from the later siblings: g^-1 maps every
-set of subtree j to a set that contains P + a_i and avoids E, which an earlier
-subtree covers.  So a refutation stays exact, and the first subtree that holds
-a witness is never skipped, which keeps the witness of every level.
-
-Enumeration (`enumerate_tangent_free`) runs the same exact-size DFS from the
-frame seed, with the same skips: every class has a member through the frame,
-and a skipped subtree holds only images of sets already found.  Enumeration
-and classification share one orbit pass, `pgl_orbits`, which closes each
-PGL(3,q) class that its input meets by one generator BFS.
-`_enumerate_with_state`, the secant-bound search's enumeration from its own
-seeds, skips nothing.
+Enumeration (`enumerate_tangent_free`) runs the exact-size DFS from the same
+seeds: every class has a member through one of them.  Enumeration and
+classification share one orbit pass, `pgl_orbits`, which closes each PGL(3,q)
+class that its input meets by one generator BFS.  `_enumerate_with_state`,
+the secant-bound search's enumeration from its own seeds, keeps no line cap.
 """
 
 from __future__ import annotations
@@ -50,11 +53,11 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, groupby
 from operator import itemgetter
 
 from .linalg import mat_inverse, mat_transpose, mat_vec
-from .plane import Plane, PointSet, mask_bits, mask_of, plane_for, plane_for_order
+from .plane import Plane, PointSet, mask_of, plane_for, plane_for_order
 from .tangency import is_tangent_free
 
 
@@ -75,13 +78,12 @@ class GroupTooLarge(ValueError):
 
 
 class SearchTimeout(TimeoutError):
-    """The deadline passed mid-level; `nodes` and `skips` are the nodes expanded
-    and the symmetric siblings skipped in that level."""
+    """The deadline passed mid-level; `nodes` are the nodes expanded in that
+    level."""
 
-    def __init__(self, nodes: int, skips: int):
-        super().__init__(nodes, skips)
+    def __init__(self, nodes: int):
+        super().__init__(nodes)
         self.nodes = nodes
-        self.skips = skips
 
 
 def lower_bound(q: int) -> int:
@@ -102,14 +104,14 @@ def lower_bound(q: int) -> int:
 class _Searcher:
     """One DFS instance over a fixed plane; reusable across targets.
 
-    The per-node state is two masks over line indices: `once`, the lines that
-    meet the partial set, and `twice`, those that meet it at least twice, so
-    the tangent lines are `once & ~twice`.  `_add` pushes the previous pair on
-    an undo stack and `_remove` pops it.
-
-    `symmetries` lists the collineations the repair step may use to skip
-    symmetric siblings: none by default, `frame_symmetries` for a search
-    whose partial set begins with the frame seed.
+    The per-node state is a unary count of the members on each line: level k
+    of `levels` is the mask of the line indices that meet the partial set in
+    at least k points, for k = 0 .. max(cap, 2), so level 0 holds every line
+    and the tangent lines are `levels[1] & ~levels[2]`.  With a `cap` m no
+    line may hold more than m points of the set: when a line reaches m
+    members its points go into `blocked`, which leaves `free`.  `_add`
+    pushes the previous levels and `blocked` on an undo stack and `_remove`
+    pops them.
 
     The DFS checks every 4096 nodes whether the `deadline` has passed or the
     `stop` event is set, and raises SearchTimeout if so.
@@ -119,42 +121,50 @@ class _Searcher:
     unsearched: this is the frontier of `_frontier_jobs`.
     """
 
-    def __init__(self, plane: Plane):
+    def __init__(self, plane: Plane, cap: int | None = None):
         self.plane = plane
         # by self-duality the mask of the lines through point p is line_masks[p]
         self.line_masks = plane.line_masks
         self.all_points_mask = (1 << plane.n) - 1
-        self.once = 0
-        self.twice = 0
-        self.undo: list[tuple[int, int]] = []
+        self.cap = cap
+        self.levels = [self.all_points_mask] + [0] * max(cap or 0, 2)
+        self.blocked = 0
+        self.undo: list[tuple[list[int], int]] = []
         self.partial: list[int] = []
         self.partial_mask = 0
         self.nodes = 0
-        self.skips = 0
         self.deadline = None
         self.stop = None
-        self.symmetries: tuple[tuple[int, ...], ...] = ()
         self.cut: int | None = None
         self.jobs: list[tuple[tuple[int, ...], int]] = []
 
     def _add(self, p):
         self.partial.append(p)
         self.partial_mask |= 1 << p
-        once, twice = self.once, self.twice
-        self.undo.append((once, twice))
+        levels = self.levels
+        self.undo.append((levels, self.blocked))
         pencil = self.line_masks[p]
-        self.twice = twice | (once & pencil)
-        self.once = once | pencil
+        rest = iter(levels)
+        below = next(rest)
+        self.levels = new = [below]
+        for level in rest:
+            new.append(level | (below & pencil))
+            below = level
+        if self.cap:
+            full = new[-1] & ~below
+            while full:
+                low = full & -full
+                full ^= low
+                self.blocked |= self.line_masks[low.bit_length() - 1]
 
     def _remove(self):
         p = self.partial.pop()
         self.partial_mask &= ~(1 << p)
-        self.once, self.twice = self.undo.pop()
+        self.levels, self.blocked = self.undo.pop()
 
     def _branch(self, free, n_target):
-        """The repair step: (branch, keep), the available points of the tangent
-        line to branch over and those of them whose subtrees are searched, or
-        (0, 0) when the node is pruned.  Every point of `branch` is excluded
+        """The repair step: the available points of the tangent line to branch
+        over, or 0 when the node is pruned.  Every branch point is excluded
         from the subtrees of the later ones.
 
         With r = n_target - |P| points still to add, the node is pruned when a
@@ -176,18 +186,16 @@ class _Searcher:
            avail-disjoint tangents that needs more than r points, and picks
            the branch line: the fewest available points, ties to the smallest
            index.
-
-        `keep` drops the symmetric siblings (module docstring).
         """
         line_masks = self.line_masks
-        tangents = self.once & ~self.twice
+        tangents = self.levels[1] & ~self.levels[2]
         r = n_target - len(self.partial)
         pencils = []
         for p in self.partial:
             through = tangents & line_masks[p]
             if through:
                 if through.bit_count() > r:
-                    return 0, 0
+                    return 0
                 pencils.append(through)
         levels: list[int] = []
         for through in pencils:
@@ -209,7 +217,7 @@ class _Searcher:
             size = level.bit_count()
             cover += size if size < r else r
         if cover < tangents.bit_count():
-            return 0, 0
+            return 0
         rest = tangents
         used = 0
         k = 0
@@ -220,45 +228,17 @@ class _Searcher:
             rest ^= low
             avail = line_masks[low.bit_length() - 1] & free
             if not avail:
-                return 0, 0
+                return 0
             if not avail & used:
                 k += 1
                 if k > r:
-                    return 0, 0
+                    return 0
                 used |= avail
             cnt = avail.bit_count()
             if cnt < best_cnt:
                 best_cnt = cnt
                 best_avail = avail
-        if not self.symmetries:
-            return best_avail, best_avail
-        skip = self._symmetric_siblings(best_avail, free)
-        self.skips += skip.bit_count()
-        return best_avail, best_avail & ~skip
-
-    def _symmetric_siblings(self, branch, free):
-        """The branch points that some g in `symmetries` fixing the partial set
-        and the excluded set maps from an earlier branch point."""
-        pm = self.partial_mask
-        rest = self.partial[4:]  # the partial set begins with the frame, which every g fixes
-        group = []
-        for g in self.symmetries:
-            for p in rest:
-                if not pm >> g[p] & 1:
-                    break
-            else:
-                group.append(g)
-        if group:
-            excluded = self.all_points_mask & ~pm & ~free
-            points = mask_bits(excluded)
-            group = [g for g in group if all(excluded >> g[e] & 1 for e in points)]
-        skip = 0
-        for g in group:
-            for a in mask_bits(branch):
-                b = g[a]
-                if b > a and branch >> b & 1:
-                    skip |= 1 << b
-        return skip
+        return best_avail
 
     def run(self, n_target: int, excluded_mask: int, exact_size: bool, collect, seed=()):
         """DFS all tangent-free supersets of the seed avoiding excluded points.
@@ -277,29 +257,31 @@ class _Searcher:
 
     def _dfs(self, n_target, excluded_mask, exact_size, collect):
         size = len(self.partial)
-        if self.cut is not None and (size == self.cut or self.once == self.twice):
+        tangent_free = self.levels[1] == self.levels[2]
+        if self.cut is not None and (size == self.cut or tangent_free):
             self.jobs.append((tuple(self.partial), excluded_mask))
             return False
         self.nodes += 1
         if self.nodes % 4096 == 0 and (
                 (self.deadline is not None and time.monotonic() > self.deadline)
                 or (self.stop is not None and self.stop.is_set())):
-            raise SearchTimeout(self.nodes, self.skips)
-        free = self.all_points_mask & ~self.partial_mask & ~excluded_mask
+            raise SearchTimeout(self.nodes)
+        free = self.all_points_mask & ~self.partial_mask & ~excluded_mask & ~self.blocked
         if exact_size and size + free.bit_count() < n_target:
             return False
-        if self.once == self.twice:  # no tangent line
+        if tangent_free:
             if not exact_size:
                 return bool(size and collect(tuple(self.partial)))
             if size == n_target:
                 collect(tuple(self.partial))
                 return False
-            branch = keep = free  # grow: branch over every remaining point
+            branch = free  # grow: branch over every remaining point
         else:
-            branch, keep = self._branch(free, n_target)
-        while keep:
-            bit = keep & -keep
-            keep ^= bit
+            branch = self._branch(free, n_target)
+        rest = branch
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
             self._add(bit.bit_length() - 1)
             stop = self._dfs(n_target, excluded_mask | (branch & (bit - 1)), exact_size, collect)
             self._remove()
@@ -321,60 +303,94 @@ def _enumerate_with_state(plane: Plane, n_target: int, seed_members=(), excluded
     return result, s.nodes
 
 
-def _frame_sets(plane: Plane, n: int):
-    """Tangent-free n-sets through the frame, one at least per PGL(3,q)
-    class: the exact-size DFS from `frame_seed` with the `frame_symmetries`
-    sibling skips of an existence search.  Returns (sets, nodes, skips), the
-    sets as sorted tuples in the order found.
+# -- heaviest-line seeds ---------------------------------------------------------
+
+
+def _heavy_line(plane) -> tuple[int, int]:
+    """(L0, P0): the index of the line z = 0 and that of the point (0,0,1),
+    which share the triple (0,0,1) and so one index."""
+    i = plane.index_of((0, 0, 1))
+    return i, i
+
+
+def _line_orbits(plane, m: int):
+    """The orbits of PGL(2,q) on the m-subsets of L0, lazily, each a list of
+    sorted index tuples headed by its least member.
+
+    PGL(2,q) acts through I + E01, the swap of x and y and diag(g,1,1), which
+    fix L0 and P0 and act on L0 as the 2x2 matrices [[1,1],[0,1]], [[0,1],
+    [1,0]] and diag(g,1); by the argument of `PGLGroup.generators` these
+    generate GL(2,q), which acts on L0 as PGL(2,q).  The m-subsets are taken
+    in `combinations` order, and each one not yet reached starts one
+    generator BFS (`_closure`), run only when the orbits before it are used.
+    """
+    l0 = plane.points_on_line[_heavy_line(plane)[0]]
+    g = plane.gf.generator if plane.q > 2 else 1
+    moves = []
+    for mat in ((1, 1, 0, 0, 1, 0, 0, 0, 1), (0, 1, 0, 1, 0, 0, 0, 0, 1), (g, 0, 0, 0, 1, 0, 0, 0, 1)):
+        image = {p: plane.apply_matrix(mat, p) for p in l0}
+        moves.append(lambda t, image=image: tuple(sorted(map(image.__getitem__, t))))
+    seen: set[tuple[int, ...]] = set()
+    for t in combinations(l0, m):
+        if t not in seen:
+            yield _closure(t, moves, seen)
+
+
+def _seeds(plane, n):
+    """(m, seed, excluded) for m = 2 .. min(n - 2, q + 1) and one m-subset A
+    of L0 per `_line_orbits` orbit, lazily: the seed is A, P0 and, when A is
+    not all of L0, the point (x, y, 1) for the first point b = (x, y, 0) of
+    L0 outside A; `excluded` is the mask of L0 outside A.  A search from a
+    seed keeps every line to at most m points (module docstring)."""
+    l0, p0 = _heavy_line(plane)
+    line = plane.points_on_line[l0]
+    for m in range(2, min(n - 2, plane.q + 1) + 1):
+        for orbit in _line_orbits(plane, m):
+            a = orbit[0]
+            outside = [p for p in line if p not in a]
+            seed = a + (p0,)
+            if outside:
+                x, y, _ = plane.coords[outside[0]]
+                seed += (plane.index_of((x, y, 1)),)
+            yield m, seed, mask_of(outside)
+
+
+def _seeded_sets(plane: Plane, n: int):
+    """Tangent-free n-sets, at least one per PGL(3,q) class: the exact-size
+    DFS from every seed of `_seeds`, under its line cap.  Returns (sets,
+    nodes), the sets as sorted tuples in the order found.
 
     Raises Infeasible unless 1 <= n <= the number of points.  A set of 1 to
-    3 points has a tangent, so those sizes give no sets and no nodes.
+    3 points has a tangent, so those sizes give no seeds, sets or nodes.
     """
     if n < 1:
         raise Infeasible("need n >= 1")
     if n > plane.n:
         raise Infeasible(f"n={n} exceeds the number of points")
-    if n < len(FRAME):
-        return [], 0, 0
-    s = _Searcher(plane)
-    s.symmetries = frame_symmetries(plane)
     out: list[tuple[int, ...]] = []
-    s.run(n, 0, True, lambda t: out.append(tuple(sorted(t))), seed=frame_seed(plane))
-    return out, s.nodes, s.skips
+    nodes = 0
+    for m, seed, excluded in _seeds(plane, n):
+        s = _Searcher(plane, m)
+        s.run(n, excluded, True, lambda t: out.append(tuple(sorted(t))), seed=seed)
+        nodes += s.nodes
+    return out, nodes
 
 
 def enumerate_tangent_free(q: int, n: int) -> list[tuple[int, ...]]:
     """Complete duplicate-free list of tangent-free n-sets in PG(2,q), as
     sorted tuples in ascending order: the PGL(3,q) orbits of the sets
-    `_frame_sets` finds.  Every class is reached: a non-empty tangent-free
-    set has a quadrangle and so an image through the frame (`frame_seed`),
-    and a skipped sibling's subtree holds only images of sets in an earlier
-    one.
-    """
-    sets = _frame_sets(plane_for_order(q), n)[0]
+    `_seeded_sets` finds, which meet every class."""
+    sets = _seeded_sets(plane_for_order(q), n)[0]
     return sorted(t for orbit in pgl_orbits(q, sets) for t in orbit)
 
 
 FRAME = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
 
 
-def frame_seed(plane) -> tuple[int, int, int, int]:
-    """Point indices of the standard frame <(1,0,0)>, <(0,1,0)>, <(0,0,1)>, <(1,1,1)>.
-
-    Searching the supersets of this one seed is exhaustive up to projective
-    equivalence.  Every non-empty tangent-free set contains a quadrangle (4
-    points, no 3 collinear): a set without one lies on a line plus one point,
-    and such a set always has a tangent.  PGL(3,q) is sharply transitive on
-    ordered frames, so a collineation maps any quadrangle of a tangent-free
-    set onto this frame, and the image is a tangent-free set of the same size
-    that contains it.
-    """
-    return tuple(plane.index_of(v) for v in FRAME)
-
-
 def frame_collineation(plane, quad) -> tuple[int, ...]:
-    """The collineation that sends the ordered quadrangle `quad` to the frame,
-    in order, as a point permutation (entry p is the image of point p).
+    """The collineation that sends the ordered quadrangle `quad` to the
+    points of `FRAME`, in order, as a point permutation (entry p is the image
+    of point p).
 
     With B the matrix whose columns are the first three points and
     lambda = B^-1 v4, the matrix B diag(lambda) sends the frame to `quad`; its
@@ -389,44 +405,41 @@ def frame_collineation(plane, quad) -> tuple[int, ...]:
     return tuple(plane.apply_matrix(to_frame, p) for p in range(plane.n))
 
 
-@lru_cache(maxsize=None)
-def frame_symmetries(plane) -> tuple[tuple[int, ...], ...]:
-    """The 23 collineations other than the identity that permute the four
-    frame points; with the identity they form Stab(frame), a copy of S4."""
-    frame = frame_seed(plane)
-    return tuple(frame_collineation(plane, quad) for quad in permutations(frame) if quad != frame)
+# -- existence levels ------------------------------------------------------------
 
 
-def _exists_from(plane, n, members, ex_mask, deadline, stop=None):
-    """Tangent-free set of size <= n containing `members` and avoiding
-    `ex_mask`, the node count and the symmetric siblings skipped; raises
-    SearchTimeout on the deadline or once the `stop` event is set.  Siblings
-    are skipped when `members` begins with the frame seed."""
-    s = _Searcher(plane)
+def _exists_from(plane, n, cap, members, ex_mask, deadline=None, stop=None):
+    """Tangent-free set of size <= n containing `members`, avoiding `ex_mask`
+    and meeting no line in more than `cap` points (None: no cap), and the
+    node count; raises SearchTimeout on the deadline or once the `stop` event
+    is set."""
+    s = _Searcher(plane, cap)
     s.deadline = deadline
     s.stop = stop
-    if tuple(members[:4]) == frame_seed(plane):
-        s.symmetries = frame_symmetries(plane)
     box = []
     s.run(n, ex_mask, False, lambda t: box.append(tuple(sorted(t))) or True, seed=members)
-    return (box[0] if box else None), s.nodes, s.skips
+    return (box[0] if box else None), s.nodes
 
 
-def _frontier_jobs(plane, n, min_jobs):
-    """Split the frame-seeded root into independent (partial, excluded)
-    subtrees: the DFS cut at 1..6 points past the seed, at the first depth
-    that gives min_jobs of them, so the frontier branches, prunes and skips
-    symmetric siblings by the DFS's own repair step.  Returns the jobs, in DFS
-    order, and the nodes expanded and siblings skipped above them."""
-    seed = frame_seed(plane)
+# the frontier cuts each seed's subtree into at least this many jobs where
+# its depth allows, whatever the worker count, so that a level's node count
+# does not depend on it: 3 per worker on 2 CPUs
+JOBS_PER_SEED = 6
+
+
+def _frontier_jobs(plane, n, m, seed, ex_mask, min_jobs):
+    """Split one seed's subtree into independent (partial, excluded) jobs: the
+    DFS under line cap m cut at 1..6 points past the seed, at the first depth
+    that gives min_jobs of them, so the frontier branches and prunes by the
+    DFS's own repair step.  Returns the jobs, in DFS order, and the nodes
+    expanded above them."""
     for depth in range(1, 7):
-        st = _Searcher(plane)
-        st.symmetries = frame_symmetries(plane)
+        st = _Searcher(plane, m)
         st.cut = len(seed) + depth
-        st.run(n, 0, False, None, seed=seed)
+        st.run(n, ex_mask, False, None, seed=seed)
         if len(st.jobs) >= min_jobs:
             break
-    return st.jobs, st.nodes, st.skips
+    return st.jobs, st.nodes
 
 
 _stop = None  # a pool worker's stop event, set by `_start_worker`
@@ -442,51 +455,58 @@ def _start_worker(stop):
 
 
 def _run_job(args):
-    """One frontier subtree: (witness or None, nodes, skips, unfinished).  A
-    job returns unfinished when the deadline passes or, in a pool worker, once
+    """One frontier subtree: (witness or None, nodes, unfinished).  A job
+    returns unfinished when the deadline passes or, in a pool worker, once
     the level has set the stop event."""
-    spec, n, members, ex_mask, deadline = args
+    spec, n, m, members, ex_mask, deadline = args
     if (deadline is not None and time.monotonic() > deadline) or (_stop is not None and _stop.is_set()):
-        return None, 0, 0, True
+        return None, 0, True
     try:
-        # a forked worker inherits the parent's plane and symmetry caches
+        # a forked worker inherits the parent's plane cache
         plane = plane_for(spec.p, spec.h, spec.modulus)
-        return *_exists_from(plane, n, members, ex_mask, deadline, _stop), False
+        return *_exists_from(plane, n, m, members, ex_mask, deadline, _stop), False
     except SearchTimeout as e:
-        return None, e.nodes, e.skips, True
+        return None, e.nodes, True
 
 
 def _exists(plane, n, workers=1, deadline=None):
-    """Tangent-free set of size <= n containing the frame seed, the node count
-    and the symmetric siblings skipped; raises SearchTimeout on the deadline.
+    """Tangent-free set of size <= n and the node count; raises SearchTimeout
+    on the deadline.
 
-    The frontier splits the level into jobs, at least 3 per worker where its
-    depth allows.  They run in job order, in this process for one worker or
-    one job and in a fork pool otherwise; the first job that finds a witness
-    or runs out of time settles the level, as in the serial DFS, and the later
-    jobs stay uncounted.  The pool is never terminated, since a worker
-    signalled while it sends a result can leave the result queue locked: the
-    level sets the stop event the workers inherit, so every job still queued
-    or running returns within 4096 nodes, and the pool is closed and joined.
+    The seeds are taken one m at a time, in `_seeds` order, and the frontier
+    splits each seed's subtree into jobs.  The jobs of one m run in order, in
+    this process for one worker and in a fork pool otherwise; the first job
+    that finds a witness or runs out of time settles the level, as in the
+    serial DFS, and the later jobs stay uncounted.  `_seeds` builds its
+    orbits lazily, so a level settled at a small m builds few of them.  The
+    pool is never terminated, since a worker signalled while it sends a
+    result can leave the result queue locked: the level sets the stop event
+    the workers inherit, so every job still queued or running returns within
+    4096 nodes, and the pool is closed and joined.
     """
     import multiprocessing as mp
 
-    jobs, nodes, skips = _frontier_jobs(plane, n, 3 * workers)
-    args = [(plane.gf.spec, n, members, ex_mask, deadline) for members, ex_mask in jobs]
-    pool = None
-    if workers > 1 and len(jobs) > 1:
-        ctx = mp.get_context("fork")
-        stop = ctx.Event()
-        pool = ctx.Pool(workers, initializer=_start_worker, initargs=(stop,))
+    nodes = 0
+    pool = stop = None
     try:
-        for witness, cnt, skipped, timed_out in (pool.imap if pool else map)(_run_job, args):
-            nodes += cnt
-            skips += skipped
-            if timed_out:
-                raise SearchTimeout(nodes, skips)
-            if witness is not None:
-                return witness, nodes, skips
-        return None, nodes, skips
+        for m, seeds in groupby(_seeds(plane, n), key=itemgetter(0)):
+            jobs = []
+            for _, seed, ex_mask in seeds:
+                cut, cnt = _frontier_jobs(plane, n, m, seed, ex_mask, JOBS_PER_SEED)
+                jobs += cut
+                nodes += cnt
+            if pool is None and workers > 1 and len(jobs) > 1:
+                ctx = mp.get_context("fork")
+                stop = ctx.Event()
+                pool = ctx.Pool(workers, initializer=_start_worker, initargs=(stop,))
+            args = [(plane.gf.spec, n, m, members, ex_mask, deadline) for members, ex_mask in jobs]
+            for witness, cnt, timed_out in (pool.imap if pool else map)(_run_job, args):
+                nodes += cnt
+                if timed_out:
+                    raise SearchTimeout(nodes)
+                if witness is not None:
+                    return witness, nodes
+        return None, nodes
     finally:
         if pool is not None:
             stop.set()
@@ -506,7 +526,6 @@ class SearchResult:
     wall_time: float
     status: str = "ok"  # ok | not_found | budget_exceeded
     witness_source: str = ""
-    symmetry_skips: int = 0  # symmetric siblings skipped, summed like nodes
 
 
 def known_witnesses(q: int) -> dict[int, tuple[int, ...]]:
@@ -516,7 +535,8 @@ def known_witnesses(q: int) -> dict[int, tuple[int, ...]]:
 
     out: dict[int, tuple[int, ...]] = {}
     for c in constructions_at(q):
-        assert is_tangent_free(c.points) and len(c.points) > 0
+        if not (len(c.points) > 0 and is_tangent_free(c.points)):
+            raise AssertionError(f"construction {c.name} at q={q} is not a tangent-free set")
         out.setdefault(len(c.points), c.points.sorted_tuple())
     if q % 4 == 3 and 7 <= q <= 13:
         # conic plus a no-3-collinear exterior clique, when one exists
@@ -552,38 +572,37 @@ def min_tangent_free(q: int, size_cap: int | None = None, workers: int | None = 
     if size_cap < bound:
         raise CapTooSmall(f"cap {size_cap} below the proven lower bound {bound}")
     witnesses = known_witnesses(q)
-    nodes = skips = 0
+    nodes = 0
     deadline = None if budget_s is None else t0 + budget_s
 
     def best_witness():
         best = min((m for m in witnesses if m <= size_cap), default=None)
         return witnesses[best] if best is not None else None
 
+    def checked(w, n):
+        ps = PointSet(plane, w)
+        if not (len(ps) == n and is_tangent_free(ps)):
+            raise AssertionError(f"the witness of size {n} at q={q} is not a tangent-free {n}-set")
+        return w
+
     for n in range(bound, size_cap + 1):
         if n in witnesses:
-            w = witnesses[n]
-            assert is_tangent_free(PointSet(plane, w))
-            return SearchResult(q, size_cap, True, n, w, nodes, n,
-                                time.monotonic() - t0, "ok", "construction", symmetry_skips=skips)
+            return SearchResult(q, size_cap, True, n, checked(witnesses[n], n), nodes, n,
+                                time.monotonic() - t0, "ok", "construction")
         try:
-            wit, cnt, skipped = _exists(plane, n, workers, deadline)
+            wit, cnt = _exists(plane, n, workers, deadline)
         except SearchTimeout as e:
             return SearchResult(q, size_cap, False, None, best_witness(),
-                                nodes + e.nodes, n, time.monotonic() - t0, "budget_exceeded",
-                                symmetry_skips=skips + e.skips)
+                                nodes + e.nodes, n, time.monotonic() - t0, "budget_exceeded")
         nodes += cnt
-        skips += skipped
         if wit is not None:
-            ps = PointSet(plane, wit)
-            assert is_tangent_free(ps) and len(ps) == n
-            return SearchResult(q, size_cap, True, n, wit, nodes, n,
-                                time.monotonic() - t0, "ok", "search", symmetry_skips=skips)
+            return SearchResult(q, size_cap, True, n, checked(wit, n), nodes, n,
+                                time.monotonic() - t0, "ok", "search")
         if deadline is not None and time.monotonic() > deadline:
             return SearchResult(q, size_cap, False, None, best_witness(),
-                                nodes, n + 1, time.monotonic() - t0, "budget_exceeded",
-                                symmetry_skips=skips)
+                                nodes, n + 1, time.monotonic() - t0, "budget_exceeded")
     return SearchResult(q, size_cap, False, None, None, nodes, size_cap + 1,
-                        time.monotonic() - t0, "not_found", symmetry_skips=skips)
+                        time.monotonic() - t0, "not_found")
 
 
 def u_extended(q: int, budget_s: float = 3600.0, workers: int | None = None) -> SearchResult:
@@ -730,6 +749,6 @@ def classify_up_to_pgl(q: int, sets) -> list[OrbitRep]:
 
 def classify_tangent_free(q: int, n: int) -> list[OrbitRep]:
     """The PGL(3,q) classes of the tangent-free n-sets of PG(2,q), classified
-    from the `_frame_sets` sets alone: they meet every class, and the orbit
+    from the `_seeded_sets` sets alone: they meet every class, and the orbit
     pass closes each class it meets, so each class has its full size."""
-    return classify_up_to_pgl(q, _frame_sets(plane_for_order(q), n)[0])
+    return classify_up_to_pgl(q, _seeded_sets(plane_for_order(q), n)[0])

@@ -218,22 +218,25 @@ def secant_bound_check(p: int) -> SecantBoundReport:
     """Exhaustively confirm, for prime p, that every tangent-free set of size
     at most 2p having a line with >= |S|/2 - (p-1)/4 of its points is trivial.
 
-    The heavy line is pinned to line 0 (the collineation group is transitive
-    on lines); completions are enumerated by the exact-size repair search.
+    The heavy line is pinned to L0 (z = 0; the collineation group is
+    transitive on lines), and S meets it in one representative x-subset per
+    PGL(2,p) orbit (`search._line_orbits`); being trivial and the largest
+    secant are invariant under the group, so the verdict is that of every
+    x-subset.  Completions are enumerated by the exact-size repair search.
+    `heavy_sets_found` counts the sets found through those representatives,
+    at least one per PGL(3,p) class, and `nodes` the nodes of their searches.
     """
     from .plane import plane_for
-    from .search import _enumerate_with_state
+    from .search import _enumerate_with_state, _heavy_line, _line_orbits
 
     plane = plane_for(p, 1)
     q = plane.q
-    l0 = 0
-    pts0 = plane.points_on_line[l0]
+    pts0 = plane.points_on_line[_heavy_line(plane)[0]]
     heavy_found = 0
     all_trivial = True
     max_sec: dict[int, int] = {}
     nodes = 0
     sizes = tuple(range(q + 2, 2 * q + 1))
-    from itertools import combinations
 
     for s_total in sizes:
         # smallest x with x >= s/2 - (p-1)/4
@@ -241,9 +244,10 @@ def secant_bound_check(p: int) -> SecantBoundReport:
         for x in range(max(xmin, 2), q + 2):
             if x > s_total:
                 break
-            for subset in combinations(pts0, x):
+            for orbit in _line_orbits(plane, x):
+                subset = orbit[0]
                 excluded = set(pts0) - set(subset)
-                found, cnt = _enumerate_with_state(plane, s_total, list(subset), excluded)
+                found, cnt = _enumerate_with_state(plane, s_total, subset, excluded)
                 nodes += cnt
                 for members in found:
                     ps = PointSet(plane, members)

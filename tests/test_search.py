@@ -1,5 +1,6 @@
 import time
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+from math import comb
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from pg2q.conic import canonical_conic
 from pg2q.plane import PointSet, mask_bits, plane_for_order
 from pg2q.search import (
     FRAME,
+    JOBS_PER_SEED,
     CapTooSmall,
     Infeasible,
     OrbitRep,
@@ -19,15 +21,16 @@ from pg2q.search import (
     _enumerate_with_state,
     _exists,
     _exists_from,
-    _frame_sets,
     _frontier_jobs,
+    _heavy_line,
+    _line_orbits,
     _Searcher,
+    _seeded_sets,
+    _seeds,
     brute_force_min,
     classify_up_to_pgl,
     enumerate_tangent_free,
     frame_collineation,
-    frame_seed,
-    frame_symmetries,
     known_witnesses,
     lower_bound,
     min_tangent_free,
@@ -84,47 +87,72 @@ def _triple_seed_witness(pl, n):
     return None
 
 
-def test_frame_seed_agrees_with_triple_seeds():
-    """The frame seed settles every level from the sqrt bound to u_q like the
-    two-triple reference."""
-    for q, u in [(3, 6), (4, 6), (5, 10), (7, 12)]:
-        pl = plane_for_order(q)
-        for n in range(lower_bound(q), u + 1):
-            wf = _exists(pl, n)[0]
-            wt = _triple_seed_witness(pl, n)
-            assert (wf is None) == (wt is None) == (n < u)
-            if wf is not None:
-                assert set(frame_seed(pl)) <= set(wf)
-                assert is_tangent_free(PointSet(pl, wf)) and len(wf) == n
-                assert is_tangent_free(PointSet(pl, wt)) and len(wt) == n
+def _frame(pl):
+    """The point indices of FRAME."""
+    return tuple(pl.index_of(v) for v in FRAME)
 
 
-def _unpruned_witness(pl, n):
-    """Reference existence search from the frame seed that skips no
-    symmetric sibling."""
-    s = _Searcher(pl)
-    s.symmetries = ()
+def _frame_witness(pl, n):
+    """Reference existence search: the repair DFS from the frame, with no line
+    cap.  The frame seed is exhaustive: a non-empty tangent-free set lies on
+    no line plus one point, so it holds a quadrangle, and PGL(3,q) maps any
+    ordered quadrangle onto the frame."""
     box = []
-    s.run(n, 0, False, lambda t: box.append(tuple(sorted(t))) or True, seed=frame_seed(pl))
+    _Searcher(pl).run(n, 0, False, lambda t: box.append(tuple(sorted(t))) or True, seed=_frame(pl))
     return box[0] if box else None
 
 
+def test_frame_seed_agrees_with_triple_seeds():
+    """The frame-seeded reference settles every level from the sqrt bound to
+    u_q like the two-triple reference, and so does the heaviest-line search."""
+    for q, u in [(3, 6), (4, 6), (5, 10), (7, 12)]:
+        pl = plane_for_order(q)
+        for n in range(lower_bound(q), u + 1):
+            wf = _frame_witness(pl, n)
+            wt = _triple_seed_witness(pl, n)
+            wh = _exists(pl, n)[0]
+            assert (wf is None) == (wt is None) == (wh is None) == (n < u)
+            if wf is not None:
+                assert set(_frame(pl)) <= set(wf)
+                for w in (wf, wt, wh):
+                    assert is_tangent_free(PointSet(pl, w)) and len(w) == n
+
+
 # every level from the sqrt bound to u_q, and q=9 n=13
-LEVELS = pytest.mark.parametrize(
-    "q,levels", [(3, range(6, 7)), (4, range(6, 7)), (5, range(8, 11)), (7, range(10, 13)),
-                 (8, range(10, 11)), (9, range(13, 14))],
-    ids=["q3", "q4", "q5", "q7", "q8", "q9-n13"])
+LEVELS = [(3, range(6, 7)), (4, range(6, 7)), (5, range(8, 11)), (7, range(10, 13)),
+          (8, range(10, 11)), (9, range(13, 14))]
+LEVEL_IDS = ["q3", "q4", "q5", "q7", "q8", "q9-n13"]
 
 
-@LEVELS
+@pytest.mark.parametrize("q,levels", LEVELS + [(9, range(14, 16)), (16, range(18, 19))],
+                         ids=LEVEL_IDS + ["q9-n14-15", "q16"])
 def test_symmetry_skips_keep_verdict_and_witness(q, levels):
-    """Skipping symmetric siblings settles every level from the sqrt bound to
-    u_q (and q=9 n=13) as the search without skips does, with the same
-    witness."""
+    """The search skips symmetry at its seeds: one m-subset of L0 per PGL(2,q)
+    orbit, P0, and one point of the line P0 b.  That settles every level from
+    the sqrt bound to u_q as the frame-seeded reference does, and a witness
+    is a tangent-free set of at most n points, the same at workers 1 and 2."""
     pl = plane_for_order(q)
-    assert levels.start == lower_bound(q)
+    assert levels.start == lower_bound(q) or q == 9
     for n in levels:
-        assert _exists(pl, n)[0] == _unpruned_witness(pl, n)
+        witness = _exists(pl, n)[0]
+        assert (witness is None) == (_frame_witness(pl, n) is None)
+        if witness is not None:
+            assert is_tangent_free(PointSet(pl, witness)) and len(witness) <= n
+            assert _exists(pl, n, 2)[0] == witness
+
+
+def _seeded_search(pl, n, searcher=_Searcher):
+    """An existence level without the frontier: the DFS from each seed in
+    order under its line cap.  Returns the witness or None and the nodes."""
+    nodes = 0
+    for m, seed, excluded in _seeds(pl, n):
+        s = searcher(pl, m)
+        box = []
+        s.run(n, excluded, False, lambda t: box.append(tuple(sorted(t))) or True, seed=seed)
+        nodes += s.nodes
+        if box:
+            return box[0], nodes
+    return None, nodes
 
 
 class _PreCoverSearcher(_Searcher):
@@ -132,13 +160,13 @@ class _PreCoverSearcher(_Searcher):
     matching and the largest pencil prune, as before the cover was added."""
 
     def _branch(self, free, n_target):
-        tangents = self.once & ~self.twice
+        tangents = self.levels[1] & ~self.levels[2]
         used = k = 0
         best_avail, best_cnt = 0, self.plane.n + 1
         for l in mask_bits(tangents):
             avail = self.line_masks[l] & free
             if not avail:
-                return 0, 0
+                return 0
             if not avail & used:
                 k += 1
                 used |= avail
@@ -146,27 +174,21 @@ class _PreCoverSearcher(_Searcher):
                 best_avail, best_cnt = avail, avail.bit_count()
         max_pencil = max((tangents & self.line_masks[p]).bit_count() for p in self.partial)
         if len(self.partial) + max(k, max_pencil) > n_target:
-            return 0, 0
-        if not self.symmetries:
-            return best_avail, best_avail
-        skip = self._symmetric_siblings(best_avail, free)
-        self.skips += skip.bit_count()
-        return best_avail, best_avail & ~skip
+            return 0
+        return best_avail
 
 
-@LEVELS
+@pytest.mark.parametrize("q,levels", LEVELS, ids=LEVEL_IDS)
 def test_cover_bound_keeps_verdict_and_witness(q, levels):
     """The cover bound prunes only nodes without a completion, so every level
-    is settled with the witness of the search without it, in no more nodes."""
+    is settled from the same seeds with the witness of the search without
+    it, in no more nodes; the frontier keeps that witness."""
     pl = plane_for_order(q)
     for n in levels:
-        s = _PreCoverSearcher(pl)
-        s.symmetries = frame_symmetries(pl)
-        box = []
-        s.run(n, 0, False, lambda t: box.append(tuple(sorted(t))) or True, seed=frame_seed(pl))
-        witness, nodes, _ = _exists(pl, n)
-        assert witness == (box[0] if box else None)
-        assert witness is not None or nodes <= s.nodes
+        pre_witness, pre_nodes = _seeded_search(pl, n, _PreCoverSearcher)
+        witness, nodes = _seeded_search(pl, n)
+        assert witness == pre_witness == _exists(pl, n)[0]
+        assert witness is not None or nodes <= pre_nodes
 
 
 @pytest.mark.parametrize("q,n", [(4, 11), (5, 10)])
@@ -188,7 +210,7 @@ def test_cover_bound_alone_prunes():
     tangents through each frame point, 8 in all), but the best 2 free points
     repair 4 + 2 < 8 tangents, so the cover prunes it."""
     pl = plane_for_order(4)
-    frame = frame_seed(pl)
+    frame = _frame(pl)
     secants = {pl.line_through(a, b) for a in frame for b in frame if a < b}
     off = [x for x in range(pl.n) if x not in frame and not any(pl.incident(x, l) for l in secants)]
     assert len(off) == 2
@@ -198,10 +220,10 @@ def test_cover_bound_alone_prunes():
     free = s.all_points_mask & ~s.partial_mask & ~(1 << off[0])
     assert _reference_scan(pl, s.partial, free, 6, cover=False)[1]
     assert _reference_scan(pl, s.partial, free, 6)[1] == 0
-    assert s._branch(free, 6) == (0, 0)
-    assert s._branch(free | 1 << off[0], 6) != (0, 0)
-    assert _exists_from(pl, 6, frame, 1 << off[0], None)[0] is None
-    assert _exists_from(pl, 6, frame, 0, None)[0] == tuple(sorted(frame + tuple(off)))
+    assert s._branch(free, 6) == 0
+    assert s._branch(free | 1 << off[0], 6) != 0
+    assert _exists_from(pl, 6, None, frame, 1 << off[0])[0] is None
+    assert _exists_from(pl, 6, None, frame, 0)[0] == tuple(sorted(frame + tuple(off)))
 
 
 def _frame_stabiliser_reference(pl):
@@ -231,10 +253,9 @@ def _frame_stabiliser_reference(pl):
 def test_frame_collineation_orderings(q):
     """frame_collineation sends each of the 24 orderings of the frame to the
     frame; the 24 maps are closed under composition and are the stabiliser
-    generated from permutation matrices, and frame_symmetries is that group
-    less the identity."""
+    generated from permutation matrices."""
     pl = plane_for_order(q)
-    frame = frame_seed(pl)
+    frame = _frame(pl)
     maps = []
     for quad in permutations(frame):
         g = frame_collineation(pl, quad)
@@ -245,7 +266,6 @@ def test_frame_collineation_orderings(q):
     assert len(group) == 24
     assert all(tuple(a[b[p]] for p in range(pl.n)) in group for a in maps for b in maps)
     assert group == _frame_stabiliser_reference(pl)
-    assert set(frame_symmetries(pl)) == group - {tuple(range(pl.n))}
 
 
 @pytest.mark.parametrize("q", [7, 9])
@@ -260,12 +280,77 @@ def test_frame_collineation_inverts_a_random_collineation(q):
     rng = random.Random(q)
     for _ in range(5):
         m = random_invertible(pl.gf, rng)
-        g = frame_collineation(pl, tuple(pl.apply_matrix(m, p) for p in frame_seed(pl)))
+        g = frame_collineation(pl, tuple(pl.apply_matrix(m, p) for p in _frame(pl)))
         assert all(g[pl.apply_matrix(m, p)] == p for p in range(pl.n))
     line = pl.points_on_line[0]
     off = next(p for p in range(pl.n) if not pl.incident(p, 0))
     with pytest.raises(ZeroDivisionError):
         frame_collineation(pl, (line[0], line[1], line[2], off))
+
+
+def _line_group_reference(pl):
+    """PGL(2,q) on L0 from every invertible 2x2 matrix M, acting as the
+    block matrix diag(M, 1), as permutations of the points of L0."""
+    gf, line = pl.gf, pl.points_on_line[_heavy_line(pl)[0]]
+    perms = set()
+    for a, b, c, d in product(range(pl.q), repeat=4):
+        if gf.sub(gf.mul(a, d), gf.mul(b, c)):
+            perms.add(tuple(pl.apply_matrix((a, b, 0, c, d, 0, 0, 0, 1), p) for p in line))
+    return line, perms
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 16, 25, 27])
+def test_line_orbits(q):
+    """The orbits on the m-subsets of L0 partition them, each headed by its
+    least member: their sizes sum to C(q+1, m) and each divides
+    |PGL(2,q)| = q(q^2 - 1).  PGL(2,q) is 3-transitive on the line, so m = 3
+    gives one orbit.  Up to q = 9 the orbits are those of every invertible
+    2x2 matrix acting on L0."""
+    pl = plane_for_order(q)
+    l0, p0 = _heavy_line(pl)
+    assert pl.coords[l0] == pl.coords[p0] == (0, 0, 1)
+    line = pl.points_on_line[l0]
+    assert all(pl.coords[p][2] == 0 for p in line)
+    group = _line_group_reference(pl)[1] if q <= 9 else None
+    for m in range(2, 5):
+        orbits = list(_line_orbits(pl, m))
+        assert sum(map(len, orbits)) == comb(q + 1, m)
+        assert len({t for orbit in orbits for t in orbit}) == comb(q + 1, m)
+        for orbit in orbits:
+            assert q * (q * q - 1) % len(orbit) == 0
+            assert orbit[0] == min(orbit) and all(set(t) <= set(line) for t in orbit)
+        if m == 3:
+            assert len(orbits) == 1
+        if group is not None:
+            where = {p: i for i, p in enumerate(line)}
+            for orbit in orbits:
+                t = orbit[0]
+                image = {tuple(sorted(g[where[p]] for p in t)) for g in group}
+                assert image == set(orbit)
+
+
+def test_seeds_lie_on_the_heavy_line():
+    """Each seed is its m-subset A of L0, P0 and (x, y, 1) for the first point
+    b = (x, y, 0) of L0 outside A; the excluded points are L0 outside A, and
+    no line meets the seed in more than m points.  m runs from 2 to
+    min(n - 2, q + 1), so a set of fewer than 4 points has no seed."""
+    for q, n in [(4, 21), (5, 10), (7, 12), (9, 14)]:
+        pl = plane_for_order(q)
+        l0, p0 = _heavy_line(pl)
+        line = pl.points_on_line[l0]
+        caps = []
+        for m, seed, excluded in _seeds(pl, n):
+            caps.append(m)
+            a = seed[:m]
+            assert set(a) <= set(line) and seed[m] == p0
+            outside = [p for p in line if p not in a]
+            assert excluded == sum(1 << p for p in outside)
+            if outside:
+                x, y, _ = pl.coords[outside[0]]
+                assert pl.coords[seed[m + 1]] == (x, y, 1)
+            assert max(PointSet(pl, seed).per_line) == m == PointSet(pl, seed).per_line[l0]
+        assert sorted(set(caps)) == list(range(2, min(n - 2, q + 1) + 1)) and caps == sorted(caps)
+    assert list(_seeds(plane_for_order(3), 3)) == []
 
 
 def _reference_scan(pl, partial, free, n_target, cover=True):
@@ -320,10 +405,10 @@ class _CheckedSearcher(_Searcher):
     def _branch(self, free, n_target):
         got = super()._branch(free, n_target)
         tangents, ref = _reference_scan(self.plane, self.partial, free, n_target)
-        assert self.once & ~self.twice == sum(1 << l for l in tangents)
-        assert got[0] == ref and (ref or got == (0, 0))
+        assert self.levels[1] & ~self.levels[2] == sum(1 << l for l in tangents)
+        assert got == ref
         r = n_target - len(self.partial)
-        pencils = [(self.once & ~self.twice & self.line_masks[p]).bit_count() for p in self.partial]
+        pencils = [(self.levels[1] & ~self.levels[2] & self.line_masks[p]).bit_count() for p in self.partial]
         if 1 < max(pencils) <= r:
             self.shared += 1
         if not ref and _reference_scan(self.plane, self.partial, free, n_target, cover=False)[1]:
@@ -332,18 +417,20 @@ class _CheckedSearcher(_Searcher):
 
 
 def test_repair_step_matches_reference_at_every_node():
-    """At every node of a frame-seeded existence level with symmetric
-    sibling skips, and of an enumeration, the repair step prunes and
-    branches as the per-line definition does.  Both searches reach nodes
-    with several tangents through one member, which the cover counts once
-    per member, and nodes that only the cover prunes."""
+    """At every node of an existence level's searches from all its seeds, and
+    of an enumeration, the repair step prunes and branches as the per-line
+    definition does.  Both reach nodes with several tangents through one
+    member, which the cover counts once per member, and nodes that only the
+    cover prunes."""
     pl = plane_for_order(7)
-    s = _CheckedSearcher(pl)
-    s.symmetries = frame_symmetries(pl)
-    box = []
-    s.run(11, 0, False, lambda t: box.append(t) or True, seed=frame_seed(pl))
-    assert not box and (s.nodes, s.skips) == (702, 3)
-    assert s.shared and s.cover_only
+    nodes = shared = cover_only = 0
+    for m, seed, excluded in _seeds(pl, 11):
+        s = _CheckedSearcher(pl, m)
+        box = []
+        s.run(11, excluded, False, lambda t: box.append(t) or True, seed=seed)
+        assert not box
+        nodes, shared, cover_only = nodes + s.nodes, shared + s.shared, cover_only + s.cover_only
+    assert nodes == 142 and shared and cover_only
     s = _CheckedSearcher(plane_for_order(4))
     out = []
     s.run(8, 0, True, out.append)
@@ -351,14 +438,63 @@ def test_repair_step_matches_reference_at_every_node():
     assert s.shared and s.cover_only
 
 
+def _cap_state(pl, partial, cap):
+    """The line-cap state from per-line counts: the mask of the lines with at
+    least k members for k = 0 .. max(cap, 2), and the points on the lines
+    with at least cap members (none without a cap)."""
+    per_line = PointSet(pl, partial).per_line
+    levels = [sum(1 << l for l, c in enumerate(per_line) if c >= k) for k in range(max(cap or 0, 2) + 1)]
+    blocked = 0
+    for l, c in enumerate(per_line):
+        if cap and c >= cap:
+            blocked |= pl.line_masks[l]
+    return levels, blocked, max(per_line)
+
+
+class _CapCheckedSearcher(_Searcher):
+    """A searcher whose line counts and blocked points are checked against
+    PointSet.per_line at every node it reaches."""
+
+    checked = 0
+
+    def _dfs(self, n_target, excluded_mask, exact_size, collect):
+        levels, blocked, top = _cap_state(self.plane, self.partial, self.cap)
+        assert self.levels == levels and top <= self.cap
+        free = self.all_points_mask & ~self.partial_mask & ~excluded_mask
+        # the blocked points are exactly the free points on lines with m members
+        assert self.blocked & free == blocked & free and self.blocked == blocked
+        self.checked += 1
+        return super()._dfs(n_target, excluded_mask, exact_size, collect)
+
+
+@pytest.mark.parametrize("q,n", [(5, 10), (5, 12), (7, 11), (7, 12)])
+def test_line_cap_state_matches_line_counts(q, n):
+    """At every node of the exhaustive exact-size DFS from every seed, the
+    unary line counts and the blocked points are those of the per-line
+    counts, no line holds more than m points, and the search lists the sets
+    and nodes of `_seeded_sets`."""
+    pl = plane_for_order(q)
+    out = []
+    checked = nodes = 0
+    for m, seed, excluded in _seeds(pl, n):
+        s = _CapCheckedSearcher(pl, m)
+        s.run(n, excluded, True, lambda t: out.append(tuple(sorted(t))), seed=seed)
+        checked += s.checked
+        nodes += s.nodes
+        assert not s.undo and s.blocked == 0 and s.levels == _cap_state(pl, (), m)[0]
+    assert checked == nodes > 0
+    assert (out, nodes) == _seeded_sets(pl, n)
+
+
 @settings(max_examples=60, deadline=None)
 @given(q=st.sampled_from([4, 5, 7, 9, 11]), data=st.data())
 def test_kernel_masks_match_line_counts(q, data):
-    """Over random add/remove sequences the bitmask state gives the tangent
-    lines of the partial set and the same repair step as the per-line
-    definition."""
+    """Over random add/remove sequences the bitmask state gives the line
+    counts, the tangent lines and the blocked points of the partial set, and
+    the same repair step as the per-line definition."""
     pl = plane_for_order(q)
-    s = _Searcher(pl)
+    cap = data.draw(st.none() | st.integers(2, q + 1))
+    s = _Searcher(pl, cap)
     ops = data.draw(st.lists(st.tuples(st.booleans(), st.integers(0, pl.n - 1)), max_size=40))
     excluded = data.draw(st.integers(0, (1 << pl.n) - 1))
     n_target = data.draw(st.integers(1, 2 * q + 2))
@@ -367,66 +503,62 @@ def test_kernel_masks_match_line_counts(q, data):
             s._add(p)
         elif not add and s.partial:
             s._remove()
+        levels, blocked, _ = _cap_state(pl, s.partial, cap)
+        assert s.levels == levels and s.blocked == blocked
         free = s.all_points_mask & ~s.partial_mask & ~excluded
         tangents, ref = _reference_scan(pl, s.partial, free, n_target)
-        assert s.once & ~s.twice == sum(1 << l for l in tangents)
-        assert (s.once == s.twice) == (not tangents)
+        assert s.levels[1] & ~s.levels[2] == sum(1 << l for l in tangents)
         if ref is not None:
-            assert s._branch(free, n_target) == (ref, ref)
+            assert s._branch(free, n_target) == ref
     while s.partial:
         s._remove()
-    assert s.once == s.twice == s.partial_mask == 0 and not s.undo
+    assert s.levels == _cap_state(pl, (), cap)[0] and s.blocked == s.partial_mask == 0 and not s.undo
 
 
 def test_exact_node_counts():
-    """The DFS makes the same decisions, so its node and skip counts are
-    fixed."""
-    assert _exists(plane_for_order(7), 11) == (None, 702, 3)
-    assert _exists(plane_for_order(9), 13) == (None, 2_680, 10)
-    assert _exists(plane_for_order(9), 14) == (None, 30_022, 10)
-    assert _exists(plane_for_order(11), 15) == (None, 64_064, 6)
-    w, nodes, _ = _exists(plane_for_order(8), 10)
-    assert nodes == 26
+    """The DFS makes the same decisions, so its node counts are fixed."""
+    assert _exists(plane_for_order(7), 11) == (None, 142)
+    assert _exists(plane_for_order(9), 13) == (None, 911)
+    assert _exists(plane_for_order(9), 14) == (None, 7_793)
+    assert _exists(plane_for_order(11), 15) == (None, 8_323)
+    w, nodes = _exists(plane_for_order(8), 10)
+    assert nodes == 11
     assert is_tangent_free(PointSet(plane_for_order(8), w)) and len(w) == 10
     sets, nodes = _enumerate_with_state(plane_for_order(5), 10)
     assert len(sets) == 3565 and nodes == 84_511
     sets, nodes = _enumerate_with_state(plane_for_order(4), 11)
     assert len(sets) == 8568 and nodes == 64_220
-    sets, nodes, skips = _frame_sets(plane_for_order(5), 10)
-    assert (nodes, len(sets), skips) == (554, 21, 2)
-    sets, nodes, skips = _frame_sets(plane_for_order(4), 11)
-    assert (nodes, len(sets), skips) == (1_972, 316, 2)
-    assert secant_bound_check(5).nodes == 6_892
+    sets, nodes = _seeded_sets(plane_for_order(5), 10)
+    assert (nodes, len(sets)) == (107, 6)
+    sets, nodes = _seeded_sets(plane_for_order(4), 11)
+    assert (nodes, len(sets)) == (497, 78)
+    sets, nodes = _seeded_sets(plane_for_order(7), 12)
+    assert (nodes, len(sets)) == (836, 12)
+    assert secant_bound_check(5).nodes == 500
 
 
-def _reference_frontier_jobs(pl, n, min_jobs, seed):
+def _reference_frontier_jobs(pl, n, m, seed, ex_mask, min_jobs):
     """Frontier expansion node by node: each node's state is rebuilt from its
-    members, the branch comes from the per-line definition, and the node's
-    symmetries are the elements of the reference Stab(frame) that fix its
-    members and its excluded points as sets."""
-    stab = _frame_stabiliser_reference(pl)
+    members, the blocked points from the per-line counts, and the branch
+    from the per-line definition."""
     jobs = []
 
     def expand(members, ex_mask, depth):
-        free = (1 << pl.n) - 1 & ~sum(1 << p for p in members) & ~ex_mask
+        blocked = _cap_state(pl, members, m)[1]
+        free = (1 << pl.n) - 1 & ~sum(1 << p for p in members) & ~ex_mask & ~blocked
         tangents, avail = _reference_scan(pl, members, free, n)
         if depth == 0 or not tangents:
             jobs.append((members, ex_mask))
             return
-        excluded = {p for p in range(pl.n) if ex_mask >> p & 1}
-        group = [g for g in stab if {g[p] for p in members} == set(members)
-                 and {g[e] for e in excluded} == excluded]
-        branch = [p for p in range(pl.n) if avail >> p & 1]
         ex = ex_mask
-        for j, a in enumerate(branch):
-            if not any(g[b] == a for g in group for b in branch[:j]):
-                expand(members + (a,), ex, depth - 1)
+        for a in mask_bits(avail):
+            expand(members + (a,), ex, depth - 1)
             ex |= 1 << a
 
     depth = 1
     while True:
         jobs.clear()
-        expand(seed, 0, depth)
+        expand(seed, ex_mask, depth)
         if len(jobs) >= min_jobs or depth >= 6:
             return jobs
         depth += 1
@@ -435,78 +567,117 @@ def _reference_frontier_jobs(pl, n, min_jobs, seed):
 @pytest.mark.parametrize("q,n,min_jobs", [(7, 11, 6), (9, 13, 6), (9, 14, 6), (16, 18, 6),
                                           (5, 10, 6), (7, 11, 60), (9, 13, 60), (7, 10, 60)])
 def test_frontier_jobs_match_per_node_reference(q, n, min_jobs):
-    """The frontier walks one searcher with the DFS's repair step and splits
-    the root into the same jobs as the node-by-node expansion, symmetric
-    siblings skipped (a larger min_jobs reaches past the first level; at q=7
-    n=10 the bound prunes frontier nodes)."""
+    """The frontier walks one searcher with the DFS's repair step and line
+    cap and splits each seed's subtree into the same jobs as the node-by-node
+    expansion (a larger min_jobs reaches past the first level; at q=7 n=10
+    the bound prunes frontier nodes).  At q = 16 the seeds of m <= 4 are
+    checked."""
     pl = plane_for_order(q)
-    assert _frontier_jobs(pl, n, min_jobs)[0] == _reference_frontier_jobs(pl, n, min_jobs, frame_seed(pl))
+    for m, seed, ex_mask in _seeds(pl, n):
+        if m > 4 and q == 16:
+            break
+        jobs = _frontier_jobs(pl, n, m, seed, ex_mask, min_jobs)[0]
+        assert jobs == _reference_frontier_jobs(pl, n, m, seed, ex_mask, min_jobs)
 
 
 def test_parallel_level_settled_by_first_witness():
-    """A level with a witness returns the serial scan's witness without
-    running the frontier jobs after the one that found it."""
+    """A level with a witness returns the serial scan's witness.  It counts
+    the frontier of every seed up to the witness's m and the jobs up to the
+    one that found it, and runs none of the jobs after it."""
     pl = plane_for_order(9)
-    ws = _exists(pl, 15)[0]
-    wp, nodes, _ = _exists(pl, 15, 2)
-    assert ws is not None and wp == ws
-    assert nodes < 10_000  # running every job to its end spends 125,108
+    batches: dict[int, list] = {}
+    for m, seed, ex_mask in _seeds(pl, 15):
+        if m > 6:
+            break
+        batches.setdefault(m, []).append(_frontier_jobs(pl, 15, m, seed, ex_mask, JOBS_PER_SEED))
+    nodes = every = 0
+    witness = None
+    for m, cuts in batches.items():
+        for jobs, cnt in cuts:
+            nodes, every = nodes + cnt, every + cnt
+            for members, ex_mask in jobs:
+                w, cnt = _exists_from(pl, 15, m, members, ex_mask)
+                every += cnt
+                if witness is None:
+                    nodes += cnt
+                    witness = w
+        if witness is not None:
+            break
+    assert witness is not None and m == 6
+    assert _exists(pl, 15) == _exists(pl, 15, 2) == (witness, nodes)
+    assert nodes < every
 
 
 @pytest.mark.parametrize("q", [9, 25, 27])
 def test_frame_seed_over_extension_fields(q):
-    """The frame comes from the plane's coordinate index, and a frame-seeded
-    search restricted to the two lines z=0 and x=y (which carry the frame)
-    finds exactly their union minus the meet, the only tangent-free subset."""
+    """The frame and the heaviest-line seeds come from the plane's coordinate
+    index.  A search from the frame restricted to the two lines z=0 and x=y
+    (which carry the frame) finds exactly their union minus the meet, the
+    only tangent-free subset; so does a search from the first seed of
+    m = q under its line cap, restricted to L0 and the line P0 b."""
     pl = plane_for_order(q)
-    seed = frame_seed(pl)
-    assert [pl.coords[p] for p in seed] == list(FRAME)
+    frame = _frame(pl)
+    assert [pl.coords[p] for p in frame] == list(FRAME)
     for i in range(4):
         for j in range(i + 1, 4):
-            line = pl.line_through(seed[i], seed[j])
-            assert not any(pl.incident(seed[k], line) for k in range(4) if k not in (i, j))
-    l1 = pl.line_through(seed[0], seed[1])
-    l2 = pl.line_through(seed[2], seed[3])
+            line = pl.line_through(frame[i], frame[j])
+            assert not any(pl.incident(frame[k], line) for k in range(4) if k not in (i, j))
+    l1 = pl.line_through(frame[0], frame[1])
+    l2 = pl.line_through(frame[2], frame[3])
     trivial_set = (set(pl.points_on_line[l1]) | set(pl.points_on_line[l2])) - {pl.meet(l1, l2)}
     ex_mask = sum(1 << p for p in range(pl.n) if p not in trivial_set)
-    assert _exists_from(pl, 2 * q - 1, seed, ex_mask, None)[0] is None
-    assert _exists_from(pl, 2 * q, seed, ex_mask, None)[0] == tuple(sorted(trivial_set))
+    assert _exists_from(pl, 2 * q - 1, None, frame, ex_mask)[0] is None
+    assert _exists_from(pl, 2 * q, None, frame, ex_mask)[0] == tuple(sorted(trivial_set))
+    l0, p0 = _heavy_line(pl)
+    line = pl.points_on_line[l0]
+    a = next(_line_orbits(pl, q))[0]  # the first seed of m = q (see _seeds)
+    b = next(p for p in line if p not in a)
+    assert pl.coords[b] == (0, 1, 0)
+    seed = a + (p0, pl.index_of((0, 1, 1)))
+    excluded = 1 << b
+    pb = pl.line_through(p0, b)
+    trivial_set = (set(pl.points_on_line[l0]) | set(pl.points_on_line[pb])) - {b}
+    ex_mask = excluded | sum(1 << p for p in range(pl.n) if p not in trivial_set)
+    assert _exists_from(pl, 2 * q - 1, q, seed, ex_mask)[0] is None
+    assert _exists_from(pl, 2 * q, q, seed, ex_mask)[0] == tuple(sorted(trivial_set))
 
 
 @pytest.mark.parametrize("q,n", [(5, 9), (7, 11), (7, 12), (9, 13), (9, 15), (16, 18)])
 def test_parallel_witness_equals_serial(q, n):
-    """The workers skip symmetric siblings at their job roots as the serial
-    DFS does at the same nodes, so workers=2 settles each level with the
-    workers=1 witness, and a refuted level (the frontier's nodes and skips
-    included) has the serial node and skip counts."""
+    """The frontier does not depend on the worker count and the jobs are
+    settled in order, so workers=2 settles each level with the workers=1
+    witness and node count, found or refuted."""
     pl = plane_for_order(q)
-    wp, nodes_p, skips_p = _exists(pl, n, 2)
-    ws, nodes_s, skips_s = _exists(pl, n, 1)
-    assert wp == ws
-    assert ws is not None or (nodes_p, skips_p) == (nodes_s, skips_s)
+    assert _exists(pl, n, 2) == _exists(pl, n, 1)
 
 
-def test_budget_cut_keeps_symmetry_skips():
-    """A cut at the first deadline check in the DFS keeps the nodes and skips
-    of the search so far; a deadline that has passed before the first job
-    stops the level with the frontier's nodes and skips."""
+def test_budget_cut_keeps_nodes():
+    """A cut at the first deadline check in the DFS keeps the nodes of the
+    search so far; a deadline that has passed before the first job stops the
+    level with the frontier's nodes, which are not zero, at workers 1 and 2."""
     pl = plane_for_order(9)
+    m, seed, excluded = next((m, seed, ex) for m, seed, ex in _seeds(pl, 14) if m == 3)
     with pytest.raises(SearchTimeout) as cut:
-        _exists_from(pl, 14, frame_seed(pl), 0, time.monotonic())
-    assert (cut.value.nodes, cut.value.skips) == (4096, 7)
-    with pytest.raises(SearchTimeout) as cut:
-        _exists(pl, 14, 1, time.monotonic())
-    assert (cut.value.nodes, cut.value.skips) == (3, 7)
-    res = min_tangent_free(9, 18, workers=1, budget_s=0.0)
-    assert res.status == "budget_exceeded" and res.exhausted_below == 13
-    assert (res.nodes, res.symmetry_skips) == (3, 7)
+        _exists_from(pl, 14, m, seed, excluded, time.monotonic())
+    assert cut.value.nodes == 4096
+    frontier = sum(_frontier_jobs(pl, 13, m, seed, ex, JOBS_PER_SEED)[1]
+                   for m, seed, ex in _seeds(pl, 13) if m == 2)
+    assert frontier > 0
+    for workers in (1, 2):
+        with pytest.raises(SearchTimeout) as cut:
+            _exists(pl, 13, workers, time.monotonic())
+        assert cut.value.nodes == frontier
+        res = min_tangent_free(9, 18, workers=workers, budget_s=0.0)
+        assert res.status == "budget_exceeded" and res.exhausted_below == 13
+        assert res.nodes == frontier
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_budget_exceeded_keeps_level_nodes(workers):
     """A search cut off mid-level still reports the nodes it expanded (q=11
-    level 15, 64,064 nodes, takes about 1.3 CPU s at workers=1, so the cut
-    lands in level 16, whose 919,015 nodes take far longer than the budget)."""
+    levels 15 and 16, 8,323 and 83,216 nodes, take about 1.2 CPU s at
+    workers=1, so the cut lands in level 16 or 17, whose 491,382 nodes take
+    far longer than the budget)."""
     res = min_tangent_free(11, 22, workers=workers, budget_s=2.0)
     assert res.status == "budget_exceeded"
     assert res.exhausted_below >= lower_bound(11)
@@ -562,16 +733,16 @@ def test_enumerate_q5_size9_empty():
 @pytest.mark.parametrize("q,n", [(3, 6), (3, 8), (3, 9), (4, 6), (4, 8), (4, 9), (4, 10), (4, 11), (5, 10),
                                  (8, 10), (5, 9), (5, 11), (7, 10)])
 def test_enumeration_matches_full_plane_dfs(q, n):
-    """The frame-seeded enumeration closed under PGL(3,q) lists exactly the
-    sets of the full-plane DFS, which skips no symmetry, and the classes read
-    from the frame sets are the classes of that full list."""
+    """The heaviest-line enumeration closed under PGL(3,q) lists exactly the
+    sets of the full-plane DFS, which has no seed and no line cap, and the
+    classes read from the seeded sets are the classes of that full list."""
     pl = plane_for_order(q)
     full = _enumerate_with_state(pl, n)[0]
     assert enumerate_tangent_free(q, n) == full
     classes = classify_up_to_pgl(q, full)
     assert all(r.member_count == r.class_size for r in classes)
-    from_frame = classify_up_to_pgl(q, _frame_sets(pl, n)[0])
-    assert ([(r.canonical, r.class_size, r.stabilizer_order) for r in from_frame]
+    from_seeds = classify_up_to_pgl(q, _seeded_sets(pl, n)[0])
+    assert ([(r.canonical, r.class_size, r.stabilizer_order) for r in from_seeds]
             == [(r.canonical, r.class_size, r.stabilizer_order) for r in classes])
 
 
@@ -672,7 +843,7 @@ def test_stabiliser_by_quadrangle_maps(q, n, stabilisers):
     def collinear(a, b, c):
         return c in pl.points_on_line[pl.line_through(a, b)]
 
-    reps = classify_up_to_pgl(q, _frame_sets(pl, n)[0])
+    reps = classify_up_to_pgl(q, _seeded_sets(pl, n)[0])
     for r in reps:
         quads = [quad for four in combinations(r.canonical, 4)
                  if not any(collinear(*three) for three in combinations(four, 3))
@@ -702,6 +873,67 @@ def test_known_witnesses_sizes():
         for m, w in found.items():
             assert len(w) == m and is_tangent_free(PointSet(pl, w))
             assert (q, m) == (11, 18) or w == first[m]
+
+
+def test_witness_checks_raise(monkeypatch):
+    """A construction or a search result that is not a tangent-free set of
+    its size is refused with an error, not returned as a verified witness."""
+    import pg2q.constructions
+    import pg2q.search
+    from pg2q.constructions import Construction
+
+    bad = Construction("three_points", PointSet(plane_for_order(5), (0, 1, 2)), 3)
+    with monkeypatch.context() as patch:
+        patch.setattr(pg2q.constructions, "constructions_at", lambda q: iter([bad]))
+        with pytest.raises(AssertionError, match="three_points at q=5 is not a tangent-free set"):
+            known_witnesses(5)
+        with pytest.raises(AssertionError, match="three_points"):
+            min_tangent_free(5, 12, workers=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(pg2q.search, "_exists", lambda plane, n, workers, deadline: ((0, 1, 2), 1))
+        with pytest.raises(AssertionError, match="the witness of size 8 at q=5 is not"):
+            min_tangent_free(5, 12, workers=1)
+
+
+def test_witness_checks_survive_python_O():
+    """Under python -O, which strips assert statements, the witness checks
+    still refuse a construction and a search result with tangents."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "import sys\n"
+        "import pg2q.constructions, pg2q.search\n"
+        "from pg2q.constructions import Construction\n"
+        "from pg2q.plane import PointSet, plane_for_order\n"
+        "assert False, 'asserts are not stripped'\n"
+        "bad = Construction('three_points', PointSet(plane_for_order(5), (0, 1, 2)), 3)\n"
+        "good = pg2q.constructions.constructions_at\n"
+        "pg2q.constructions.constructions_at = lambda q: iter([bad])\n"
+        "for call in (lambda: pg2q.search.known_witnesses(5), lambda: pg2q.search.min_tangent_free(5, 12, workers=1)):\n"
+        "    try:\n"
+        "        call()\n"
+        "        sys.exit('a construction with tangents was returned')\n"
+        "    except AssertionError as e:\n"
+        "        if 'three_points' not in str(e):\n"
+        "            sys.exit(str(e))\n"
+        "pg2q.constructions.constructions_at = good\n"
+        "pg2q.search._exists = lambda plane, n, workers, deadline: ((0, 1, 2), 1)\n"
+        "try:\n"
+        "    pg2q.search.min_tangent_free(5, 12, workers=1)\n"
+        "    sys.exit('a search witness with tangents was returned')\n"
+        "except AssertionError as e:\n"
+        "    if 'the witness of size 8' not in str(e):\n"
+        "        sys.exit(str(e))\n"
+        "print('refused')\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    r = subprocess.run([sys.executable, "-O", "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["refused"]
 
 
 def test_worker_count_independence():

@@ -38,11 +38,13 @@ closed and joined.  The frontier does not depend on the worker count and its
 nodes are counted with the jobs', so a level has the same witness and node
 count at every worker count.
 
-Enumeration (`enumerate_tangent_free`) runs the exact-size DFS from the same
-seeds: every class has a member through one of them.  Enumeration and
-classification share one orbit pass, `pgl_orbits`, which closes each PGL(3,q)
-class that its input meets by one generator BFS.  `_enumerate_with_state`,
-the secant-bound search's enumeration from its own seeds, keeps no line cap.
+Every search is exact-size: it looks for sets of exactly n points, and an
+existence level stops at its first one, which is safe because the sizes below
+n are refuted first.  Enumeration (`enumerate_tangent_free`) and the
+secant-bound check run the same DFS from the same seeds: every class has a
+member through one of them.  Enumeration and classification share one orbit
+pass, `pgl_orbits`, which closes each PGL(3,q) class that its input meets by
+one generator BFS.
 """
 
 from __future__ import annotations
@@ -240,22 +242,20 @@ class _Searcher:
                 best_avail = avail
         return best_avail
 
-    def run(self, n_target: int, excluded_mask: int, exact_size: bool, collect, seed=()):
-        """DFS all tangent-free supersets of the seed avoiding excluded points.
-
-        exact_size: enumerate every tangent-free set of size exactly n_target
-        (collect returns None); otherwise stop at the first tangent-free set
-        found (collect returns True to stop the search).
+    def run(self, n_target: int, excluded_mask: int, collect, seed=()):
+        """DFS the tangent-free supersets of the seed of size exactly n_target
+        that avoid the excluded points, passing each to `collect`; a truthy
+        return from `collect` stops the search, and `run` then returns True.
         """
         for p in seed:
             self._add(p)
         try:
-            return self._dfs(n_target, excluded_mask, exact_size, collect)
+            return self._dfs(n_target, excluded_mask, collect)
         finally:
             for _ in seed:
                 self._remove()
 
-    def _dfs(self, n_target, excluded_mask, exact_size, collect):
+    def _dfs(self, n_target, excluded_mask, collect):
         size = len(self.partial)
         tangent_free = self.levels[1] == self.levels[2]
         if self.cut is not None and (size == self.cut or tangent_free):
@@ -267,14 +267,11 @@ class _Searcher:
                 or (self.stop is not None and self.stop.is_set())):
             raise SearchTimeout(self.nodes)
         free = self.all_points_mask & ~self.partial_mask & ~excluded_mask & ~self.blocked
-        if exact_size and size + free.bit_count() < n_target:
+        if size + free.bit_count() < n_target:
             return False
         if tangent_free:
-            if not exact_size:
-                return bool(size and collect(tuple(self.partial)))
             if size == n_target:
-                collect(tuple(self.partial))
-                return False
+                return bool(collect(tuple(self.partial)))
             branch = free  # grow: branch over every remaining point
         else:
             branch = self._branch(free, n_target)
@@ -283,24 +280,11 @@ class _Searcher:
             bit = rest & -rest
             rest ^= bit
             self._add(bit.bit_length() - 1)
-            stop = self._dfs(n_target, excluded_mask | (branch & (bit - 1)), exact_size, collect)
+            stop = self._dfs(n_target, excluded_mask | (branch & (bit - 1)), collect)
             self._remove()
             if stop:
                 return True
         return False
-
-
-def _enumerate_with_state(plane: Plane, n_target: int, seed_members=(), excluded=()):
-    """All tangent-free sets of size n_target containing the seed and avoiding
-    the excluded points, duplicate-free, as sorted tuples in ascending order;
-    returns (sets, node count)."""
-    s = _Searcher(plane)
-    out: list[tuple[int, ...]] = []
-    s.run(n_target, mask_of(excluded), True,
-          lambda t: out.append(tuple(sorted(t))), seed=seed_members)
-    result = sorted(set(out))
-    assert len(result) == len(out), "duplicate generation"
-    return result, s.nodes
 
 
 # -- heaviest-line seeds ---------------------------------------------------------
@@ -355,10 +339,10 @@ def _seeds(plane, n):
             yield m, seed, mask_of(outside)
 
 
-def _seeded_sets(plane: Plane, n: int):
-    """Tangent-free n-sets, at least one per PGL(3,q) class: the exact-size
-    DFS from every seed of `_seeds`, under its line cap.  Returns (sets,
-    nodes), the sets as sorted tuples in the order found.
+def _seeded_sets(plane: Plane, n: int, seeds=None):
+    """Tangent-free n-sets, at least one per PGL(3,q) class: the DFS from
+    every seed of `_seeds` (or of `seeds`, some of its items), under its line
+    cap.  Returns (sets, nodes), the sets as sorted tuples in the order found.
 
     Raises Infeasible unless 1 <= n <= the number of points.  A set of 1 to
     3 points has a tangent, so those sizes give no seeds, sets or nodes.
@@ -369,9 +353,9 @@ def _seeded_sets(plane: Plane, n: int):
         raise Infeasible(f"n={n} exceeds the number of points")
     out: list[tuple[int, ...]] = []
     nodes = 0
-    for m, seed, excluded in _seeds(plane, n):
+    for m, seed, excluded in _seeds(plane, n) if seeds is None else seeds:
         s = _Searcher(plane, m)
-        s.run(n, excluded, True, lambda t: out.append(tuple(sorted(t))), seed=seed)
+        s.run(n, excluded, lambda t: out.append(tuple(sorted(t))), seed=seed)
         nodes += s.nodes
     return out, nodes
 
@@ -408,19 +392,6 @@ def frame_collineation(plane, quad) -> tuple[int, ...]:
 # -- existence levels ------------------------------------------------------------
 
 
-def _exists_from(plane, n, cap, members, ex_mask, deadline=None, stop=None):
-    """Tangent-free set of size <= n containing `members`, avoiding `ex_mask`
-    and meeting no line in more than `cap` points (None: no cap), and the
-    node count; raises SearchTimeout on the deadline or once the `stop` event
-    is set."""
-    s = _Searcher(plane, cap)
-    s.deadline = deadline
-    s.stop = stop
-    box = []
-    s.run(n, ex_mask, False, lambda t: box.append(tuple(sorted(t))) or True, seed=members)
-    return (box[0] if box else None), s.nodes
-
-
 # the frontier cuts each seed's subtree into at least this many jobs where
 # its depth allows, whatever the worker count, so that a level's node count
 # does not depend on it: 3 per worker on 2 CPUs
@@ -436,7 +407,7 @@ def _frontier_jobs(plane, n, m, seed, ex_mask, min_jobs):
     for depth in range(1, 7):
         st = _Searcher(plane, m)
         st.cut = len(seed) + depth
-        st.run(n, ex_mask, False, None, seed=seed)
+        st.run(n, ex_mask, None, seed=seed)
         if len(st.jobs) >= min_jobs:
             break
     return st.jobs, st.nodes
@@ -461,17 +432,21 @@ def _run_job(args):
     spec, n, m, members, ex_mask, deadline = args
     if (deadline is not None and time.monotonic() > deadline) or (_stop is not None and _stop.is_set()):
         return None, 0, True
+    # a forked worker inherits the parent's plane cache
+    s = _Searcher(plane_for(spec.p, spec.h, spec.modulus), m)
+    s.deadline = deadline
+    s.stop = _stop
+    box = []
     try:
-        # a forked worker inherits the parent's plane cache
-        plane = plane_for(spec.p, spec.h, spec.modulus)
-        return *_exists_from(plane, n, m, members, ex_mask, deadline, _stop), False
+        s.run(n, ex_mask, lambda t: box.append(tuple(sorted(t))) or True, seed=members)
     except SearchTimeout as e:
         return None, e.nodes, True
+    return (box[0] if box else None), s.nodes, False
 
 
 def _exists(plane, n, workers=1, deadline=None):
-    """Tangent-free set of size <= n and the node count; raises SearchTimeout
-    on the deadline.
+    """Tangent-free set of size n, or None, and the node count; raises
+    SearchTimeout on the deadline.
 
     The seeds are taken one m at a time, in `_seeds` order, and the frontier
     splits each seed's subtree into jobs.  The jobs of one m run in order, in

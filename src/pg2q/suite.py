@@ -6,7 +6,8 @@ full: minutes -- adds u_7, the classifications of the tangent-free sets of
 PG(2,5) of size 10 and PG(2,7) of size 12, clique searches up to q=11,
 dichotomy to q=13, construction certificates to q=31.
 long: minutes, mostly u_11 -- u_9, u_11, dichotomy to q=29, clique q=13, the
-prime secant-bound search for p=7, the classification for PG(2,9) at size 15.
+prime secant-bound searches for p=7 and p=11, the classification for PG(2,9)
+at size 15.
 """
 
 from __future__ import annotations
@@ -176,6 +177,7 @@ def run_suite(level: str, workers: int | None = None, note=print):
             ("u9", lambda: _check_u(9, 15, workers)),
             ("u11", lambda: _check_u(11, 18, workers)),
             ("secant_bound_p7", lambda: _check_secant_bound([7])),
+            ("secant_bound_p11", lambda: _check_secant_bound([11])),
             ("classification_pg29", lambda: _check_classification(9, 15, [(98_280, 432)])),
         ]
     summary = {}

@@ -194,7 +194,7 @@ def one_mod_p_check(affine: PointSet, linf: int) -> bool:
 class SecantBoundReport:
     p: int
     sizes: tuple[int, ...]
-    heavy_sets_found: int
+    heavy_sets_found: int  # the sets found through the seeds, at least one per heavy class
     all_heavy_trivial: bool
     max_secant_by_size: dict
     nodes: int
@@ -218,20 +218,20 @@ def secant_bound_check(p: int) -> SecantBoundReport:
     """Exhaustively confirm, for prime p, that every tangent-free set of size
     at most 2p having a line with >= |S|/2 - (p-1)/4 of its points is trivial.
 
-    The heavy line is pinned to L0 (z = 0; the collineation group is
-    transitive on lines), and S meets it in one representative x-subset per
-    PGL(2,p) orbit (`search._line_orbits`); being trivial and the largest
-    secant are invariant under the group, so the verdict is that of every
-    x-subset.  Completions are enumerated by the exact-size repair search.
-    `heavy_sets_found` counts the sets found through those representatives,
-    at least one per PGL(3,p) class, and `nodes` the nodes of their searches.
+    Such a set has largest line count m >= xmin, the least integer
+    >= |S|/2 - (p-1)/4.
+    Being trivial and the largest secant are invariant under PGL(3,p), and
+    every class of tangent-free sets with largest line count m has a member
+    through a seed of m (`search._seeds`), so each size runs the capped DFS
+    of `search._seeded_sets` from the seeds with m >= xmin.
+    `heavy_sets_found` counts the sets found through those seeds, at least
+    one per heavy class, and `nodes` the nodes of their searches.
     """
     from .plane import plane_for
-    from .search import _enumerate_with_state, _heavy_line, _line_orbits
+    from .search import _seeded_sets, _seeds
 
     plane = plane_for(p, 1)
     q = plane.q
-    pts0 = plane.points_on_line[_heavy_line(plane)[0]]
     heavy_found = 0
     all_trivial = True
     max_sec: dict[int, int] = {}
@@ -241,19 +241,13 @@ def secant_bound_check(p: int) -> SecantBoundReport:
     for s_total in sizes:
         # smallest x with x >= s/2 - (p-1)/4
         xmin = -((-(2 * s_total - p + 1)) // 4)
-        for x in range(max(xmin, 2), q + 2):
-            if x > s_total:
-                break
-            for orbit in _line_orbits(plane, x):
-                subset = orbit[0]
-                excluded = set(pts0) - set(subset)
-                found, cnt = _enumerate_with_state(plane, s_total, subset, excluded)
-                nodes += cnt
-                for members in found:
-                    ps = PointSet(plane, members)
-                    heavy_found += 1
-                    sp = spectrum(ps)
-                    max_sec[s_total] = max(max_sec.get(s_total, 0), sp.max_secant())
-                    if not is_trivial_set(ps):
-                        all_trivial = False
+        seeds = (seed for seed in _seeds(plane, s_total) if seed[0] >= xmin)
+        found, cnt = _seeded_sets(plane, s_total, seeds)
+        nodes += cnt
+        for members in found:
+            ps = PointSet(plane, members)
+            heavy_found += 1
+            max_sec[s_total] = max(max_sec.get(s_total, 0), spectrum(ps).max_secant())
+            if not is_trivial_set(ps):
+                all_trivial = False
     return SecantBoundReport(p, sizes, heavy_found, all_trivial, max_sec, nodes)

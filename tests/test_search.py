@@ -18,12 +18,11 @@ from pg2q.search import (
     Infeasible,
     OrbitRep,
     SearchTimeout,
-    _enumerate_with_state,
     _exists,
-    _exists_from,
     _frontier_jobs,
     _heavy_line,
     _line_orbits,
+    _run_job,
     _Searcher,
     _seeded_sets,
     _seeds,
@@ -36,7 +35,7 @@ from pg2q.search import (
     min_tangent_free,
     pgl_group,
 )
-from pg2q.tangency import is_tangent_free, secant_bound_check, spectrum
+from pg2q.tangency import is_tangent_free, is_trivial_set, secant_bound_check, spectrum
 
 
 def test_lower_bound_values():
@@ -72,6 +71,29 @@ def test_not_found_below_minimum():
     assert res.exhausted_below == 10
 
 
+def _search_from(pl, n, cap, members, ex_mask, deadline=None, searcher=_Searcher):
+    """The DFS from `members` under line cap `cap` (None: no cap), avoiding
+    `ex_mask`: the first tangent-free n-set it finds, sorted, or None, and
+    its node count; raises SearchTimeout on the deadline."""
+    s = searcher(pl, cap)
+    s.deadline = deadline
+    box = []
+    s.run(n, ex_mask, lambda t: box.append(tuple(sorted(t))) or True, seed=members)
+    return (box[0] if box else None), s.nodes
+
+
+def _full_plane_sets(pl, n):
+    """Reference enumeration: every tangent-free n-set by the DFS with no seed
+    and no line cap, duplicate-free, as sorted tuples in ascending order, and
+    the node count."""
+    s = _Searcher(pl)
+    out = []
+    s.run(n, 0, lambda t: out.append(tuple(sorted(t))))
+    sets = sorted(set(out))
+    assert len(sets) == len(out), "duplicate generation"
+    return sets, s.nodes
+
+
 def _triple_seed_witness(pl, n):
     """Reference search over two seeds, one collinear triple and one
     triangle through points 0 and 1; together they are exhaustive, since the
@@ -80,10 +102,9 @@ def _triple_seed_witness(pl, n):
     third_on = min(set(pl.points_on_line[l01]) - {0, 1})
     third_off = next(p for p in range(pl.n) if not pl.incident(p, l01))
     for seed in ((0, 1, third_on), (0, 1, third_off)):
-        box = []
-        _Searcher(pl).run(n, 0, False, lambda t: box.append(t) or True, seed=seed)
-        if box:
-            return box[0]
+        witness = _search_from(pl, n, None, seed, 0)[0]
+        if witness is not None:
+            return witness
     return None
 
 
@@ -97,9 +118,7 @@ def _frame_witness(pl, n):
     cap.  The frame seed is exhaustive: a non-empty tangent-free set lies on
     no line plus one point, so it holds a quadrangle, and PGL(3,q) maps any
     ordered quadrangle onto the frame."""
-    box = []
-    _Searcher(pl).run(n, 0, False, lambda t: box.append(tuple(sorted(t))) or True, seed=_frame(pl))
-    return box[0] if box else None
+    return _search_from(pl, n, None, _frame(pl), 0)[0]
 
 
 def test_frame_seed_agrees_with_triple_seeds():
@@ -130,14 +149,14 @@ def test_symmetry_skips_keep_verdict_and_witness(q, levels):
     """The search skips symmetry at its seeds: one m-subset of L0 per PGL(2,q)
     orbit, P0, and one point of the line P0 b.  That settles every level from
     the sqrt bound to u_q as the frame-seeded reference does, and a witness
-    is a tangent-free set of at most n points, the same at workers 1 and 2."""
+    is a tangent-free set of exactly n points, the same at workers 1 and 2."""
     pl = plane_for_order(q)
     assert levels.start == lower_bound(q) or q == 9
     for n in levels:
         witness = _exists(pl, n)[0]
         assert (witness is None) == (_frame_witness(pl, n) is None)
         if witness is not None:
-            assert is_tangent_free(PointSet(pl, witness)) and len(witness) <= n
+            assert is_tangent_free(PointSet(pl, witness)) and len(witness) == n
             assert _exists(pl, n, 2)[0] == witness
 
 
@@ -146,12 +165,10 @@ def _seeded_search(pl, n, searcher=_Searcher):
     order under its line cap.  Returns the witness or None and the nodes."""
     nodes = 0
     for m, seed, excluded in _seeds(pl, n):
-        s = searcher(pl, m)
-        box = []
-        s.run(n, excluded, False, lambda t: box.append(tuple(sorted(t))) or True, seed=seed)
-        nodes += s.nodes
-        if box:
-            return box[0], nodes
+        witness, cnt = _search_from(pl, n, m, seed, excluded, searcher=searcher)
+        nodes += cnt
+        if witness is not None:
+            return witness, nodes
     return None, nodes
 
 
@@ -197,8 +214,8 @@ def test_cover_bound_keeps_enumeration(q, n):
     pl = plane_for_order(q)
     s = _PreCoverSearcher(pl)
     out = []
-    s.run(n, 0, True, lambda t: out.append(tuple(sorted(t))))
-    sets, nodes = _enumerate_with_state(pl, n)
+    s.run(n, 0, lambda t: out.append(tuple(sorted(t))))
+    sets, nodes = _full_plane_sets(pl, n)
     assert sets == sorted(out)
     assert nodes < s.nodes
 
@@ -222,8 +239,8 @@ def test_cover_bound_alone_prunes():
     assert _reference_scan(pl, s.partial, free, 6)[1] == 0
     assert s._branch(free, 6) == 0
     assert s._branch(free | 1 << off[0], 6) != 0
-    assert _exists_from(pl, 6, None, frame, 1 << off[0])[0] is None
-    assert _exists_from(pl, 6, None, frame, 0)[0] == tuple(sorted(frame + tuple(off)))
+    assert _search_from(pl, 6, None, frame, 1 << off[0])[0] is None
+    assert _search_from(pl, 6, None, frame, 0)[0] == tuple(sorted(frame + tuple(off)))
 
 
 def _frame_stabiliser_reference(pl):
@@ -427,13 +444,13 @@ def test_repair_step_matches_reference_at_every_node():
     for m, seed, excluded in _seeds(pl, 11):
         s = _CheckedSearcher(pl, m)
         box = []
-        s.run(11, excluded, False, lambda t: box.append(t) or True, seed=seed)
+        s.run(11, excluded, lambda t: box.append(t) or True, seed=seed)
         assert not box
         nodes, shared, cover_only = nodes + s.nodes, shared + s.shared, cover_only + s.cover_only
     assert nodes == 142 and shared and cover_only
     s = _CheckedSearcher(plane_for_order(4))
     out = []
-    s.run(8, 0, True, out.append)
+    s.run(8, 0, out.append)
     assert len(out) == 210 and s.nodes == 4497
     assert s.shared and s.cover_only
 
@@ -457,14 +474,14 @@ class _CapCheckedSearcher(_Searcher):
 
     checked = 0
 
-    def _dfs(self, n_target, excluded_mask, exact_size, collect):
+    def _dfs(self, n_target, excluded_mask, collect):
         levels, blocked, top = _cap_state(self.plane, self.partial, self.cap)
         assert self.levels == levels and top <= self.cap
         free = self.all_points_mask & ~self.partial_mask & ~excluded_mask
         # the blocked points are exactly the free points on lines with m members
         assert self.blocked & free == blocked & free and self.blocked == blocked
         self.checked += 1
-        return super()._dfs(n_target, excluded_mask, exact_size, collect)
+        return super()._dfs(n_target, excluded_mask, collect)
 
 
 @pytest.mark.parametrize("q,n", [(5, 10), (5, 12), (7, 11), (7, 12)])
@@ -478,7 +495,7 @@ def test_line_cap_state_matches_line_counts(q, n):
     checked = nodes = 0
     for m, seed, excluded in _seeds(pl, n):
         s = _CapCheckedSearcher(pl, m)
-        s.run(n, excluded, True, lambda t: out.append(tuple(sorted(t))), seed=seed)
+        s.run(n, excluded, lambda t: out.append(tuple(sorted(t))), seed=seed)
         checked += s.checked
         nodes += s.nodes
         assert not s.undo and s.blocked == 0 and s.levels == _cap_state(pl, (), m)[0]
@@ -524,9 +541,9 @@ def test_exact_node_counts():
     w, nodes = _exists(plane_for_order(8), 10)
     assert nodes == 11
     assert is_tangent_free(PointSet(plane_for_order(8), w)) and len(w) == 10
-    sets, nodes = _enumerate_with_state(plane_for_order(5), 10)
+    sets, nodes = _full_plane_sets(plane_for_order(5), 10)
     assert len(sets) == 3565 and nodes == 84_511
-    sets, nodes = _enumerate_with_state(plane_for_order(4), 11)
+    sets, nodes = _full_plane_sets(plane_for_order(4), 11)
     assert len(sets) == 8568 and nodes == 64_220
     sets, nodes = _seeded_sets(plane_for_order(5), 10)
     assert (nodes, len(sets)) == (107, 6)
@@ -534,7 +551,45 @@ def test_exact_node_counts():
     assert (nodes, len(sets)) == (497, 78)
     sets, nodes = _seeded_sets(plane_for_order(7), 12)
     assert (nodes, len(sets)) == (836, 12)
-    assert secant_bound_check(5).nodes == 500
+    assert _exists(plane_for_order(9), 15) == (
+        (0, 9, 18, 27, 36, 45, 55, 56, 64, 65, 73, 74, 82, 83, 90), 36_130)
+    assert secant_bound_check(5).nodes == 49
+
+
+def _per_subset_secant_reference(p):
+    """The secant-bound check by an uncapped enumeration: for each size s and
+    each x from the heavy-line size to s, the DFS with no line cap from one
+    x-subset of L0 per PGL(2,p) orbit, avoiding L0 outside it, so that S meets
+    L0 in exactly that subset.  Returns (all_heavy_trivial,
+    max_secant_by_size, nodes)."""
+    pl = plane_for_order(p)
+    line = pl.points_on_line[_heavy_line(pl)[0]]
+    all_trivial, max_sec, nodes = True, {}, 0
+    for size in range(p + 2, 2 * p + 1):
+        xmin = -((-(2 * size - p + 1)) // 4)
+        for x in range(max(xmin, 2), min(p + 1, size) + 1):
+            for orbit in _line_orbits(pl, x):
+                s = _Searcher(pl)
+                found = []
+                s.run(size, sum(1 << pt for pt in line if pt not in orbit[0]), found.append, seed=orbit[0])
+                nodes += s.nodes
+                for members in found:
+                    ps = PointSet(pl, members)
+                    max_sec[size] = max(max_sec.get(size, 0), spectrum(ps).max_secant())
+                    all_trivial = all_trivial and is_trivial_set(ps)
+    return all_trivial, max_sec, nodes
+
+
+@pytest.mark.parametrize("p,ref_nodes,nodes", [(3, 30, 7), (5, 500, 49), (7, 4_823, 209)])
+def test_secant_bound_matches_uncapped_reference(p, ref_nodes, nodes):
+    """The secant-bound check from the seeds with m at least the heavy-line
+    size, under their line caps, gives the verdict and the largest secants
+    of the uncapped enumeration from every x-subset orbit, in fewer nodes."""
+    ref_trivial, ref_max_secant, ref_count = _per_subset_secant_reference(p)
+    assert ref_count == ref_nodes
+    rep = secant_bound_check(p)
+    assert (rep.all_heavy_trivial, rep.max_secant_by_size) == (ref_trivial, ref_max_secant) == (True, {2 * p: p})
+    assert rep.nodes == nodes and rep.heavy_sets_found >= 1
 
 
 def _reference_frontier_jobs(pl, n, m, seed, ex_mask, min_jobs):
@@ -596,7 +651,8 @@ def test_parallel_level_settled_by_first_witness():
         for jobs, cnt in cuts:
             nodes, every = nodes + cnt, every + cnt
             for members, ex_mask in jobs:
-                w, cnt = _exists_from(pl, 15, m, members, ex_mask)
+                w, cnt, unfinished = _run_job((pl.gf.spec, 15, m, members, ex_mask, None))
+                assert not unfinished
                 every += cnt
                 if witness is None:
                     nodes += cnt
@@ -626,8 +682,8 @@ def test_frame_seed_over_extension_fields(q):
     l2 = pl.line_through(frame[2], frame[3])
     trivial_set = (set(pl.points_on_line[l1]) | set(pl.points_on_line[l2])) - {pl.meet(l1, l2)}
     ex_mask = sum(1 << p for p in range(pl.n) if p not in trivial_set)
-    assert _exists_from(pl, 2 * q - 1, None, frame, ex_mask)[0] is None
-    assert _exists_from(pl, 2 * q, None, frame, ex_mask)[0] == tuple(sorted(trivial_set))
+    assert _search_from(pl, 2 * q - 1, None, frame, ex_mask)[0] is None
+    assert _search_from(pl, 2 * q, None, frame, ex_mask)[0] == tuple(sorted(trivial_set))
     l0, p0 = _heavy_line(pl)
     line = pl.points_on_line[l0]
     a = next(_line_orbits(pl, q))[0]  # the first seed of m = q (see _seeds)
@@ -638,8 +694,8 @@ def test_frame_seed_over_extension_fields(q):
     pb = pl.line_through(p0, b)
     trivial_set = (set(pl.points_on_line[l0]) | set(pl.points_on_line[pb])) - {b}
     ex_mask = excluded | sum(1 << p for p in range(pl.n) if p not in trivial_set)
-    assert _exists_from(pl, 2 * q - 1, q, seed, ex_mask)[0] is None
-    assert _exists_from(pl, 2 * q, q, seed, ex_mask)[0] == tuple(sorted(trivial_set))
+    assert _search_from(pl, 2 * q - 1, q, seed, ex_mask)[0] is None
+    assert _search_from(pl, 2 * q, q, seed, ex_mask)[0] == tuple(sorted(trivial_set))
 
 
 @pytest.mark.parametrize("q,n", [(5, 9), (7, 11), (7, 12), (9, 13), (9, 15), (16, 18)])
@@ -658,7 +714,7 @@ def test_budget_cut_keeps_nodes():
     pl = plane_for_order(9)
     m, seed, excluded = next((m, seed, ex) for m, seed, ex in _seeds(pl, 14) if m == 3)
     with pytest.raises(SearchTimeout) as cut:
-        _exists_from(pl, 14, m, seed, excluded, time.monotonic())
+        _search_from(pl, 14, m, seed, excluded, time.monotonic())
     assert cut.value.nodes == 4096
     frontier = sum(_frontier_jobs(pl, 13, m, seed, ex, JOBS_PER_SEED)[1]
                    for m, seed, ex in _seeds(pl, 13) if m == 2)
@@ -737,7 +793,7 @@ def test_enumeration_matches_full_plane_dfs(q, n):
     sets of the full-plane DFS, which has no seed and no line cap, and the
     classes read from the seeded sets are the classes of that full list."""
     pl = plane_for_order(q)
-    full = _enumerate_with_state(pl, n)[0]
+    full = _full_plane_sets(pl, n)[0]
     assert enumerate_tangent_free(q, n) == full
     classes = classify_up_to_pgl(q, full)
     assert all(r.member_count == r.class_size for r in classes)

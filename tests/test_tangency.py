@@ -235,3 +235,9 @@ def test_secant_bound_p5():
     assert rep.all_heavy_trivial
     # only size-10 sets exist; the heavy ones are trivial with 5-secants
     assert rep.max_secant_by_size.get(10) == 5
+
+
+def test_secant_bound_p11():
+    rep = secant_bound_check(11)
+    assert rep.all_heavy_trivial
+    assert rep.max_secant_by_size == {22: 11}

@@ -202,7 +202,6 @@ def cmd_classify(args):
                     "representative": [list(plane.coords[p]) for p in r.canonical],
                     "class_size": r.class_size,
                     "stabilizer_order": r.stabilizer_order,
-                    "members_classified": r.class_size,
                     "spectrum": str(spectrum(PointSet(plane, r.canonical))),
                 }
                 for r in reps

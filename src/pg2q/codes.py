@@ -158,7 +158,8 @@ class IncidenceCode:
                 if j == dim - 1:
                     entry = dict(zip(cols, w))
                     v = tuple(entry.get(i, 0) for i in range(n))
-                    assert self.is_dual_codeword(v)
+                    if not self.is_dual_codeword(v):
+                        raise AssertionError("the codeword found fails the dual-code check")
                     return v, True, nodes
                 j += 1
 
@@ -194,7 +195,8 @@ def hyperoval(q: int = 4) -> PointSet:
     pts.append(plane.index_of((0, 0, 1)))
     pts.append(plane.index_of((0, 1, 0)))  # nucleus of y^2 = xz
     out = PointSet(plane, pts)
-    assert len(out) == q + 2 and all(c <= 2 for c in out.per_line)
+    if not (len(out) == q + 2 and all(c <= 2 for c in out.per_line)):
+        raise AssertionError(f"the hyperoval at q={q} is not a (q+2)-arc")
     return out
 
 

@@ -215,7 +215,6 @@ class Construction:
 
 def constructions_at(q: int) -> Iterator[Construction]:
     """Every construction applicable at this order, in a fixed order."""
-    gf = field_for_order(q)
     plane = plane_for_order(q)
     yield Construction("trivial", trivial(q), claimed_size("trivial", q))
     if q % 2 == 1 and q > 5:
@@ -230,7 +229,7 @@ def constructions_at(q: int) -> Iterator[Construction]:
         for r in range(0, (q - 5) // 2 + 1):
             yield Construction(f"punctured_interior_r{r}", punctured_interior(con, ext, r),
                                claimed_size("punctured_interior", q, r))
-    if gf.p > 2 and gf.h >= 2:
+    if plane.gf.p > 2 and plane.gf.h >= 2:
         yield Construction("trace_graph", trace_graph(q)[0], claimed_size("trace_graph", q))
         yield Construction("frobenius_graph", frobenius_graph(q)[0], claimed_size("frobenius_graph", q),
                            "printed size formula disagrees with the construction; kept for the record")

@@ -181,17 +181,21 @@ def pg25_ten_set() -> PointSet:
     plane = plane_for_order(5)
     conic, line, a = canonical_external_line(plane)
     base = exterior_points_on_line(conic, line)
-    assert len(base) == 3
+    if len(base) != 3:
+        raise AssertionError("an external line of PG(2,5) holds three exterior points")
     second = []
     for p in base:
         others = mask_bits(plane.line_masks[p] & conic.external_lines & ~(1 << line))
-        assert len(others) == 1, "each exterior point lies on one more external line"
+        if len(others) != 1:
+            raise AssertionError("each exterior point lies on one more external line")
         second.append(others[0])
     q1 = plane.meet(second[0], second[1])
     q2 = plane.meet(second[0], second[2])
-    assert q1 == q2, "the three second external lines must be concurrent"
+    if q1 != q2:
+        raise AssertionError("the three second external lines must be concurrent")
     out = PointSet(plane, set(conic.points) | set(base) | {q1})
-    assert len(out) == 10 and is_tangent_free(out)
+    if not (len(out) == 10 and is_tangent_free(out)):
+        raise AssertionError("the PG(2,5) 10-set must be tangent-free")
     return out
 
 
@@ -232,9 +236,8 @@ def exterior_clique_search(q: int, no_three_collinear: bool = False) -> list[Poi
         if not no_three_collinear or is_arc(plane, members)
     ]
     if q % 4 == 1 and not no_three_collinear:
-        assert all(len(s) in s.per_line for s in out), (
-            "q = 1 mod 4: every half-line exterior set must be collinear"
-        )
+        if not all(len(s) in s.per_line for s in out):
+            raise AssertionError("q = 1 mod 4: every half-line exterior set must be collinear")
     return out
 
 

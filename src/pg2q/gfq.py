@@ -185,8 +185,6 @@ class GF:
 
     def _raw_mul(self, a: int, b: int) -> int:
         p, h = self.p, self.h
-        if h == 1:
-            return (a * b) % p
         da, db = _digits(a, p, h), _digits(b, p, h)
         conv = [0] * (2 * h - 1)
         for i, ca in enumerate(da):
@@ -284,18 +282,11 @@ class GF:
         mul = [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
         return add, mul
 
-    def _mul_slow(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-
     # -- arithmetic ------------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
         if self.add_table is not None:
             return self.add_table[a][b]
-        if self.h == 1:
-            return (a + b) % self.p
         p, code, mul = self.p, 0, 1
         for _ in range(self.h):
             code += ((a + b) % p) * mul
@@ -305,14 +296,10 @@ class GF:
         return code
 
     def neg(self, a: int) -> int:
-        if self.h == 1:
-            return (-a) % self.p
-        p, code, mul = self.p, 0, 1
-        for _ in range(self.h):
-            code += ((-a) % p) * mul
-            a //= p
-            mul *= p
-        return code
+        # g^((q-1)/2) = -1 for odd q, and -a = a in characteristic 2
+        if a == 0 or self.p == 2:
+            return a
+        return self._exp[(self._log[a] + (self.q - 1) // 2) % (self.q - 1)]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -320,7 +307,9 @@ class GF:
     def mul(self, a: int, b: int) -> int:
         if self.mul_table is not None:
             return self.mul_table[a][b]
-        return self._mul_slow(a, b)
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -347,9 +336,6 @@ class GF:
         if self.q % 2 == 0:
             return QuadChar.SQUARE
         return QuadChar.SQUARE if self._log[a] % 2 == 0 else QuadChar.NONSQUARE
-
-    def is_square(self, a: int) -> bool:
-        return self.quad_char(a) is not QuadChar.NONSQUARE
 
     def squares(self) -> set[int]:
         return {self.mul(x, x) for x in range(1, self.q)}

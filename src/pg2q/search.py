@@ -52,10 +52,11 @@ from __future__ import annotations
 import os
 import signal
 import time
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, groupby
+from itertools import chain, combinations, groupby
 from operator import itemgetter
 
 from .linalg import mat_inverse, mat_transpose, mat_vec
@@ -290,13 +291,6 @@ class _Searcher:
 # -- heaviest-line seeds ---------------------------------------------------------
 
 
-def _heavy_line(plane) -> tuple[int, int]:
-    """(L0, P0): the index of the line z = 0 and that of the point (0,0,1),
-    which share the triple (0,0,1) and so one index."""
-    i = plane.index_of((0, 0, 1))
-    return i, i
-
-
 def _line_orbits(plane, m: int):
     """The orbits of PGL(2,q) on the m-subsets of L0, lazily, each a list of
     sorted index tuples headed by its least member.
@@ -308,8 +302,8 @@ def _line_orbits(plane, m: int):
     in `combinations` order, and each one not yet reached starts one
     generator BFS (`_closure`), run only when the orbits before it are used.
     """
-    l0 = plane.points_on_line[_heavy_line(plane)[0]]
-    g = plane.gf.generator if plane.q > 2 else 1
+    l0 = plane.points_on_line[plane.index_of((0, 0, 1))]
+    g = plane.gf.generator
     moves = []
     for mat in ((1, 1, 0, 0, 1, 0, 0, 0, 1), (0, 1, 0, 1, 0, 0, 0, 0, 1), (g, 0, 0, 0, 1, 0, 0, 0, 1)):
         image = {p: plane.apply_matrix(mat, p) for p in l0}
@@ -320,15 +314,16 @@ def _line_orbits(plane, m: int):
             yield _closure(t, moves, seen)
 
 
-def _seeds(plane, n):
-    """(m, seed, excluded) for m = 2 .. min(n - 2, q + 1) and one m-subset A
-    of L0 per `_line_orbits` orbit, lazily: the seed is A, P0 and, when A is
+def _seeds(plane, n, least=2):
+    """(m, seed, excluded) for m = least .. min(n - 2, q + 1) and one m-subset
+    A of L0 per `_line_orbits` orbit, lazily: the seed is A, P0 and, when A is
     not all of L0, the point (x, y, 1) for the first point b = (x, y, 0) of
     L0 outside A; `excluded` is the mask of L0 outside A.  A search from a
     seed keeps every line to at most m points (module docstring)."""
-    l0, p0 = _heavy_line(plane)
-    line = plane.points_on_line[l0]
-    for m in range(2, min(n - 2, plane.q + 1) + 1):
+    # the line z = 0 and the point (0,0,1) share a triple, so one index
+    p0 = plane.index_of((0, 0, 1))
+    line = plane.points_on_line[p0]
+    for m in range(least, min(n - 2, plane.q + 1) + 1):
         for orbit in _line_orbits(plane, m):
             a = orbit[0]
             outside = [p for p in line if p not in a]
@@ -339,10 +334,11 @@ def _seeds(plane, n):
             yield m, seed, mask_of(outside)
 
 
-def _seeded_sets(plane: Plane, n: int, seeds=None):
-    """Tangent-free n-sets, at least one per PGL(3,q) class: the DFS from
-    every seed of `_seeds` (or of `seeds`, some of its items), under its line
-    cap.  Returns (sets, nodes), the sets as sorted tuples in the order found.
+def _seeded_sets(plane: Plane, n: int, least: int = 2):
+    """Tangent-free n-sets, at least one per PGL(3,q) class with largest line
+    count at least `least`: the DFS from every seed of `_seeds`, under its
+    line cap.  Returns (sets, nodes), the sets as sorted tuples in the order
+    found.
 
     Raises Infeasible unless 1 <= n <= the number of points.  A set of 1 to
     3 points has a tangent, so those sizes give no seeds, sets or nodes.
@@ -353,7 +349,7 @@ def _seeded_sets(plane: Plane, n: int, seeds=None):
         raise Infeasible(f"n={n} exceeds the number of points")
     out: list[tuple[int, ...]] = []
     nodes = 0
-    for m, seed, excluded in _seeds(plane, n) if seeds is None else seeds:
+    for m, seed, excluded in _seeds(plane, n, least):
         s = _Searcher(plane, m)
         s.run(n, excluded, lambda t: out.append(tuple(sorted(t))), seed=seed)
         nodes += s.nodes
@@ -628,8 +624,7 @@ class PGLGroup:
         GL(3,q), which acts on the points as PGL(3,q).  `elements` checks the
         order for q <= 5; `enumerate_tangent_free` relies on it at every q.
         """
-        gf = self.plane.gf
-        g = gf.generator if gf.q > 2 else 1
+        g = self.plane.gf.generator
         mats = [
             (1, 1, 0, 0, 1, 0, 0, 0, 1),
             (1, 0, 0, 1, 1, 0, 0, 0, 1),
@@ -641,9 +636,9 @@ class PGLGroup:
             perms.append(tuple(self.plane.apply_matrix(m, p) for p in range(self.plane.n)))
         return perms
 
-    def elements(self) -> "numpy.ndarray":
+    def elements(self) -> memoryview:
         """Every group element as a point permutation, one row per element of
-        an int32 numpy array (row g lists g(0), ..., g(n-1)), rows ascending.
+        a 2-D int32 memoryview (row g lists g(0), ..., g(n-1)), rows ascending.
 
         The rows are the closure of `generators()` acting on the identity, so
         reaching the group order checks the argument of `generators` for
@@ -653,13 +648,12 @@ class PGLGroup:
         if self.q > 5:
             raise GroupTooLarge(f"full enumeration not supported for q={self.q}")
         if self._elements is None:
-            import numpy  # the package's one use of numpy
-
             # itemgetter(*g) sends a permutation t to t o g
             perms = _closure(tuple(range(self.plane.n)), [itemgetter(*g) for g in self.generators()], set())
             if len(perms) != self.order:
                 raise AssertionError(f"generator closure has {len(perms)} != {self.order} elements")
-            self._elements = numpy.array(sorted(perms), dtype=numpy.int32)
+            table = array("i", chain.from_iterable(sorted(perms)))
+            self._elements = memoryview(table).cast("B").cast("i", (len(perms), self.plane.n))
         return self._elements
 
     def set_moves(self):

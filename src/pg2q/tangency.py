@@ -161,7 +161,8 @@ def redei_completion(affine: PointSet, linf: int) -> PointSet:
     if len(ds.determined) >= limit:
         raise TooManyDirections(len(ds.determined), limit)
     out = PointSet(plane, affine.members | ds.non_determined)
-    assert is_tangent_free(out), "completion must be tangent-free"
+    if not is_tangent_free(out):
+        raise AssertionError("completion must be tangent-free")
     return out
 
 
@@ -228,21 +229,19 @@ def secant_bound_check(p: int) -> SecantBoundReport:
     one per heavy class, and `nodes` the nodes of their searches.
     """
     from .plane import plane_for
-    from .search import _seeded_sets, _seeds
+    from .search import _seeded_sets
 
     plane = plane_for(p, 1)
-    q = plane.q
     heavy_found = 0
     all_trivial = True
     max_sec: dict[int, int] = {}
     nodes = 0
-    sizes = tuple(range(q + 2, 2 * q + 1))
+    sizes = tuple(range(p + 2, 2 * p + 1))
 
     for s_total in sizes:
         # smallest x with x >= s/2 - (p-1)/4
         xmin = -((-(2 * s_total - p + 1)) // 4)
-        seeds = (seed for seed in _seeds(plane, s_total) if seed[0] >= xmin)
-        found, cnt = _seeded_sets(plane, s_total, seeds)
+        found, cnt = _seeded_sets(plane, s_total, xmin)
         nodes += cnt
         for members in found:
             ps = PointSet(plane, members)

@@ -423,6 +423,7 @@ def test_classify_cli_pg25(capsys):
     res = json.loads(out)["results"]
     assert res["total_sets"] == 3565
     assert sorted((c["class_size"], c["stabilizer_order"]) for c in res["classes"]) == [(465, 800), (3100, 120)]
+    assert all(c.keys() == {"representative", "class_size", "stabilizer_order", "spectrum"} for c in res["classes"])
 
 
 @pytest.mark.parametrize(

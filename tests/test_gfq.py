@@ -75,7 +75,7 @@ def test_exp_table_matches_raw_powers(p, h):
     assert sorted(gf._exp) == list(range(1, gf.q))
 
 
-@pytest.mark.parametrize("p,h,modulus", [(2, 8, None), (3, 5, None), (7, 3, None), (3, 2, (2, 1, 1))])
+@pytest.mark.parametrize("p,h,modulus", [(2, 8, None), (3, 5, None), (7, 3, None), (3, 2, (2, 1, 1)), (13, 1, None)])
 def test_tables_match_raw_arithmetic(p, h, modulus):
     """The add and mul tables, built a row at a time, hold the digit-wise sum
     and the product that the general multiplication gives."""
@@ -193,6 +193,18 @@ def test_field_axioms_exhaustive(q):
     assert (add[add, :] == add[:, add]).all()
     assert (mul[mul, :] == mul[:, mul]).all()
     assert (mul[:, add] == add[mul[:, :, None], mul[:, None, :]]).all()
+
+
+@pytest.mark.parametrize("q", [521, 729, 1024])
+def test_neg_above_table_limit(q):
+    """Above the table limit, where `add` adds digit by digit, `neg` through
+    the log tables is the digit-wise negation: a + (-a) = 0 and -(-a) = a."""
+    gf = field_for_order(q)
+    assert q > gfq._TABLE_LIMIT and gf.add_table is None
+    p, h = gf.p, gf.h
+    for a in range(q):
+        assert gf.neg(a) == sum((-d) % p * p**i for i, d in enumerate(gfq._digits(a, p, h)))
+        assert gf.add(a, gf.neg(a)) == 0 and gf.neg(gf.neg(a)) == a
 
 
 @given(st.sampled_from([3, 5, 9, 27, 8]), st.data())

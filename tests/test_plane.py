@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import random
@@ -84,8 +85,9 @@ def test_tables_match_dense_reference(spec):
 def test_core_runs_without_numpy():
     """The whole package runs with numpy blocked: every pg2q module imports,
     the field, plane, conic and tangency layers answer at q = 49, the quick
-    suite passes, and the dual-codeword, peel and verify commands run through
-    `cli.dispatch`.  numpy is needed only by `PGLGroup.elements()` and the tests."""
+    suite passes, the dual-codeword, peel and verify commands run through
+    `cli.dispatch`, and `PGLGroup.elements()` builds the int32 table of
+    PGL(3,4).  numpy is needed only by the tests and the benchmark."""
     script = (
         "import contextlib, importlib, io, json, pkgutil, sys\n"
         "sys.modules['numpy'] = None\n"
@@ -111,11 +113,23 @@ def test_core_runs_without_numpy():
         "assert reports['dual-codeword']['weight'] == 10\n"
         "assert reports['peel']['residual_size'] == 10\n"
         "assert reports['verify']['verdict'] == 'VALID'\n"
+        "from pg2q.search import PGLGroup\n"
+        "table = PGLGroup(pg2q.plane_for_order(4)).elements()\n"
+        "assert table.shape == (60480, 21) and table.nbytes == 60480 * 21 * 4, (table.shape, table.nbytes)\n"
         "assert sys.modules['numpy'] is None\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     r = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
+
+
+def test_package_has_no_assert_statements():
+    """Every check in the package raises AssertionError explicitly, so none
+    of them vanishes under python -O, which strips assert statements."""
+    src = Path(__file__).resolve().parent.parent / "src" / "pg2q"
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_counts_examples():

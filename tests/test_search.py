@@ -20,7 +20,6 @@ from pg2q.search import (
     SearchTimeout,
     _exists,
     _frontier_jobs,
-    _heavy_line,
     _line_orbits,
     _run_job,
     _Searcher,
@@ -308,7 +307,7 @@ def test_frame_collineation_inverts_a_random_collineation(q):
 def _line_group_reference(pl):
     """PGL(2,q) on L0 from every invertible 2x2 matrix M, acting as the
     block matrix diag(M, 1), as permutations of the points of L0."""
-    gf, line = pl.gf, pl.points_on_line[_heavy_line(pl)[0]]
+    gf, line = pl.gf, pl.points_on_line[pl.index_of((0, 0, 1))]
     perms = set()
     for a, b, c, d in product(range(pl.q), repeat=4):
         if gf.sub(gf.mul(a, d), gf.mul(b, c)):
@@ -324,7 +323,7 @@ def test_line_orbits(q):
     gives one orbit.  Up to q = 9 the orbits are those of every invertible
     2x2 matrix acting on L0."""
     pl = plane_for_order(q)
-    l0, p0 = _heavy_line(pl)
+    l0 = p0 = pl.index_of((0, 0, 1))
     assert pl.coords[l0] == pl.coords[p0] == (0, 0, 1)
     line = pl.points_on_line[l0]
     assert all(pl.coords[p][2] == 0 for p in line)
@@ -353,7 +352,7 @@ def test_seeds_lie_on_the_heavy_line():
     min(n - 2, q + 1), so a set of fewer than 4 points has no seed."""
     for q, n in [(4, 21), (5, 10), (7, 12), (9, 14)]:
         pl = plane_for_order(q)
-        l0, p0 = _heavy_line(pl)
+        l0 = p0 = pl.index_of((0, 0, 1))
         line = pl.points_on_line[l0]
         caps = []
         for m, seed, excluded in _seeds(pl, n):
@@ -563,7 +562,7 @@ def _per_subset_secant_reference(p):
     L0 in exactly that subset.  Returns (all_heavy_trivial,
     max_secant_by_size, nodes)."""
     pl = plane_for_order(p)
-    line = pl.points_on_line[_heavy_line(pl)[0]]
+    line = pl.points_on_line[pl.index_of((0, 0, 1))]
     all_trivial, max_sec, nodes = True, {}, 0
     for size in range(p + 2, 2 * p + 1):
         xmin = -((-(2 * size - p + 1)) // 4)
@@ -684,7 +683,7 @@ def test_frame_seed_over_extension_fields(q):
     ex_mask = sum(1 << p for p in range(pl.n) if p not in trivial_set)
     assert _search_from(pl, 2 * q - 1, None, frame, ex_mask)[0] is None
     assert _search_from(pl, 2 * q, None, frame, ex_mask)[0] == tuple(sorted(trivial_set))
-    l0, p0 = _heavy_line(pl)
+    l0 = p0 = pl.index_of((0, 0, 1))
     line = pl.points_on_line[l0]
     a = next(_line_orbits(pl, q))[0]  # the first seed of m = q (see _seeds)
     b = next(p for p in line if p not in a)
@@ -845,13 +844,17 @@ def test_pgl_group_order_and_closure():
 
 @pytest.mark.parametrize("q,shape", [(4, (60480, 21)), (5, (372000, 31))], ids=["q4", "q5"])
 def test_pgl_full_enumeration(q, shape):
-    g = pgl_group(q)
-    els = g.elements()
-    assert els.shape == shape
+    els = np.asarray(pgl_group(q).elements())
+    assert els.shape == shape and els.dtype == np.int32
     # rows are permutations
     sample = els[::50000]
     for row in sample:
         assert sorted(row.tolist()) == list(range(shape[1]))
+    # rows ascend: at the first column where two neighbours differ, the later is larger
+    differ = els[1:] != els[:-1]
+    first = differ.argmax(axis=1)
+    rows = np.arange(len(first))
+    assert differ.any(axis=1).all() and (els[1:][rows, first] > els[:-1][rows, first]).all()
 
 
 def test_orbit_of_trivial_set():
@@ -1027,5 +1030,5 @@ def test_orbit_matches_elements():
     for s in cases:
         g = pgl_group(s.plane.q)
         members = s.sorted_tuple()
-        table = np.unique(np.sort(g.elements()[:, list(members)], axis=1), axis=0)
+        table = np.unique(np.sort(np.asarray(g.elements())[:, list(members)], axis=1), axis=0)
         assert g.orbit(members) == [tuple(row) for row in table.tolist()]

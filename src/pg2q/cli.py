@@ -63,70 +63,31 @@ def cmd_field_info(args):
     return gf.spec, {"results": results}, 0
 
 
-# the construction that reads each construction-specific option
-_OPTION_OWNERS = {"a": "two_conics", "r": "punctured_interior"}
-
-
 def cmd_construct(args):
     from . import constructions as cons
-    from .conic import canonical_conic, exterior_point_indices
 
-    q = args.q
-    plane = plane_for_order(q)
-    name = args.name
-    for option, owner in _OPTION_OWNERS.items():
-        if getattr(args, option) is not None and name != owner:
-            raise ValueError(f"--{option} applies only to {owner}, not to {name}")
-    r, a = args.r or 0, args.a
-    notes = ""
-    if name == "trivial":
-        ps = cons.trivial(q)
-    elif name == "two_conics":
-        a = min(cons.find_valid_a(q), default=None) if a is None else a
-        if a is None:
-            raise cons.InvalidA(f"no valid two-conic parameter exists for q={q}")
-        ps = cons.two_conics(q, a)
-        notes = f"a={a}"
-    elif name == "interior":
-        ps = cons.interior_points(canonical_conic(plane))
-    elif name == "punctured_interior":
-        con = canonical_conic(plane)
-        ext = exterior_point_indices(con)[0]
-        ps = cons.punctured_interior(con, ext, r)
-    elif name == "trace_graph":
-        ps, notes = cons.trace_graph(q)
-    elif name == "frobenius_graph":
-        ps, notes = cons.frobenius_graph(q)
-    elif name == "pg25_ten_set":
-        from .exterior import pg25_ten_set
-
-        if q != 5:
-            raise ValueError("pg25_ten_set is defined for q=5")
-        ps = pg25_ten_set()
-    else:
-        raise ValueError(f"unknown construction {name}")
-    claimed = cons.claimed_size(name, q, r)
-    cert = cons.certify(name, ps, claimed, notes)
+    opts = cons.options_for(args.name, args.q, args.r, args.a)
+    c = cons.build(args.name, args.q, **opts)
     if args.out:
         with open(args.out, "w") as f:
-            f.write(ps.dump())
-    owned = {o: v for o, v in (("r", r), ("a", a)) if _OPTION_OWNERS[o] == name}
+            f.write(c.points.dump())
     body = {
-        "parameters": {"name": name, "q": q, **owned},
-        "results": {"point_set": ps.to_json(), "certificate": cert.to_json()},
-        "verdicts": {"tangent_free": cert.tangent_free, "status": cert.status},
+        "parameters": {"name": args.name, "q": args.q, **opts},
+        "results": {"point_set": c.points.to_json(), "certificate": c.to_json()},
+        "verdicts": {"tangent_free": c.tangent_free, "status": c.status},
     }
-    return plane.gf.spec, body, 0 if cert.tangent_free else 1
+    return c.points.plane.gf.spec, body, 0 if c.tangent_free else 1
 
 
 def cmd_verify(args):
     ps = _load_set(args)
     sp = spectrum(ps)
-    ok = is_tangent_free(ps) and len(ps) > 0 and sp.check_identities()
+    tangent_free = is_tangent_free(ps)
+    ok = tangent_free and len(ps) > 0 and sp.check_identities()
     body = {
         "results": {
             "size": len(ps),
-            "tangent_free": is_tangent_free(ps),
+            "tangent_free": tangent_free,
             "non_empty": len(ps) > 0,
             "spectrum": str(sp),
             "verdict": "VALID" if ok else "INVALID",
@@ -139,8 +100,9 @@ def cmd_verify(args):
 def cmd_spectrum(args):
     ps = _load_set(args)
     sp = spectrum(ps)
-    body = {"results": {"size": len(ps), "spectrum": str(sp), "identities": sp.check_identities()}}
-    return ps.plane.gf.spec, body, 0 if sp.check_identities() else 1
+    identities = sp.check_identities()
+    body = {"results": {"size": len(ps), "spectrum": str(sp), "identities": identities}}
+    return ps.plane.gf.spec, body, 0 if identities else 1
 
 
 def cmd_search_min(args):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .gfq import GF, QuadChar
 from .linalg import mat_inverse, mat_mul, mat_transpose, nullspace
@@ -37,6 +37,19 @@ class PointClass(Enum):
     INTERIOR = 0
 
 
+def evaluate_form(gf: GF, coeffs, v) -> int:
+    """The quadratic form with coefficients (xx, yy, zz, xy, xz, yz) at v."""
+    x, y, z = v
+    xx, yy, zz, xy, xz, yz = coeffs
+    acc = gf.mul(xx, gf.mul(x, x))
+    acc = gf.add(acc, gf.mul(yy, gf.mul(y, y)))
+    acc = gf.add(acc, gf.mul(zz, gf.mul(z, z)))
+    acc = gf.add(acc, gf.mul(xy, gf.mul(x, y)))
+    acc = gf.add(acc, gf.mul(xz, gf.mul(x, z)))
+    acc = gf.add(acc, gf.mul(yz, gf.mul(y, z)))
+    return acc
+
+
 @dataclass(frozen=True)
 class Conic:
     """Irreducible conic on a plane of odd order."""
@@ -54,16 +67,7 @@ class Conic:
             raise DegenerateConic("form vanishes on a full line")
 
     def evaluate(self, v) -> int:
-        gf = self.plane.gf
-        x, y, z = v
-        xx, yy, zz, xy, xz, yz = self.coeffs
-        acc = gf.mul(xx, gf.mul(x, x))
-        acc = gf.add(acc, gf.mul(yy, gf.mul(y, y)))
-        acc = gf.add(acc, gf.mul(zz, gf.mul(z, z)))
-        acc = gf.add(acc, gf.mul(xy, gf.mul(x, y)))
-        acc = gf.add(acc, gf.mul(xz, gf.mul(x, z)))
-        acc = gf.add(acc, gf.mul(yz, gf.mul(y, z)))
-        return acc
+        return evaluate_form(self.plane.gf, self.coeffs, v)
 
     @cached_property
     def points(self) -> tuple[int, ...]:
@@ -145,8 +149,10 @@ class Conic:
         return {"field": self.plane.gf.spec.to_json(), "coeffs": list(self.coeffs)}
 
 
+@lru_cache(maxsize=None)
 def canonical_conic(plane: Plane) -> Conic:
-    """The conic y^2 = xz: points <(1,t,t^2)> for t in GF(q) plus <(0,0,1)>."""
+    """The conic y^2 = xz: points <(1,t,t^2)> for t in GF(q) plus <(0,0,1)>;
+    one shared instance per plane."""
     neg1 = plane.gf.neg(1)
     return Conic(plane, (0, 1, 0, 0, neg1, 0))
 
@@ -214,7 +220,4 @@ def arc_is_conic_check(plane: Plane, indices) -> bool:
     form = fit_quadratic_form(plane, coords[:5])
     if form is None:
         return False
-    probe = Conic.__new__(Conic)  # skip validation: only evaluate is needed
-    object.__setattr__(probe, "plane", plane)
-    object.__setattr__(probe, "coeffs", form)
-    return all(probe.evaluate(c) == 0 for c in coords)
+    return all(evaluate_form(plane.gf, form, c) == 0 for c in coords)

@@ -1,13 +1,14 @@
-"""Explicit constructions of sets without tangents, each with a
-self-verification certificate recording claimed vs. actual size.
+"""Explicit constructions of sets without tangents.  `build` maps a
+construction name to its set; each Construction carries its certificate,
+the claimed size against the actual size.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .conic import Conic, PointClass, canonical_conic, exterior_point_indices
+from .conic import Conic, PointClass, canonical_conic
 from .gfq import GF, QuadChar, field_for_order
 from .plane import PointSet, mask_bits, plane_for_order
 from .tangency import Spectrum, WrongSize, is_tangent_free, redei_completion, spectrum
@@ -27,41 +28,6 @@ class RTooLarge(ValueError):
 
 class NotExterior(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ConstructionCert:
-    name: str
-    q: int
-    claimed_size: int
-    actual_size: int
-    tangent_free: bool
-    spectrum: Spectrum
-    notes: str = ""
-
-    @property
-    def status(self) -> str:
-        if not self.tangent_free:
-            return "INVALID"
-        return "VALID" if self.claimed_size == self.actual_size else "FLAGGED"
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "q": self.q,
-            "claimed_size": self.claimed_size,
-            "actual_size": self.actual_size,
-            "tangent_free": self.tangent_free,
-            "spectrum": str(self.spectrum),
-            "status": self.status,
-            "notes": self.notes,
-        }
-
-
-def certify(name: str, ps: PointSet, claimed_size: int, notes: str = "") -> ConstructionCert:
-    return ConstructionCert(
-        name, ps.plane.q, claimed_size, len(ps), is_tangent_free(ps), spectrum(ps), notes
-    )
 
 
 def trivial(q: int) -> PointSet:
@@ -117,11 +83,10 @@ def interior_points(conic: Conic) -> PointSet:
     return PointSet(conic.plane, interior_point_indices(conic))
 
 
-def punctured_interior(conic: Conic, exterior_point: int, r: int, rng=None) -> PointSet:
+def punctured_interior(conic: Conic, exterior_point: int, r: int) -> PointSet:
     """Interior points off r external lines through a chosen exterior point.
 
-    Lines are picked by ascending index so outputs are reproducible; pass an
-    rng for a randomized choice instead.
+    Lines are picked by ascending index so outputs are reproducible.
     """
     plane = conic.plane
     q = plane.q
@@ -132,9 +97,8 @@ def punctured_interior(conic: Conic, exterior_point: int, r: int, rng=None) -> P
     ext_lines = mask_bits(plane.line_masks[exterior_point] & conic.external_lines)
     if len(ext_lines) < r:
         raise RTooLarge(f"only {len(ext_lines)} external lines through the point")
-    chosen = sorted(rng.sample(ext_lines, r)) if rng is not None else ext_lines[:r]
     removed = 0
-    for l in chosen:
+    for l in ext_lines[:r]:
         removed |= plane.line_masks[l]
     members = [
         p
@@ -144,27 +108,25 @@ def punctured_interior(conic: Conic, exterior_point: int, r: int, rng=None) -> P
     return PointSet(plane, members)
 
 
-def _graph_completion(q: int, graph_map) -> tuple[PointSet, str]:
+def _graph_completion(q: int, graph_map) -> PointSet:
     """Affine graph {<(1, x, graph_map(gf, x))>} completed with the non-determined
-    directions on the line x = 0; returns the set and a notice ('' normally,
-    a message when q is prime and the set is trivial)."""
+    directions on the line x = 0."""
     gf = field_for_order(q)
     if gf.p == 2:
         raise WrongSize("construction needs odd characteristic")
     plane = plane_for_order(q)
     linf = plane.index_of((1, 0, 0))  # dual coords of the line x = 0
     affine = PointSet(plane, (plane.index_of((1, x, graph_map(gf, x))) for x in range(q)))
-    notice = "prime field: graph of the identity map, set is the trivial one" if gf.h == 1 else ""
-    return redei_completion(affine, linf), notice
+    return redei_completion(affine, linf)
 
 
-def frobenius_graph(q: int) -> tuple[PointSet, str]:
-    """Graph of x -> x^p plus non-determined directions; returns the set and a
-    notice ('' normally, a message when q is prime and the set is trivial)."""
+def frobenius_graph(q: int) -> PointSet:
+    """Graph of x -> x^p plus non-determined directions (the trivial set
+    when q is prime)."""
     return _graph_completion(q, GF.frobenius)
 
 
-def trace_graph(q: int) -> tuple[PointSet, str]:
+def trace_graph(q: int) -> PointSet:
     """Graph of the trace map plus non-determined directions; size 2q - q/p."""
     return _graph_completion(q, GF.trace)
 
@@ -186,55 +148,125 @@ def verify_desargues(s: PointSet) -> bool:
 # -- the construction list ----------------------------------------------------------
 
 
-def claimed_size(name: str, q: int, r: int = 0) -> int:
-    """The size claimed for a named construction at order q; r is the number
-    of external lines taken out of the interior by punctured_interior.  The
-    Frobenius size is the printed formula, which the construction disagrees
-    with."""
-    p = field_for_order(q).p
-    return {
-        "trivial": 2 * q,
-        "two_conics": 2 * (q - 1),
-        "interior": q * (q - 1) // 2,
-        "punctured_interior": q * (q - 1) // 2 - r * (q + 1) // 2,
-        "trace_graph": 2 * q - q // p,
-        "frobenius_graph": q + (q - p) // (p - 1),
-        "pg25_ten_set": 10,
-    }[name]
-
-
 @dataclass(frozen=True)
 class Construction:
-    """A named set without tangents and the size claimed for it."""
+    """A named set without tangents and the size claimed for it, with its
+    certificate: the tangent check and the spectrum are taken when it is
+    built."""
 
     name: str
     points: PointSet
     claimed_size: int
     notes: str = ""
+    tangent_free: bool = field(init=False)
+    spectrum: Spectrum = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "tangent_free", is_tangent_free(self.points))
+        object.__setattr__(self, "spectrum", spectrum(self.points))
+
+    @property
+    def q(self) -> int:
+        return self.points.plane.q
+
+    @property
+    def actual_size(self) -> int:
+        return len(self.points)
+
+    @property
+    def status(self) -> str:
+        if not self.tangent_free:
+            return "INVALID"
+        return "VALID" if self.claimed_size == self.actual_size else "FLAGGED"
+
+    def to_json(self) -> dict:
+        return {
+            "name": self.name,
+            "q": self.q,
+            "claimed_size": self.claimed_size,
+            "actual_size": self.actual_size,
+            "tangent_free": self.tangent_free,
+            "spectrum": str(self.spectrum),
+            "status": self.status,
+            "notes": self.notes,
+        }
+
+
+def options_for(name: str, q: int, r: int | None = None, a: int | None = None) -> dict[str, int]:
+    """The options the named construction reads, defaults filled in: r for
+    punctured_interior (default 0) and a for two_conics (default the least
+    valid a).  An option given to any other construction is refused."""
+    if r is not None and name != "punctured_interior":
+        raise ValueError(f"--r applies only to punctured_interior, not to {name}")
+    if a is not None and name != "two_conics":
+        raise ValueError(f"--a applies only to two_conics, not to {name}")
+    if name == "punctured_interior":
+        return {"r": r or 0}
+    if name == "two_conics":
+        a = min(find_valid_a(q), default=None) if a is None else a
+        if a is None:
+            raise InvalidA(f"no valid two-conic parameter exists for q={q}")
+        return {"a": a}
+    return {}
+
+
+def build(name: str, q: int, r: int | None = None, a: int | None = None) -> Construction:
+    """The named construction at order q and the size claimed for it, the one
+    map from a name to its set; options_for says which of r and a it reads.
+    The Frobenius size is the printed formula, which the construction
+    disagrees with."""
+    opts = options_for(name, q, r, a)
+    plane = plane_for_order(q)
+    p = plane.gf.p
+    notes = ""
+    if name == "trivial":
+        ps, claimed = trivial(q), 2 * q
+    elif name == "two_conics":
+        ps, claimed, notes = two_conics(q, opts["a"]), 2 * (q - 1), f"a={opts['a']}"
+    elif name == "interior":
+        ps, claimed = interior_points(canonical_conic(plane)), q * (q - 1) // 2
+    elif name == "punctured_interior":
+        r = opts["r"]
+        con = canonical_conic(plane)
+        ext = next(x for x in range(plane.n) if con.classify_point(x) is PointClass.EXTERIOR)
+        ps, claimed = punctured_interior(con, ext, r), q * (q - 1) // 2 - r * (q + 1) // 2
+        name = f"punctured_interior_r{r}"
+    elif name == "trace_graph":
+        ps, claimed = trace_graph(q), 2 * q - q // p
+    elif name == "frobenius_graph":
+        ps, claimed = frobenius_graph(q), q + (q - p) // (p - 1)
+        notes = "printed size formula disagrees with the construction; kept for the record"
+    elif name == "pg25_ten_set":
+        from .exterior import pg25_ten_set
+
+        if q != 5:
+            raise ValueError("pg25_ten_set is defined for q=5")
+        ps, claimed = pg25_ten_set(), 10
+    else:
+        raise ValueError(f"unknown construction {name}")
+    if name.endswith("_graph") and plane.gf.h == 1:
+        notes = "prime field: graph of the identity map, set is the trivial one"
+    return Construction(name, ps, claimed, notes)
 
 
 def constructions_at(q: int) -> Iterator[Construction]:
     """Every construction applicable at this order, in a fixed order."""
     plane = plane_for_order(q)
-    yield Construction("trivial", trivial(q), claimed_size("trivial", q))
+    yield build("trivial", q)
     if q % 2 == 1 and q > 5:
         valid = find_valid_a(q)
         if valid:
-            yield Construction("two_conics", two_conics(q, valid[0]), claimed_size("two_conics", q),
-                               f"a={valid[0]}")
+            yield build("two_conics", q, a=valid[0])
     if q % 2 == 1 and q >= 5:
-        con = canonical_conic(plane)
-        yield Construction("interior", interior_points(con), claimed_size("interior", q))
-        ext = exterior_point_indices(con)[0]
+        yield build("interior", q)
         for r in range(0, (q - 5) // 2 + 1):
-            yield Construction(f"punctured_interior_r{r}", punctured_interior(con, ext, r),
-                               claimed_size("punctured_interior", q, r))
+            yield build("punctured_interior", q, r=r)
     if plane.gf.p > 2 and plane.gf.h >= 2:
-        yield Construction("trace_graph", trace_graph(q)[0], claimed_size("trace_graph", q))
-        yield Construction("frobenius_graph", frobenius_graph(q)[0], claimed_size("frobenius_graph", q),
-                           "printed size formula disagrees with the construction; kept for the record")
+        yield build("trace_graph", q)
+        yield build("frobenius_graph", q)
 
 
-def all_certificates(q: int) -> list[ConstructionCert]:
-    """Certify every construction applicable at this order."""
-    return [certify(c.name, c.points, c.claimed_size, c.notes) for c in constructions_at(q)]
+def all_certificates(q: int) -> list[Construction]:
+    """Every construction applicable at this order, each carrying its
+    certificate."""
+    return list(constructions_at(q))

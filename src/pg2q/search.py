@@ -506,7 +506,7 @@ def known_witnesses(q: int) -> dict[int, tuple[int, ...]]:
 
     out: dict[int, tuple[int, ...]] = {}
     for c in constructions_at(q):
-        if not (len(c.points) > 0 and is_tangent_free(c.points)):
+        if not (c.actual_size > 0 and c.tangent_free):
             raise AssertionError(f"construction {c.name} at q={q} is not a tangent-free set")
         out.setdefault(len(c.points), c.points.sorted_tuple())
     if q % 4 == 3 and 7 <= q <= 13:

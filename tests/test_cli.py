@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pg2q.cli import dispatch
 from pg2q.conic import canonical_conic
-from pg2q.constructions import find_valid_a, interior_points, trivial
+from pg2q.constructions import constructions_at, find_valid_a, interior_points, trivial
 from pg2q.gfq import ReducibleModulus, field_new
 from pg2q.linalg import random_invertible
 from pg2q.plane import PointSet, plane_for, plane_for_order
@@ -264,6 +264,21 @@ def test_construct_punctured_interior_reads_r(capsys, r, size):
     obj = json.loads(out)
     assert obj["parameters"]["r"] == int(r or 0)
     assert obj["results"]["certificate"]["actual_size"] == obj["results"]["certificate"]["claimed_size"] == size
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 25, 27])
+def test_construct_matches_the_construction_list(capsys, q):
+    # the CLI used to name every punctured set punctured_interior and leave
+    # the notes of frobenius_graph empty over an extension field
+    for c in constructions_at(q):
+        name, _, r = c.name.partition("_r")  # punctured_interior_r{r}; no other name has "_r"
+        code, out, _ = run(capsys, "construct", "--name", name, "--q", str(q), *(["--r", r] if r else []))
+        assert code == 0, c.name
+        res = json.loads(out)["results"]
+        assert res["point_set"] == c.points.to_json(), c.name
+        cert = res["certificate"]
+        assert (cert["name"], cert["claimed_size"], cert["notes"], cert["status"]) == (
+            c.name, c.claimed_size, c.notes, c.status)
 
 
 def _moduli(p, h):

@@ -140,7 +140,7 @@ def test_dual_codeword_on_support_checks_its_input():
 
 def test_dual_codeword_on_support_frobenius_completion():
     code = incidence_code(9)
-    s, _ = frobenius_graph(9)
+    s = frobenius_graph(9)
     v, exact, _ = code.dual_codeword_on_support(s.members)
     assert exact and v is not None
     assert code.support(v) == frozenset(s.members)

@@ -7,8 +7,7 @@ from pg2q.constructions import (
     RTooLarge,
     WrongSize,
     all_certificates,
-    certify,
-    claimed_size,
+    build,
     find_valid_a,
     frobenius_graph,
     interior_points,
@@ -122,25 +121,25 @@ def test_punctured_min_line_intersection():
 
 
 def test_trace_graph_sizes():
-    tg9, note9 = trace_graph(9)
-    assert len(tg9) == 15 and is_tangent_free(tg9) and note9 == ""
-    tg27, _ = trace_graph(27)
+    tg9 = trace_graph(9)
+    assert len(tg9) == 15 and is_tangent_free(tg9) and build("trace_graph", 9).notes == ""
+    tg27 = trace_graph(27)
     assert len(tg27) == 2 * 27 - 9 == 45 and is_tangent_free(tg27)
 
 
 def test_frobenius_graph_flagged_size():
-    fg, note = frobenius_graph(9)
+    fg = frobenius_graph(9)
     assert is_tangent_free(fg)
     assert len(fg) == 15  # the construction's own count
-    assert claimed_size("frobenius_graph", 9) == 12  # the printed formula disagrees
-    cert = certify("frobenius_graph", fg, claimed_size("frobenius_graph", 9))
+    cert = build("frobenius_graph", 9)
+    assert cert.points.members == fg.members
     assert cert.status == "FLAGGED"
-    assert cert.actual_size == 15 and cert.claimed_size == 12
+    assert cert.actual_size == 15 and cert.claimed_size == 12  # the printed formula disagrees
 
 
 def test_graphs_prime_field_notice():
-    fg, note = frobenius_graph(5)
-    assert note != ""
+    fg = frobenius_graph(5)
+    assert build("frobenius_graph", 5).notes.startswith("prime field")
     assert len(fg) == 10 and is_tangent_free(fg)
     from pg2q.tangency import is_trivial_set
 

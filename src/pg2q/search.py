@@ -25,18 +25,24 @@ point off L0, and a homology with centre P0 and axis L0 moves it to
 (x, y, 1).  So every class of tangent-free sets with largest line count m has
 a member that contains A, P0 and (x, y, 1), avoids L0 outside A, and meets
 every line in at most m points: `_seeds` lists these seeds, m going up from
-2, and each search from one keeps the line cap m (`_Searcher.blocked`).
+2, and each search from one keeps the line cap m (`_Searcher.blocked`).  It
+lists only the m that an n-set can have: m <= n - q, and the line-count
+identities have a solution with no tangent and x_m >= 1
+(`tangency.spectrum_feasible`).  The seeds of each m are built once per
+plane (`_line_seeds`).
 
 An existence level has one path, `_exists`.  The frontier is the same DFS cut
 at a size below each seed: each node it reaches there (or a tangent-free node
 above it) is recorded as a (partial, excluded) job instead of being searched.
-The jobs run in order of m, then seed, then DFS, in this process for one
-worker and in a fork pool for more, and the first job that finds a witness
-settles the level.  A pool is stopped without a signal: the level sets a stop
-event that the jobs read, so the later jobs return at once, and the pool is
-closed and joined.  The frontier does not depend on the worker count and its
-nodes are counted with the jobs', so a level has the same witness and node
-count at every worker count.
+The jobs run in order of m, then seed, then DFS, and the first job that finds
+a witness settles the level.  They run in this process until the level has
+used `POOL_AFTER_S` of CPU time; with more than one worker, the jobs left
+after that run in a fork pool, so a small level forks none.  A pool is
+stopped without a signal: the level sets a stop event that the jobs read, so
+the later jobs return at once, and the pool is closed and joined.  The
+frontier does not depend on the worker count and its nodes are counted with
+the jobs', so a level has the same witness and node count at every worker
+count and wherever it hands its jobs to the pool.
 
 Every search is exact-size: it looks for sets of exactly n points, and an
 existence level stops at its first one, which is safe because the sizes below
@@ -61,7 +67,7 @@ from operator import itemgetter
 
 from .linalg import mat_inverse, mat_transpose, mat_vec
 from .plane import Plane, PointSet, mask_of, plane_for, plane_for_order
-from .tangency import is_tangent_free
+from .tangency import is_tangent_free, spectrum_feasible
 
 
 class CapTooSmall(ValueError):
@@ -293,7 +299,8 @@ class _Searcher:
 
 def _line_orbits(plane, m: int):
     """The orbits of PGL(2,q) on the m-subsets of L0, lazily, each a list of
-    sorted index tuples headed by its least member.
+    sorted index tuples headed by its least member; `_line_seeds` keeps one
+    seed per orbit.
 
     PGL(2,q) acts through I + E01, the swap of x and y and diag(g,1,1), which
     fix L0 and P0 and act on L0 as the 2x2 matrices [[1,1],[0,1]], [[0,1],
@@ -314,24 +321,42 @@ def _line_orbits(plane, m: int):
             yield _closure(t, moves, seen)
 
 
-def _seeds(plane, n, least=2):
-    """(m, seed, excluded) for m = least .. min(n - 2, q + 1) and one m-subset
-    A of L0 per `_line_orbits` orbit, lazily: the seed is A, P0 and, when A is
-    not all of L0, the point (x, y, 1) for the first point b = (x, y, 0) of
-    L0 outside A; `excluded` is the mask of L0 outside A.  A search from a
-    seed keeps every line to at most m points (module docstring)."""
+@lru_cache(maxsize=None)
+def _line_seeds(plane, m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(seed, excluded) for one m-subset A of L0 per `_line_orbits` orbit,
+    built once per plane and m: the seed is A, P0 and, when A is not all of
+    L0, the point (x, y, 1) for the first point b = (x, y, 0) of L0 outside
+    A; `excluded` is the mask of L0 outside A."""
     # the line z = 0 and the point (0,0,1) share a triple, so one index
     p0 = plane.index_of((0, 0, 1))
     line = plane.points_on_line[p0]
-    for m in range(least, min(n - 2, plane.q + 1) + 1):
-        for orbit in _line_orbits(plane, m):
-            a = orbit[0]
-            outside = [p for p in line if p not in a]
-            seed = a + (p0,)
-            if outside:
-                x, y, _ = plane.coords[outside[0]]
-                seed += (plane.index_of((x, y, 1)),)
-            yield m, seed, mask_of(outside)
+    out = []
+    for orbit in _line_orbits(plane, m):
+        a = orbit[0]
+        outside = [p for p in line if p not in a]
+        seed = a + (p0,)
+        if outside:
+            x, y, _ = plane.coords[outside[0]]
+            seed += (plane.index_of((x, y, 1)),)
+        out.append((seed, mask_of(outside)))
+    return tuple(out)
+
+
+def _seeds(plane, n, least=2):
+    """(m, seed, excluded) for each m from `least` up that a tangent-free
+    n-set can have as its largest line count, and each seed of `_line_seeds`
+    for that m.  A search from a seed keeps every line to at most m points
+    (module docstring).
+
+    Such an m is at most q + 1 and at most n - q, since the q further lines
+    through a point of the m-secant each hold another point of the set; and
+    `spectrum_feasible(n, q, m)` holds: some spectrum with no tangent and
+    largest line count m meets the line-count identities."""
+    q = plane.q
+    for m in range(least, min(n - q, q + 1) + 1):
+        if spectrum_feasible(n, q, m):
+            for seed, excluded in _line_seeds(plane, m):
+                yield m, seed, excluded
 
 
 def _seeded_sets(plane: Plane, n: int, least: int = 2):
@@ -393,6 +418,11 @@ def frame_collineation(plane, quad) -> tuple[int, ...]:
 # does not depend on it: 3 per worker on 2 CPUs
 JOBS_PER_SEED = 6
 
+# a level runs its jobs in this process until it has used this many CPU
+# seconds (of this thread, `time.thread_time`), and only then forks a pool for
+# the jobs left, so that a level too small to pay for the fork runs without one
+POOL_AFTER_S = 0.5
+
 
 def _frontier_jobs(plane, n, m, seed, ex_mask, min_jobs):
     """Split one seed's subtree into independent (partial, excluded) jobs: the
@@ -445,11 +475,13 @@ def _exists(plane, n, workers=1, deadline=None):
     SearchTimeout on the deadline.
 
     The seeds are taken one m at a time, in `_seeds` order, and the frontier
-    splits each seed's subtree into jobs.  The jobs of one m run in order, in
-    this process for one worker and in a fork pool otherwise; the first job
-    that finds a witness or runs out of time settles the level, as in the
-    serial DFS, and the later jobs stay uncounted.  `_seeds` builds its
-    orbits lazily, so a level settled at a small m builds few of them.  The
+    splits each seed's subtree into jobs.  The jobs run in order, in this
+    process until the level has used `POOL_AFTER_S` of CPU time and, with
+    more than one worker, in a fork pool for the jobs left after that (and
+    for every later m); the first job that finds a witness or runs out of
+    time settles the level, as in the serial DFS, and the later jobs stay
+    uncounted.  So a level settled under `POOL_AFTER_S` forks no pool, and a
+    level has the same witness and node count at every handover point.  The
     pool is never terminated, since a worker signalled while it sends a
     result can leave the result queue locked: the level sets the stop event
     the workers inherit, so every job still queued or running returns within
@@ -459,6 +491,22 @@ def _exists(plane, n, workers=1, deadline=None):
 
     nodes = 0
     pool = stop = None
+    start = time.thread_time()
+
+    def results(args):
+        # the jobs' results, in job order
+        nonlocal pool, stop
+        for i, job in enumerate(args):
+            if pool is None and (workers == 1 or time.thread_time() - start < POOL_AFTER_S):
+                yield _run_job(job)
+                continue
+            if pool is None:
+                ctx = mp.get_context("fork")
+                stop = ctx.Event()
+                pool = ctx.Pool(workers, initializer=_start_worker, initargs=(stop,))
+            yield from pool.imap(_run_job, args[i:])
+            return
+
     try:
         for m, seeds in groupby(_seeds(plane, n), key=itemgetter(0)):
             jobs = []
@@ -466,12 +514,8 @@ def _exists(plane, n, workers=1, deadline=None):
                 cut, cnt = _frontier_jobs(plane, n, m, seed, ex_mask, JOBS_PER_SEED)
                 jobs += cut
                 nodes += cnt
-            if pool is None and workers > 1 and len(jobs) > 1:
-                ctx = mp.get_context("fork")
-                stop = ctx.Event()
-                pool = ctx.Pool(workers, initializer=_start_worker, initargs=(stop,))
             args = [(plane.gf.spec, n, m, members, ex_mask, deadline) for members, ex_mask in jobs]
-            for witness, cnt, timed_out in (pool.imap if pool else map)(_run_job, args):
+            for witness, cnt, timed_out in results(args):
                 nodes += cnt
                 if timed_out:
                     raise SearchTimeout(nodes)

@@ -72,46 +72,58 @@ def is_tangent_free(s: PointSet) -> bool:
 
 def spectrum_solutions(n: int, q: int, max_i: int) -> list[tuple[int, ...]]:
     """All non-negative integer vectors (x_0, x_2, ..., x_max_i) with x_1 = 0
-    satisfying the three line-count identities for an n-point set in PG(2,q).
-
-    x_3 and x_2 are eliminated from the second and third identities, then the
-    remaining free variables x_4..x_max_i are swept over their bounded ranges.
-    """
-    n_lines = q * q + q + 1
-    s1 = n * (q + 1)
-    s2 = n * (n - 1)
-    out = []
-
-    def rec(i, tail, t1, t2):
-        # t1, t2: contributions of the already-chosen x_i, i >= 4
-        if i == 3:
-            num3 = (s2 - t2) - (s1 - t1)
-            if num3 < 0 or num3 % 3:
-                return
-            x3 = num3 // 3
-            num2 = s1 - t1 - 3 * x3
-            if num2 < 0 or num2 % 2:
-                return
-            x2 = num2 // 2
-            x0 = n_lines - x2 - x3 - sum(tail)
-            if x0 >= 0:
-                out.append((x0, x2, x3) + tail)
-            return
-        bound = min((s1 - t1) // i, (s2 - t2) // (i * (i - 1)))
-        for xi in range(bound + 1):
-            rec(i - 1, (xi,) + tail, t1 + i * xi, t2 + i * (i - 1) * xi)
-
-    if n == 0:
-        return [(n_lines,) + (0,) * max(0, max_i - 1)]
+    satisfying the three line-count identities for an n-point set in PG(2,q),
+    in ascending order (`_spectra`)."""
     if max_i < 2:
-        return []
-    if max_i == 2:
-        # only x_0 and x_2 free
-        if s1 % 2 == 0 and s2 == s1:
-            return [(n_lines - s1 // 2, s1 // 2)]
-        return []
-    rec(max_i, (), 0, 0)
-    return sorted(out)
+        return [(q * q + q + 1,)] if n == 0 else []
+    return sorted(_spectra(n, q, max_i, 0))
+
+
+def spectrum_feasible(n: int, q: int, m: int) -> bool:
+    """Whether some solution of `spectrum_solutions(n, q, m)` has x_m >= 1:
+    the line-count identities allow an n-set of PG(2,q) with no tangent and
+    largest line count m.  The search stops at its first solution."""
+    return m >= 2 and next(_spectra(n, q, m, 1), None) is not None
+
+
+def _spectra(n: int, q: int, max_i: int, least: int):
+    """The solutions of `spectrum_solutions(n, q, max_i)` with x_max_i >=
+    least, lazily, for max_i >= 2.
+
+    `least` lines of max_i points are taken out, then x_max_i, ..., x_3 are
+    chosen from the largest value down.  With t1 = sum i x_i and
+    t2 = sum i(i-1) x_i still to be met by lines of 2..i points,
+    t1 <= t2 <= (i-1) t1, which fixes the range of each x_i, and x_2 = t1/2.
+    Those lines number at least t1^2 / (t1 + t2) (Cauchy-Schwarz), and with
+    the lines already chosen they may not outnumber the lines of the plane.
+    A state with no solution is kept with its line count, so it is not
+    searched again with as many lines.
+    """
+    lines = q * q + q + 1
+    failed: dict[tuple[int, int, int], int] = {}
+
+    def rec(i, t1, t2, used, tail):
+        if i == 2:
+            if t1 % 2 == 0 and used + t1 // 2 <= lines:
+                yield (lines - used - t1 // 2, t1 // 2) + tail
+            return
+        if failed.get((i, t1, t2), lines + 1) <= used or t1 and used - (-t1 * t1 // (t1 + t2)) > lines:
+            return
+        lo = max(0, -(((i - 2) * t1 - t2) // i))
+        hi = min((t2 - t1) // (i * (i - 2)), t1 // i)
+        found = False
+        for x in range(hi, lo - 1, -1):
+            for sol in rec(i - 1, t1 - i * x, t2 - i * (i - 1) * x, used + x, (x,) + tail):
+                found = True
+                yield sol
+        if not found:
+            failed[i, t1, t2] = used
+
+    t1 = n * (q + 1) - least * max_i
+    t2 = n * (n - 1) - least * max_i * (max_i - 1)
+    if 0 <= t1 <= t2 <= (max_i - 1) * t1:
+        for sol in rec(max_i, t1, t2, least, ()):
+            yield sol[:-1] + (sol[-1] + least,)
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,7 @@ def test_search_min_cli(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["results"]["u"] == 10
-    assert obj["results"]["nodes_expanded"] == 43
+    assert obj["results"]["nodes_expanded"] == 26
     assert "symmetry_skips" not in obj["results"]
     assert obj["verdicts"]["witness_tangent_free"]
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pg2q import search
 from pg2q.codes import hyperoval
 from pg2q.constructions import constructions_at, interior_points, trivial
 from pg2q.conic import canonical_conic
@@ -34,7 +35,7 @@ from pg2q.search import (
     min_tangent_free,
     pgl_group,
 )
-from pg2q.tangency import is_tangent_free, is_trivial_set, secant_bound_check, spectrum
+from pg2q.tangency import is_tangent_free, is_trivial_set, secant_bound_check, spectrum, spectrum_solutions
 
 
 def test_lower_bound_values():
@@ -348,9 +349,11 @@ def test_line_orbits(q):
 def test_seeds_lie_on_the_heavy_line():
     """Each seed is its m-subset A of L0, P0 and (x, y, 1) for the first point
     b = (x, y, 0) of L0 outside A; the excluded points are L0 outside A, and
-    no line meets the seed in more than m points.  m runs from 2 to
-    min(n - 2, q + 1), so a set of fewer than 4 points has no seed."""
-    for q, n in [(4, 21), (5, 10), (7, 12), (9, 14)]:
+    no line meets the seed in more than m points.  m runs over the values
+    from 2 to min(n - q, q + 1) that some spectrum of `spectrum_solutions`
+    with no tangent and x_m >= 1 allows (at (11,17), 3 x_3 = 68 rules out
+    m = 3), so a set of fewer than 4 points has no seed."""
+    for q, n in [(4, 21), (5, 10), (7, 12), (9, 14), (11, 17)]:
         pl = plane_for_order(q)
         l0 = p0 = pl.index_of((0, 0, 1))
         line = pl.points_on_line[l0]
@@ -365,7 +368,8 @@ def test_seeds_lie_on_the_heavy_line():
                 x, y, _ = pl.coords[outside[0]]
                 assert pl.coords[seed[m + 1]] == (x, y, 1)
             assert max(PointSet(pl, seed).per_line) == m == PointSet(pl, seed).per_line[l0]
-        assert sorted(set(caps)) == list(range(2, min(n - 2, q + 1) + 1)) and caps == sorted(caps)
+        feasible = [m for m in range(2, min(n - q, q + 1) + 1) if any(s[-1] for s in spectrum_solutions(n, q, m))]
+        assert sorted(set(caps)) == feasible and caps == sorted(caps)
     assert list(_seeds(plane_for_order(3), 3)) == []
 
 
@@ -446,7 +450,7 @@ def test_repair_step_matches_reference_at_every_node():
         s.run(11, excluded, lambda t: box.append(t) or True, seed=seed)
         assert not box
         nodes, shared, cover_only = nodes + s.nodes, shared + s.shared, cover_only + s.cover_only
-    assert nodes == 142 and shared and cover_only
+    assert nodes == 25 and shared and cover_only
     s = _CheckedSearcher(plane_for_order(4))
     out = []
     s.run(8, 0, out.append)
@@ -533,10 +537,10 @@ def test_kernel_masks_match_line_counts(q, data):
 
 def test_exact_node_counts():
     """The DFS makes the same decisions, so its node counts are fixed."""
-    assert _exists(plane_for_order(7), 11) == (None, 142)
-    assert _exists(plane_for_order(9), 13) == (None, 911)
-    assert _exists(plane_for_order(9), 14) == (None, 7_793)
-    assert _exists(plane_for_order(11), 15) == (None, 8_323)
+    assert _exists(plane_for_order(7), 11) == (None, 25)
+    assert _exists(plane_for_order(9), 13) == (None, 97)
+    assert _exists(plane_for_order(9), 14) == (None, 7_756)
+    assert _exists(plane_for_order(11), 15) == (None, 8_206)
     w, nodes = _exists(plane_for_order(8), 10)
     assert nodes == 11
     assert is_tangent_free(PointSet(plane_for_order(8), w)) and len(w) == 10
@@ -545,14 +549,14 @@ def test_exact_node_counts():
     sets, nodes = _full_plane_sets(plane_for_order(4), 11)
     assert len(sets) == 8568 and nodes == 64_220
     sets, nodes = _seeded_sets(plane_for_order(5), 10)
-    assert (nodes, len(sets)) == (107, 6)
+    assert (nodes, len(sets)) == (103, 6)
     sets, nodes = _seeded_sets(plane_for_order(4), 11)
-    assert (nodes, len(sets)) == (497, 78)
+    assert (nodes, len(sets)) == (468, 78)
     sets, nodes = _seeded_sets(plane_for_order(7), 12)
-    assert (nodes, len(sets)) == (836, 12)
+    assert (nodes, len(sets)) == (824, 12)
     assert _exists(plane_for_order(9), 15) == (
-        (0, 9, 18, 27, 36, 45, 55, 56, 64, 65, 73, 74, 82, 83, 90), 36_130)
-    assert secant_bound_check(5).nodes == 49
+        (0, 9, 18, 27, 36, 45, 55, 56, 64, 65, 73, 74, 82, 83, 90), 36_105)
+    assert secant_bound_check(5).nodes == 34
 
 
 def _per_subset_secant_reference(p):
@@ -579,7 +583,7 @@ def _per_subset_secant_reference(p):
     return all_trivial, max_sec, nodes
 
 
-@pytest.mark.parametrize("p,ref_nodes,nodes", [(3, 30, 7), (5, 500, 49), (7, 4_823, 209)])
+@pytest.mark.parametrize("p,ref_nodes,nodes", [(3, 30, 5), (5, 500, 34), (7, 4_823, 187)], ids=["p3", "p5", "p7"])
 def test_secant_bound_matches_uncapped_reference(p, ref_nodes, nodes):
     """The secant-bound check from the seeds with m at least the heavy-line
     size, under their line caps, gives the verdict and the largest secants
@@ -709,14 +713,16 @@ def test_parallel_witness_equals_serial(q, n):
 def test_budget_cut_keeps_nodes():
     """A cut at the first deadline check in the DFS keeps the nodes of the
     search so far; a deadline that has passed before the first job stops the
-    level with the frontier's nodes, which are not zero, at workers 1 and 2."""
+    level with the frontier's nodes of its first m, which are not zero, at
+    workers 1 and 2."""
     pl = plane_for_order(9)
     m, seed, excluded = next((m, seed, ex) for m, seed, ex in _seeds(pl, 14) if m == 3)
     with pytest.raises(SearchTimeout) as cut:
         _search_from(pl, 14, m, seed, excluded, time.monotonic())
     assert cut.value.nodes == 4096
+    first = next(_seeds(pl, 13))[0]
     frontier = sum(_frontier_jobs(pl, 13, m, seed, ex, JOBS_PER_SEED)[1]
-                   for m, seed, ex in _seeds(pl, 13) if m == 2)
+                   for m, seed, ex in _seeds(pl, 13) if m == first)
     assert frontier > 0
     for workers in (1, 2):
         with pytest.raises(SearchTimeout) as cut:
@@ -730,10 +736,10 @@ def test_budget_cut_keeps_nodes():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_budget_exceeded_keeps_level_nodes(workers):
     """A search cut off mid-level still reports the nodes it expanded (q=11
-    levels 15 and 16, 8,323 and 83,216 nodes, take about 1.2 CPU s at
-    workers=1, so the cut lands in level 16 or 17, whose 491,382 nodes take
-    far longer than the budget)."""
-    res = min_tangent_free(11, 22, workers=workers, budget_s=2.0)
+    level 15, 8,206 nodes, takes about 0.07 CPU s, and level 16, 83,101
+    nodes, about 0.9 s at workers=1 and 0.5 s wall at workers=2, so the cut
+    lands in level 16)."""
+    res = min_tangent_free(11, 22, workers=workers, budget_s=0.5)
     assert res.status == "budget_exceeded"
     assert res.exhausted_below >= lower_bound(11)
     assert res.nodes > 0
@@ -743,7 +749,8 @@ def test_pool_stops_without_terminate(monkeypatch):
     """A level settled early and a level cut by the budget stop the pool by
     its stop event, then close and join it: no worker is signalled, and none
     is left running.  Levels settled early with more workers than CPUs give
-    the serial witness; a hang dumps the stacks and ends the run."""
+    the serial witness; a hang dumps the stacks and ends the run.  Every
+    level hands its jobs to the pool at once."""
     import faulthandler
     import multiprocessing
     import multiprocessing.pool
@@ -752,6 +759,7 @@ def test_pool_stops_without_terminate(monkeypatch):
         raise AssertionError("Pool.terminate called")
 
     monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", refuse)
+    monkeypatch.setattr(search, "POOL_AFTER_S", 0)
     faulthandler.dump_traceback_later(120, exit=True)
     try:
         witness = _exists(plane_for_order(9), 15, 2)[0]
@@ -765,6 +773,43 @@ def test_pool_stops_without_terminate(monkeypatch):
     finally:
         faulthandler.cancel_dump_traceback_later()
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("after", [0, 0.03, search.POOL_AFTER_S])
+@pytest.mark.parametrize("q,n", [(9, 14), (9, 15), (11, 15)])
+def test_handover_keeps_witness_and_nodes(monkeypatch, q, n, after):
+    """The jobs settle in job order wherever the level hands them to the
+    pool: from the first job on (a pool is forked), after 0.03 CPU s, which
+    each of these levels passes after a few jobs here, or, at the default,
+    not at all, so workers=2 gives the workers=1 witness and node count."""
+    import multiprocessing.pool
+
+    forks = []
+    init = multiprocessing.pool.Pool.__init__
+
+    def counted(self, *args, **kwargs):
+        forks.append(1)
+        init(self, *args, **kwargs)
+
+    pl = plane_for_order(q)
+    serial = _exists(pl, n, 1)
+    monkeypatch.setattr(search, "POOL_AFTER_S", after)
+    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", counted)
+    assert _exists(pl, n, 2) == serial
+    assert forks or after
+
+
+def test_small_levels_fork_no_pool(monkeypatch):
+    """u_9 is settled by levels 13 and 14 (97 and 7,756 nodes, well under
+    `POOL_AFTER_S` each) and a construction, so workers=2 forks no pool."""
+    import multiprocessing.pool
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a pool was forked")
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", refuse)
+    res = min_tangent_free(9, 18, workers=2)
+    assert (res.u, res.nodes) == (15, 7_853)
 
 
 def test_enumerate_q3_size6_all_trivial():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from pg2q.tangency import (
     secant_bound_check,
     slope_directions,
     spectrum,
+    spectrum_feasible,
     spectrum_solutions,
 )
 
@@ -90,6 +92,54 @@ def test_spectrum_solutions_hyperoval():
     q = 4
     sols = spectrum_solutions(q + 2, q, 2)
     assert sols == [(q * q + q + 1 - (q + 2) * (q + 1) // 2, (q + 2) * (q + 1) // 2)]
+
+
+def _reference_spectra(n, q, max_i):
+    """The line-count identities solved by a sweep of x_max_i, ..., x_4, each
+    over every value the sums left allow, with x_3 and x_2 eliminated: the
+    solutions (x_0, x_2, ..., x_max_i) with x_1 = 0, in ascending order."""
+    n_lines, s1, s2 = q * q + q + 1, n * (q + 1), n * (n - 1)
+    if max_i < 2:
+        return [(n_lines,)] if n == 0 else []
+    out = []
+
+    def sweep(i, tail, t1, t2):
+        if i == 3:
+            x3, r3 = divmod((s2 - t2) - (s1 - t1), 3)
+            x2, r2 = divmod(s1 - t1 - 3 * x3, 2)
+            x0 = n_lines - x2 - x3 - sum(tail)
+            if min(x0, x2, x3) >= 0 and not r3 and not r2 and (max_i > 2 or x3 == 0):
+                out.append(((x0, x2, x3) + tail)[:max_i])
+            return
+        for x in range(min((s1 - t1) // i, (s2 - t2) // (i * (i - 1))) + 1):
+            sweep(i - 1, (x,) + tail, t1 + i * x, t2 + i * (i - 1) * x)
+
+    sweep(max(max_i, 3), (), 0, 0)
+    return sorted(out)
+
+
+def test_spectra_match_full_sweep():
+    """The pruned solver and the feasibility test, which stops at its first
+    spectrum, agree with the full sweep at every q <= 9, n <= 2q and m, and
+    over every n at q <= 3, where the lines meeting the set can number all
+    the lines of the plane."""
+    cases = [(q, n) for q in (2, 3, 4, 5, 7, 8, 9) for n in range(2 * q + 1)]
+    cases += [(q, n) for q in (2, 3) for n in range(2 * q + 1, q * q + q + 2)]
+    for q, n in cases:
+        for m in range(q + 2):
+            want = _reference_spectra(n, q, m)
+            assert spectrum_solutions(n, q, m) == want, (q, n, m)
+            assert spectrum_feasible(n, q, m) == (m >= 2 and any(s[-1] for s in want)), (q, n, m)
+    assert not spectrum_feasible(17, 11, 3)  # 3 x_3 = 68
+
+
+def test_spectrum_feasible_stops_at_first_spectrum():
+    """spectrum_solutions(32, 16, 17) lists 116,460 spectra (7.6 s by the
+    full sweep, about 0.4 s pruned); the feasibility test at the same input
+    stops at its first."""
+    t0 = time.perf_counter()
+    assert spectrum_feasible(32, 16, 17)
+    assert time.perf_counter() - t0 < 0.05
 
 
 def test_determined_directions_frobenius_graph():

@@ -13,15 +13,11 @@ from enum import Enum
 from functools import cached_property, lru_cache
 
 from .gfq import GF, QuadChar
-from .linalg import mat_inverse, mat_mul, mat_transpose, nullspace
+from .linalg import mat_inverse, mat_mul, mat_transpose
 from .plane import Plane, PointSet, mask_bits, mask_of
 
 
 class DegenerateConic(ValueError):
-    pass
-
-
-class TooFewPoints(ValueError):
     pass
 
 
@@ -181,43 +177,3 @@ def discriminant_point_class(conic_line_a: int, xi: int, gf: GF) -> PointClass:
 def is_arc(plane: Plane, indices) -> bool:
     """No line carries three of the given points."""
     return all(c <= 2 for c in PointSet(plane, indices).per_line)
-
-
-def is_dual_arc(plane: Plane, line_indices) -> bool:
-    """No three of the given lines are concurrent."""
-    # self-duality: the lines of a set L through point p are the members of L on line p
-    return all(c <= 2 for c in PointSet(plane, line_indices).per_line)
-
-
-def fit_quadratic_form(plane: Plane, coord_triples) -> tuple[int, ...] | None:
-    """Six coefficients of a form vanishing on the given triples, or None if
-    only the zero form does or the solution is not unique up to scale."""
-    gf = plane.gf
-    rows = []
-    for x, y, z in coord_triples:
-        rows.append(
-            [
-                gf.mul(x, x),
-                gf.mul(y, y),
-                gf.mul(z, z),
-                gf.mul(x, y),
-                gf.mul(x, z),
-                gf.mul(y, z),
-            ]
-        )
-    basis = nullspace(rows, gf, ncols=6)
-    if len(basis) != 1:
-        return None
-    return tuple(basis[0])
-
-
-def arc_is_conic_check(plane: Plane, indices) -> bool:
-    """Fit a form through five of the points and test the rest against it."""
-    pts = sorted(indices)
-    if len(pts) < 5:
-        raise TooFewPoints("need at least 5 points to fit a conic")
-    coords = [plane.coords[p] for p in pts]
-    form = fit_quadratic_form(plane, coords[:5])
-    if form is None:
-        return False
-    return all(evaluate_form(plane.gf, form, c) == 0 for c in coords)

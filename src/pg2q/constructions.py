@@ -5,7 +5,6 @@ the claimed size against the actual size.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .conic import Conic, PointClass, canonical_conic
@@ -55,16 +54,11 @@ def two_conics(q: int, a: int) -> PointSet:
     """Symmetric difference of the conics z^2 = xy and z^2 = a xy."""
     if q <= 5 or q % 2 == 0:
         raise InvalidA("two-conic construction needs odd q > 5")
+    valid = find_valid_a(q)
+    if a not in valid:
+        raise InvalidA(f"a={a}: need 1-a and a(a-1) nonzero squares in GF({q}), that is a in {valid}")
     plane = plane_for_order(q)
     gf = plane.gf
-    if not 0 <= a < q:
-        raise InvalidA(f"a={a} is not an element of GF({q}): need 0 <= a < {q}")
-    if a in (0, 1):
-        raise InvalidA("a must avoid 0 and 1")
-    if gf.quad_char(gf.sub(1, a)) is not QuadChar.SQUARE or gf.quad_char(
-        gf.mul(a, gf.sub(a, 1))
-    ) is not QuadChar.SQUARE:
-        raise InvalidA(f"a={a}: 1-a and a(a-1) must be nonzero squares")
     neg1 = gf.neg(1)
     c1 = Conic(plane, (0, 0, 1, neg1, 0, 0))
     c2 = Conic(plane, (0, 0, 1, gf.neg(a), 0, 0))
@@ -249,24 +243,16 @@ def build(name: str, q: int, r: int | None = None, a: int | None = None) -> Cons
     return Construction(name, ps, claimed, notes)
 
 
-def constructions_at(q: int) -> Iterator[Construction]:
-    """Every construction applicable at this order, in a fixed order."""
-    plane = plane_for_order(q)
-    yield build("trivial", q)
-    if q % 2 == 1 and q > 5:
-        valid = find_valid_a(q)
-        if valid:
-            yield build("two_conics", q, a=valid[0])
-    if q % 2 == 1 and q >= 5:
-        yield build("interior", q)
-        for r in range(0, (q - 5) // 2 + 1):
-            yield build("punctured_interior", q, r=r)
-    if plane.gf.p > 2 and plane.gf.h >= 2:
-        yield build("trace_graph", q)
-        yield build("frobenius_graph", q)
-
-
 def all_certificates(q: int) -> list[Construction]:
-    """Every construction applicable at this order, each carrying its
-    certificate."""
-    return list(constructions_at(q))
+    """Every construction applicable at this order, in a fixed order, each
+    carrying its certificate."""
+    gf = field_for_order(q)
+    out = [build("trivial", q)]
+    if q % 2 == 1 and q > 5 and find_valid_a(q):
+        out.append(build("two_conics", q))
+    if q % 2 == 1 and q >= 5:
+        out.append(build("interior", q))
+        out += [build("punctured_interior", q, r=r) for r in range((q - 5) // 2 + 1)]
+    if gf.p > 2 and gf.h >= 2:
+        out += [build("trace_graph", q), build("frobenius_graph", q)]
+    return out

@@ -18,13 +18,6 @@ class NotExternal(ValueError):
     pass
 
 
-def is_exterior_set(conic: Conic, members) -> bool:
-    """Every line through two of the points must be external to the conic:
-    each other line meets them in fewer than two points."""
-    ext = conic.external_lines
-    return all(c < 2 for l, c in enumerate(PointSet(conic.plane, members).per_line) if not ext >> l & 1)
-
-
 def exterior_points_on_line(conic: Conic, line: int) -> list[int]:
     if conic.classify_line(line) is not LineClass.EXTERNAL:
         raise NotExternal(f"line {line} is not external")

@@ -337,9 +337,6 @@ class GF:
             return QuadChar.SQUARE
         return QuadChar.SQUARE if self._log[a] % 2 == 0 else QuadChar.NONSQUARE
 
-    def squares(self) -> set[int]:
-        return {self.mul(x, x) for x in range(1, self.q)}
-
     def smallest_nonsquare(self) -> int:
         for a in range(1, self.q):
             if self.quad_char(a) is QuadChar.NONSQUARE:

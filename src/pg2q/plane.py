@@ -24,10 +24,6 @@ from .linalg import mat_inverse, mat_transpose, mat_vec
 MAX_PLANE_ORDER = 64
 
 
-class IdenticalPoints(ValueError):
-    pass
-
-
 class IdenticalLines(ValueError):
     pass
 
@@ -95,23 +91,18 @@ class Plane:
     def incident(self, p: int, l: int) -> bool:
         return bool(self.line_masks[l] >> p & 1)
 
-    def _cross(self, a, b):
-        gf = self.gf
-        return (
+    def meet(self, l: int, m: int) -> int:
+        """The point on lines l and m: the normalised cross product of their
+        triples.  Points and lines share one index space, so the same call
+        with two points gives the line through them, their join."""
+        if l == m:
+            raise IdenticalLines(f"line {l} repeated")
+        gf, a, b = self.gf, self.coords[l], self.coords[m]
+        return self._index[self.normalize((
             gf.sub(gf.mul(a[1], b[2]), gf.mul(a[2], b[1])),
             gf.sub(gf.mul(a[2], b[0]), gf.mul(a[0], b[2])),
             gf.sub(gf.mul(a[0], b[1]), gf.mul(a[1], b[0])),
-        )
-
-    def line_through(self, p: int, r: int) -> int:
-        if p == r:
-            raise IdenticalPoints(f"point {p} repeated")
-        return self._index[self.normalize(self._cross(self.coords[p], self.coords[r]))]
-
-    def meet(self, l: int, m: int) -> int:
-        if l == m:
-            raise IdenticalLines(f"line {l} repeated")
-        return self._index[self.normalize(self._cross(self.coords[l], self.coords[m]))]
+        ))]
 
     def apply_matrix(self, mat, p: int) -> int:
         """Image of a point index under a 3x3 matrix (row-major codes)."""

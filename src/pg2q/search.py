@@ -65,7 +65,6 @@ from functools import lru_cache
 from itertools import chain, combinations, groupby
 from operator import itemgetter
 
-from .linalg import mat_inverse, mat_transpose, mat_vec
 from .plane import Plane, PointSet, mask_of, plane_for, plane_for_order
 from .tangency import is_tangent_free, spectrum_feasible
 
@@ -389,27 +388,6 @@ def enumerate_tangent_free(q: int, n: int) -> list[tuple[int, ...]]:
     return sorted(t for orbit in pgl_orbits(q, sets) for t in orbit)
 
 
-FRAME = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
-
-
-def frame_collineation(plane, quad) -> tuple[int, ...]:
-    """The collineation that sends the ordered quadrangle `quad` to the
-    points of `FRAME`, in order, as a point permutation (entry p is the image
-    of point p).
-
-    With B the matrix whose columns are the first three points and
-    lambda = B^-1 v4, the matrix B diag(lambda) sends the frame to `quad`; its
-    inverse is the map, unique since PGL(3,q) is sharply transitive on ordered
-    frames.  Raises ZeroDivisionError when three of the points are collinear.
-    """
-    gf = plane.gf
-    b = mat_transpose([c for p in quad[:3] for c in plane.coords[p]])
-    lam = mat_vec(mat_inverse(b, gf), plane.coords[quad[3]], gf)
-    to_quad = [gf.mul(b[i], lam[i % 3]) for i in range(9)]
-    to_frame = mat_inverse(to_quad, gf)
-    return tuple(plane.apply_matrix(to_frame, p) for p in range(plane.n))
-
-
 # -- existence levels ------------------------------------------------------------
 
 
@@ -546,10 +524,10 @@ class SearchResult:
 def known_witnesses(q: int) -> dict[int, tuple[int, ...]]:
     """Verified tangent-free sets by size: the first set of each size in the
     construction list, then a conic plus a no-3-collinear exterior clique."""
-    from .constructions import constructions_at
+    from .constructions import all_certificates
 
     out: dict[int, tuple[int, ...]] = {}
-    for c in constructions_at(q):
+    for c in all_certificates(q):
         if not (c.actual_size > 0 and c.tangent_free):
             raise AssertionError(f"construction {c.name} at q={q} is not a tangent-free set")
         out.setdefault(len(c.points), c.points.sorted_tuple())

@@ -1,7 +1,13 @@
 """Composed verification runs at three scales.
 
 quick: seconds (q <= 7) -- censuses, constructions, u_3/u_5, extension
-dichotomy for q in {5,7}, spectrum system, codes basics.
+dichotomy for q in {5,7}, spectrum system, codes basics, and three results
+of the paper (costs on 2 CPUs, Python 3.11): the converse of the Redei
+completion and the 1 mod p property of determined directions for the
+Frobenius and trace graphs at q in {9, 25, 27} (0.01 s); the Desargues
+configuration of the PG(2,5) interior (0.0002 s); the external-line formula
+and the point discriminant behind the q mod 4 dichotomy, exhaustively for
+odd q <= 11 (0.08 s).
 full: minutes -- adds u_7, the classifications of the tangent-free sets of
 PG(2,5) of size 10 and PG(2,7) of size 12, clique searches up to q=11,
 dichotomy to q=13, construction certificates to q=31.
@@ -81,6 +87,64 @@ def _check_ten_set():
     return len(ps) == 10, "conic + 3 exterior points + concurrency point"
 
 
+def _check_redei_directions(qs):
+    """The Frobenius and trace graphs completed on the line x = 0: the
+    completion's points there are the non-determined directions of the rest
+    (the converse of the Redei completion), and the graph with its determined
+    directions meets every line in 1 mod p points."""
+    from .constructions import frobenius_graph, trace_graph
+    from .plane import PointSet, plane_for_order
+    from .tangency import one_mod_p_check, redei_converse_check
+
+    bad = []
+    for q in qs:
+        plane = plane_for_order(q)
+        linf = plane.index_of((1, 0, 0))  # the line x = 0 of the graph completions
+        for graph in (frobenius_graph, trace_graph):
+            s = graph(q)
+            affine = PointSet(plane, s.members - set(plane.points_on_line[linf]))
+            if not (redei_converse_check(s, linf) and one_mod_p_check(affine, linf)):
+                bad.append((q, graph.__name__))
+    return not bad, f"converse and 1 mod p for the Frobenius and trace graphs, q in {list(qs)}" + (
+        f"; failures {bad}" if bad else "")
+
+
+def _check_pg25_desargues():
+    from .conic import canonical_conic
+    from .constructions import interior_points, verify_desargues
+    from .plane import plane_for_order
+
+    ok = verify_desargues(interior_points(canonical_conic(plane_for_order(5))))
+    return ok, "the 10 interior points of a conic in PG(2,5) and their 10 3-secants"
+
+
+def _check_external_line_formula(qs):
+    """Exhaustively over the pairs <(1,alpha,lam)>, <(1,xi,a)> of distinct
+    points: the join is external to y^2 = xz exactly when the discriminant
+    formula is a non-square; and on the external line z = ax the sign of
+    xi^2 - a classifies <(1,xi,a)>."""
+    from itertools import product
+
+    from .conic import LineClass, discriminant_point_class
+    from .exterior import canonical_external_line, external_line_test_formula, join_line_coords
+    from .gfq import QuadChar
+    from .plane import plane_for_order
+
+    for q in qs:
+        plane = plane_for_order(q)
+        gf = plane.gf
+        conic, _, ext_a = canonical_external_line(plane)
+        for alpha, lam, xi, a in product(range(q), repeat=4):
+            if (alpha, lam) != (xi, a) and (
+                conic.classify_line(plane.index_of(join_line_coords(gf, alpha, lam, xi, a))) is LineClass.EXTERNAL
+            ) != (external_line_test_formula(gf, alpha, lam, xi, a) is QuadChar.NONSQUARE):
+                return False, f"the formula misclassifies the join of <(1,{alpha},{lam})> and <(1,{xi},{a})> at q={q}"
+        for xi in range(q):
+            if conic.classify_point(plane.index_of((1, xi, ext_a))) is not discriminant_point_class(ext_a, xi, gf):
+                return False, f"the discriminant misclassifies <(1,{xi},{ext_a})> at q={q}"
+    return True, f"external-line formula and point discriminant hold for q in {list(qs)}"
+
+
 def _check_codes_quick():
     from .codes import hyperoval, incidence_code, trivial_signing
 
@@ -156,6 +220,9 @@ def run_suite(level: str, workers: int | None = None, note=print):
         ("dichotomy_5_7", lambda: _check_dichotomy([5, 7])),
         ("spectrum_system", _check_spectrum_system),
         ("pg25_ten_set", _check_ten_set),
+        ("redei_directions", lambda: _check_redei_directions([9, 25, 27])),
+        ("pg25_desargues", _check_pg25_desargues),
+        ("external_line_formula", lambda: _check_external_line_formula([3, 5, 7, 9, 11])),
         ("codes_quick", _check_codes_quick),
         ("secant_bound_p<=5", lambda: _check_secant_bound([3, 5])),
     ]

@@ -148,17 +148,6 @@ def determined_directions(affine: PointSet, linf: int) -> DirectionSet:
     return DirectionSet(linf, frozenset(det), frozenset(non))
 
 
-def slope_directions(affine: PointSet, linf: int) -> frozenset[int]:
-    """Cross-check: directions as joins of affine pairs met with the line."""
-    plane = affine.plane
-    pts = sorted(affine.members)
-    out = set()
-    for i, a in enumerate(pts):
-        for b in pts[i + 1 :]:
-            out.add(plane.meet(plane.line_through(a, b), linf))
-    return frozenset(out)
-
-
 def redei_completion(affine: PointSet, linf: int) -> PointSet:
     """Affine q-set plus its non-determined directions; a set without tangents
     whenever fewer than (q+3)/2 directions are determined."""

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pg2q.cli import dispatch
 from pg2q.conic import canonical_conic
-from pg2q.constructions import constructions_at, find_valid_a, interior_points, trivial
+from pg2q.constructions import all_certificates, find_valid_a, interior_points, trivial
 from pg2q.gfq import ReducibleModulus, field_new
 from pg2q.linalg import random_invertible
 from pg2q.plane import PointSet, plane_for, plane_for_order
@@ -270,7 +270,7 @@ def test_construct_punctured_interior_reads_r(capsys, r, size):
 def test_construct_matches_the_construction_list(capsys, q):
     # the CLI used to name every punctured set punctured_interior and leave
     # the notes of frobenius_graph empty over an extension field
-    for c in constructions_at(q):
+    for c in all_certificates(q):
         name, _, r = c.name.partition("_r")  # punctured_interior_r{r}; no other name has "_r"
         code, out, _ = run(capsys, "construct", "--name", name, "--q", str(q), *(["--r", r] if r else []))
         assert code == 0, c.name
@@ -479,4 +479,23 @@ def test_theoremsuite_quick(capsys):
     assert code == 0
     obj = json.loads(out)
     assert all(entry["ok"] for entry in obj["results"].values())
+    assert {"redei_directions", "pg25_desargues", "external_line_formula"} <= set(obj["results"])
     assert "[ok]" in err
+
+
+@pytest.mark.parametrize("check,module,name,broken", [
+    ("_check_redei_directions", "tangency", "one_mod_p_check", lambda affine, linf: False),
+    ("_check_pg25_desargues", "constructions", "verify_desargues", lambda s: False),
+    ("_check_external_line_formula", "exterior", "external_line_test_formula", lambda *args: None),
+    ("_check_external_line_formula", "conic", "discriminant_point_class", lambda *args: None),
+])
+def test_theoremsuite_result_checks_fail_on_a_broken_result(monkeypatch, check, module, name, broken):
+    # each paper-result check reports the function it states when that function is wrong
+    import importlib
+
+    from pg2q import suite
+
+    monkeypatch.setattr(importlib.import_module(f"pg2q.{module}"), name, broken)
+    args = {"_check_redei_directions": ([9],), "_check_external_line_formula": ([5],)}.get(check, ())
+    ok, detail = getattr(suite, check)(*args)
+    assert not ok, detail

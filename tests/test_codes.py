@@ -14,7 +14,7 @@ from pg2q.codes import (
     stopping_equivalence_check,
     trivial_signing,
 )
-from pg2q.constructions import constructions_at, frobenius_graph, interior_points, punctured_interior, trivial
+from pg2q.constructions import all_certificates, frobenius_graph, interior_points, punctured_interior, trivial
 from pg2q.conic import canonical_conic, exterior_point_indices
 from pg2q.gfq import field_for_order
 from pg2q.linalg import nullspace, random_invertible
@@ -195,7 +195,7 @@ def test_dual_codeword_search_matches_the_full_scan(q):
     code = incidence_code(plane)
     rng = random.Random(q)
     sets = []
-    for c in constructions_at(q):
+    for c in all_certificates(q):
         sets += [c.points.members] + _images(plane, c.points.members, 2, rng)
     sets += [rng.sample(range(plane.n), rng.randrange(1, plane.n // 2)) for _ in range(6)]
     assert all([checked_search(code, s)[2] for s in sets])

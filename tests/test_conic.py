@@ -7,17 +7,40 @@ from pg2q.conic import (
     DegenerateConic,
     LineClass,
     PointClass,
-    TooFewPoints,
-    arc_is_conic_check,
     canonical_conic,
     discriminant_point_class,
+    evaluate_form,
     is_arc,
-    is_dual_arc,
 )
-from pg2q.linalg import random_invertible
+from pg2q.linalg import nullspace, random_invertible
 from pg2q.plane import plane_for_order
 
 ODD_Q = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31]
+
+
+class TooFewPoints(ValueError):
+    pass
+
+
+def fit_quadratic_form(plane, coord_triples):
+    """Six coefficients of a form vanishing on the given triples, or None if
+    only the zero form does or the solution is not unique up to scale."""
+    gf = plane.gf
+    rows = [[gf.mul(x, x), gf.mul(y, y), gf.mul(z, z), gf.mul(x, y), gf.mul(x, z), gf.mul(y, z)]
+            for x, y, z in coord_triples]
+    basis = nullspace(rows, gf, ncols=6)
+    return tuple(basis[0]) if len(basis) == 1 else None
+
+
+def arc_is_conic_check(plane, indices):
+    """Reference: fit a form through five of the points and test the rest
+    against it."""
+    pts = sorted(indices)
+    if len(pts) < 5:
+        raise TooFewPoints("need at least 5 points to fit a conic")
+    coords = [plane.coords[p] for p in pts]
+    form = fit_quadratic_form(plane, coords[:5])
+    return form is not None and all(evaluate_form(plane.gf, form, c) == 0 for c in coords)
 
 
 def test_conic_points_examples():
@@ -142,7 +165,8 @@ def test_dual_arc_of_interior_set():
     s = interior_points(c)
     missing = [l for l, cnt in enumerate(s.per_line) if cnt == 0]
     assert len(missing) == 6
-    assert is_dual_arc(pl, missing)
+    # self-duality: no three of the lines are concurrent, read as an arc
+    assert is_arc(pl, missing)
     # line duals live in the same coordinate space, so the conic fit applies
     assert arc_is_conic_check(pl, missing)
     # those lines are exactly the tangent lines of the conic
@@ -160,6 +184,6 @@ def test_external_joins_are_the_external_joins(q):
         want = sum(
             1 << r
             for r in range(pl.n)
-            if r != p and c.classify_line(pl.line_through(p, r)) is LineClass.EXTERNAL
+            if r != p and c.classify_line(pl.meet(p, r)) is LineClass.EXTERNAL
         )
         assert c.external_joins(p) & ~(1 << p) == want, p

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pg2q.gfq import ReducibleModulus, field_for_order, field_new, prime_factors
-from pg2q.plane import IdenticalLines, IdenticalPoints, Plane, PointSet, plane_for, plane_for_order
+from pg2q.plane import IdenticalLines, Plane, PointSet, plane_for, plane_for_order
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11])
@@ -25,12 +25,12 @@ def test_plane_axioms_exhaustive(q):
     # each pair of points joined by exactly one line, dually for lines
     for i in range(n):
         for j in range(i + 1, n):
-            l = pl.line_through(i, j)
+            l = pl.meet(i, j)  # the join of points i and j
             assert pl.incident(i, l) and pl.incident(j, l)
             common = set(pl.lines_through_point[i]) & set(pl.lines_through_point[j])
             assert common == {l}
-            m = pl.meet(i, j)  # same coordinates read as lines
-            assert set(pl.points_on_line[i]) & set(pl.points_on_line[j]) == {m}
+            # the same call read on lines: the meet of lines i and j
+            assert set(pl.points_on_line[i]) & set(pl.points_on_line[j]) == {l}
 
 
 def _reference_incidence(plane: Plane) -> np.ndarray:
@@ -145,14 +145,12 @@ def test_double_count():
 
 def test_join_meet_examples():
     pl = plane_for_order(5)
-    l = pl.line_through(pl.index_of((1, 0, 0)), pl.index_of((0, 1, 0)))
+    l = pl.meet(pl.index_of((1, 0, 0)), pl.index_of((0, 1, 0)))
     assert pl.coords[l] == (0, 0, 1)
-    l2 = pl.line_through(pl.index_of((1, 0, 3)), pl.index_of((0, 1, 0)))
+    l2 = pl.meet(pl.index_of((1, 0, 3)), pl.index_of((0, 1, 0)))
     assert pl.coords[l2] == (1, 0, 3)
     p = pl.meet(pl.index_of((0, 0, 1)), pl.index_of((0, 1, 0)))
     assert pl.coords[p] == (1, 0, 0)
-    with pytest.raises(IdenticalPoints):
-        pl.line_through(3, 3)
     with pytest.raises(IdenticalLines):
         pl.meet(4, 4)
 

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from pg2q import search
 from pg2q.codes import hyperoval
-from pg2q.constructions import constructions_at, interior_points, trivial
+from pg2q.constructions import all_certificates, interior_points, trivial
 from pg2q.conic import canonical_conic
+from pg2q.linalg import mat_inverse, mat_transpose, mat_vec
 from pg2q.plane import PointSet, mask_bits, plane_for_order
 from pg2q.search import (
-    FRAME,
     JOBS_PER_SEED,
     CapTooSmall,
     Infeasible,
@@ -29,7 +29,6 @@ from pg2q.search import (
     brute_force_min,
     classify_up_to_pgl,
     enumerate_tangent_free,
-    frame_collineation,
     known_witnesses,
     lower_bound,
     min_tangent_free,
@@ -98,7 +97,7 @@ def _triple_seed_witness(pl, n):
     """Reference search over two seeds, one collinear triple and one
     triangle through points 0 and 1; together they are exhaustive, since the
     collineation group is transitive on each kind of triple."""
-    l01 = pl.line_through(0, 1)
+    l01 = pl.meet(0, 1)
     third_on = min(set(pl.points_on_line[l01]) - {0, 1})
     third_off = next(p for p in range(pl.n) if not pl.incident(p, l01))
     for seed in ((0, 1, third_on), (0, 1, third_off)):
@@ -108,9 +107,30 @@ def _triple_seed_witness(pl, n):
     return None
 
 
+FRAME = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
+
+
 def _frame(pl):
     """The point indices of FRAME."""
     return tuple(pl.index_of(v) for v in FRAME)
+
+
+def _frame_collineation(plane, quad) -> tuple[int, ...]:
+    """The collineation that sends the ordered quadrangle `quad` to the
+    points of `FRAME`, in order, as a point permutation (entry p is the image
+    of point p).
+
+    With B the matrix whose columns are the first three points and
+    lambda = B^-1 v4, the matrix B diag(lambda) sends the frame to `quad`; its
+    inverse is the map, unique since PGL(3,q) is sharply transitive on ordered
+    frames.  Raises ZeroDivisionError when three of the points are collinear.
+    """
+    gf = plane.gf
+    b = mat_transpose([c for p in quad[:3] for c in plane.coords[p]])
+    lam = mat_vec(mat_inverse(b, gf), plane.coords[quad[3]], gf)
+    to_quad = [gf.mul(b[i], lam[i % 3]) for i in range(9)]
+    to_frame = mat_inverse(to_quad, gf)
+    return tuple(plane.apply_matrix(to_frame, p) for p in range(plane.n))
 
 
 def _frame_witness(pl, n):
@@ -228,7 +248,7 @@ def test_cover_bound_alone_prunes():
     repair 4 + 2 < 8 tangents, so the cover prunes it."""
     pl = plane_for_order(4)
     frame = _frame(pl)
-    secants = {pl.line_through(a, b) for a in frame for b in frame if a < b}
+    secants = {pl.meet(a, b) for a in frame for b in frame if a < b}
     off = [x for x in range(pl.n) if x not in frame and not any(pl.incident(x, l) for l in secants)]
     assert len(off) == 2
     s = _Searcher(pl)
@@ -268,14 +288,14 @@ def _frame_stabiliser_reference(pl):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
 def test_frame_collineation_orderings(q):
-    """frame_collineation sends each of the 24 orderings of the frame to the
+    """_frame_collineation sends each of the 24 orderings of the frame to the
     frame; the 24 maps are closed under composition and are the stabiliser
     generated from permutation matrices."""
     pl = plane_for_order(q)
     frame = _frame(pl)
     maps = []
     for quad in permutations(frame):
-        g = frame_collineation(pl, quad)
+        g = _frame_collineation(pl, quad)
         assert sorted(g) == list(range(pl.n))
         assert tuple(g[p] for p in quad) == frame
         maps.append(g)
@@ -297,12 +317,12 @@ def test_frame_collineation_inverts_a_random_collineation(q):
     rng = random.Random(q)
     for _ in range(5):
         m = random_invertible(pl.gf, rng)
-        g = frame_collineation(pl, tuple(pl.apply_matrix(m, p) for p in _frame(pl)))
+        g = _frame_collineation(pl, tuple(pl.apply_matrix(m, p) for p in _frame(pl)))
         assert all(g[pl.apply_matrix(m, p)] == p for p in range(pl.n))
     line = pl.points_on_line[0]
     off = next(p for p in range(pl.n) if not pl.incident(p, 0))
     with pytest.raises(ZeroDivisionError):
-        frame_collineation(pl, (line[0], line[1], line[2], off))
+        _frame_collineation(pl, (line[0], line[1], line[2], off))
 
 
 def _line_group_reference(pl):
@@ -679,10 +699,10 @@ def test_frame_seed_over_extension_fields(q):
     assert [pl.coords[p] for p in frame] == list(FRAME)
     for i in range(4):
         for j in range(i + 1, 4):
-            line = pl.line_through(frame[i], frame[j])
+            line = pl.meet(frame[i], frame[j])
             assert not any(pl.incident(frame[k], line) for k in range(4) if k not in (i, j))
-    l1 = pl.line_through(frame[0], frame[1])
-    l2 = pl.line_through(frame[2], frame[3])
+    l1 = pl.meet(frame[0], frame[1])
+    l2 = pl.meet(frame[2], frame[3])
     trivial_set = (set(pl.points_on_line[l1]) | set(pl.points_on_line[l2])) - {pl.meet(l1, l2)}
     ex_mask = sum(1 << p for p in range(pl.n) if p not in trivial_set)
     assert _search_from(pl, 2 * q - 1, None, frame, ex_mask)[0] is None
@@ -694,7 +714,7 @@ def test_frame_seed_over_extension_fields(q):
     assert pl.coords[b] == (0, 1, 0)
     seed = a + (p0, pl.index_of((0, 1, 1)))
     excluded = 1 << b
-    pb = pl.line_through(p0, b)
+    pb = pl.meet(p0, b)
     trivial_set = (set(pl.points_on_line[l0]) | set(pl.points_on_line[pb])) - {b}
     ex_mask = excluded | sum(1 << p for p in range(pl.n) if p not in trivial_set)
     assert _search_from(pl, 2 * q - 1, q, seed, ex_mask)[0] is None
@@ -945,7 +965,7 @@ def test_stabiliser_by_quadrangle_maps(q, n, stabilisers):
     pl = plane_for_order(q)
 
     def collinear(a, b, c):
-        return c in pl.points_on_line[pl.line_through(a, b)]
+        return c in pl.points_on_line[pl.meet(a, b)]
 
     reps = classify_up_to_pgl(q, _seeded_sets(pl, n)[0])
     for r in reps:
@@ -954,7 +974,7 @@ def test_stabiliser_by_quadrangle_maps(q, n, stabilisers):
                  for quad in permutations(four)]
         images = set()
         for quad in quads:
-            g = frame_collineation(pl, quad)
+            g = _frame_collineation(pl, quad)
             images.add(tuple(sorted(g[p] for p in r.canonical)))
         assert len(quads) == len(images) * r.stabilizer_order
     if stabilisers is not None:
@@ -972,7 +992,7 @@ def test_known_witnesses_sizes():
         found = known_witnesses(q)
         assert sorted(m for m in found if m <= 2 * q) == want
         first: dict[int, tuple[int, ...]] = {}
-        for c in constructions_at(q):
+        for c in all_certificates(q):
             first.setdefault(len(c.points), c.points.sorted_tuple())
         for m, w in found.items():
             assert len(w) == m and is_tangent_free(PointSet(pl, w))
@@ -988,7 +1008,7 @@ def test_witness_checks_raise(monkeypatch):
 
     bad = Construction("three_points", PointSet(plane_for_order(5), (0, 1, 2)), 3)
     with monkeypatch.context() as patch:
-        patch.setattr(pg2q.constructions, "constructions_at", lambda q: iter([bad]))
+        patch.setattr(pg2q.constructions, "all_certificates", lambda q: [bad])
         with pytest.raises(AssertionError, match="three_points at q=5 is not a tangent-free set"):
             known_witnesses(5)
         with pytest.raises(AssertionError, match="three_points"):
@@ -1014,8 +1034,8 @@ def test_witness_checks_survive_python_O():
         "from pg2q.plane import PointSet, plane_for_order\n"
         "assert False, 'asserts are not stripped'\n"
         "bad = Construction('three_points', PointSet(plane_for_order(5), (0, 1, 2)), 3)\n"
-        "good = pg2q.constructions.constructions_at\n"
-        "pg2q.constructions.constructions_at = lambda q: iter([bad])\n"
+        "good = pg2q.constructions.all_certificates\n"
+        "pg2q.constructions.all_certificates = lambda q: [bad]\n"
         "for call in (lambda: pg2q.search.known_witnesses(5), lambda: pg2q.search.min_tangent_free(5, 12, workers=1)):\n"
         "    try:\n"
         "        call()\n"
@@ -1023,7 +1043,7 @@ def test_witness_checks_survive_python_O():
         "    except AssertionError as e:\n"
         "        if 'three_points' not in str(e):\n"
         "            sys.exit(str(e))\n"
-        "pg2q.constructions.constructions_at = good\n"
+        "pg2q.constructions.all_certificates = good\n"
         "pg2q.search._exists = lambda plane, n, workers, deadline: ((0, 1, 2), 1)\n"
         "try:\n"
         "    pg2q.search.min_tangent_free(5, 12, workers=1)\n"

@@ -20,7 +20,6 @@ from pg2q.tangency import (
     redei_completion,
     redei_converse_check,
     secant_bound_check,
-    slope_directions,
     spectrum,
     spectrum_feasible,
     spectrum_solutions,
@@ -140,6 +139,13 @@ def test_spectrum_feasible_stops_at_first_spectrum():
     t0 = time.perf_counter()
     assert spectrum_feasible(32, 16, 17)
     assert time.perf_counter() - t0 < 0.05
+
+
+def slope_directions(affine: PointSet, linf: int) -> frozenset[int]:
+    """Reference: directions as joins of affine pairs met with the line."""
+    plane = affine.plane
+    pts = sorted(affine.members)
+    return frozenset(plane.meet(plane.meet(a, b), linf) for i, a in enumerate(pts) for b in pts[i + 1 :])
 
 
 def test_determined_directions_frobenius_graph():

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from functools import cached_property, lru_cache
 from itertools import compress, product
+from operator import getitem
 
 from .gfq import GF, FieldSpec, field_for_order, field_new, order_exceeds
 from .linalg import mat_inverse, mat_transpose, mat_vec
@@ -216,6 +217,38 @@ def mask_of(points) -> int:
     return mask
 
 
+def checked_mask(points, n: int) -> int:
+    """`mask_of` the points of a plane of n points; IndexError for a point
+    outside [0, n)."""
+    try:
+        mask = mask_of(points)
+    except ValueError:  # a negative index: a negative shift
+        mask = -1
+    if mask < 0 or mask >> n:
+        raise IndexError(f"point indices must lie in [0, {n})")
+    return mask
+
+
+def byte_tables(images, empty=0) -> list[list]:
+    """Tables that map a mask over len(images) bits one byte at a time, for
+    `by_bytes`: entry b of table k is the sum, from `empty`, of images[8k + i]
+    over the set bits i of b.  With images[p] = 1 << g(p), g a permutation,
+    the images are disjoint bits and a mask maps to the mask of its image
+    under g; with images[p] = (p,) it maps to its indices as a sorted tuple."""
+    tables = []
+    for k in range(0, len(images), 8):
+        table = [empty]
+        for image in images[k:k + 8]:
+            table += [t + image for t in table]  # the entries with this bit set
+        tables.append(table)
+    return tables
+
+
+def by_bytes(tables, mask: int, empty=0):
+    """A mask mapped through `byte_tables`: one lookup per byte, summed."""
+    return sum(map(getitem, tables, mask.to_bytes(len(tables), "little")), empty)
+
+
 # GF hashes by its FieldSpec, whose modulus is resolved: one Plane per field
 _plane_of = lru_cache(maxsize=None)(Plane)
 
@@ -252,9 +285,7 @@ class PointSet:
     def __init__(self, plane: Plane, members=()):
         self.plane = plane
         self.members: frozenset[int] = frozenset(members)
-        if self.members and not (min(self.members) >= 0 and max(self.members) < plane.n):
-            raise IndexError(f"point indices must lie in [0, {plane.n})")
-        self.mask = mask_of(self.members)
+        self.mask = checked_mask(self.members, plane.n)
 
     @cached_property
     def per_line(self) -> tuple[int, ...]:

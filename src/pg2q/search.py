@@ -50,7 +50,12 @@ n are refuted first.  Enumeration (`enumerate_tangent_free`) and the
 secant-bound check run the same DFS from the same seeds: every class has a
 member through one of them.  Enumeration and classification share one orbit
 pass, `pgl_orbits`, which closes each PGL(3,q) class that its input meets by
-one generator BFS.
+one generator BFS, `_closure`, on point masks.  Each generator is a mask move
+(`PGLGroup.mask_moves`): one table lookup per byte of the mask
+(`plane.byte_tables`), so a BFS step costs ceil(n/8) lookups and an int hash,
+not a sort and a tuple hash.  A mask is read back as a sorted tuple
+(`PGLGroup.points_of`) only where one is returned.  `_line_orbits` runs the
+same BFS on masks over the points of L0.
 """
 
 from __future__ import annotations
@@ -61,11 +66,11 @@ import time
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, combinations, groupby
+from functools import cached_property, lru_cache, partial
+from itertools import combinations, groupby
 from operator import itemgetter
 
-from .plane import Plane, PointSet, mask_of, plane_for, plane_for_order
+from .plane import Plane, PointSet, by_bytes, byte_tables, checked_mask, mask_of, plane_for, plane_for_order
 from .tangency import is_tangent_free, spectrum_feasible
 
 
@@ -304,20 +309,22 @@ def _line_orbits(plane, m: int):
     PGL(2,q) acts through I + E01, the swap of x and y and diag(g,1,1), which
     fix L0 and P0 and act on L0 as the 2x2 matrices [[1,1],[0,1]], [[0,1],
     [1,0]] and diag(g,1); by the argument of `PGLGroup.generators` these
-    generate GL(2,q), which acts on L0 as PGL(2,q).  The m-subsets are taken
-    in `combinations` order, and each one not yet reached starts one
-    generator BFS (`_closure`), run only when the orbits before it are used.
+    generate GL(2,q), which acts on L0 as PGL(2,q).  A subset is a mask over
+    the q + 1 points of L0, bit i for its i-th point, and each matrix a mask
+    move built as in `PGLGroup.mask_moves`.  The m-subsets are taken in `combinations`
+    order, and each one not yet reached starts one generator BFS
+    (`_closure`), run only when the orbits before it are used.
     """
     l0 = plane.points_on_line[plane.index_of((0, 0, 1))]
+    where = {p: i for i, p in enumerate(l0)}
     g = plane.gf.generator
-    moves = []
-    for mat in ((1, 1, 0, 0, 1, 0, 0, 0, 1), (0, 1, 0, 1, 0, 0, 0, 0, 1), (g, 0, 0, 0, 1, 0, 0, 0, 1)):
-        image = {p: plane.apply_matrix(mat, p) for p in l0}
-        moves.append(lambda t, image=image: tuple(sorted(map(image.__getitem__, t))))
-    seen: set[tuple[int, ...]] = set()
-    for t in combinations(l0, m):
-        if t not in seen:
-            yield _closure(t, moves, seen)
+    moves = [partial(by_bytes, byte_tables([1 << where[plane.apply_matrix(mat, p)] for p in l0]))
+             for mat in ((1, 1, 0, 0, 1, 0, 0, 0, 1), (0, 1, 0, 1, 0, 0, 0, 0, 1), (g, 0, 0, 0, 1, 0, 0, 0, 1))]
+    points = byte_tables([(p,) for p in l0], ())
+    seen: set[int] = set()
+    for start in map(sum, combinations([1 << i for i in range(len(l0))], m)):
+        if start not in seen:
+            yield [by_bytes(points, a, ()) for a in _closure(start, moves, seen)]
 
 
 @lru_cache(maxsize=None)
@@ -385,7 +392,8 @@ def enumerate_tangent_free(q: int, n: int) -> list[tuple[int, ...]]:
     sorted tuples in ascending order: the PGL(3,q) orbits of the sets
     `_seeded_sets` finds, which meet every class."""
     sets = _seeded_sets(plane_for_order(q), n)[0]
-    return sorted(t for orbit in pgl_orbits(q, sets) for t in orbit)
+    points_of = pgl_group(q).points_of
+    return sorted(points_of(x) for orbit in pgl_orbits(q, map(mask_of, sets)) for x in orbit)
 
 
 # -- existence levels ------------------------------------------------------------
@@ -674,24 +682,37 @@ class PGLGroup:
             perms = _closure(tuple(range(self.plane.n)), [itemgetter(*g) for g in self.generators()], set())
             if len(perms) != self.order:
                 raise AssertionError(f"generator closure has {len(perms)} != {self.order} elements")
-            table = array("i", chain.from_iterable(sorted(perms)))
-            self._elements = memoryview(table).cast("B").cast("i", (len(perms), self.plane.n))
+            n = self.plane.n
+            perms.sort()
+            table = array("i", [0]) * (len(perms) * n)  # preallocated: no copy as it grows
+            for i, row in enumerate(perms):
+                table[i * n:(i + 1) * n] = array("i", row)
+            self._elements = memoryview(table).cast("B").cast("i", (len(perms), n))
         return self._elements
 
-    def set_moves(self):
-        """One move per generator, sending a sorted index tuple to its sorted image."""
-        return [lambda t, g=g: tuple(sorted(map(g.__getitem__, t))) for g in self.generators()]
+    @cached_property
+    def mask_moves(self) -> list[partial]:
+        """One move per generator, sending a point mask to the mask of its
+        image: one `byte_tables` lookup per byte of the mask."""
+        return [partial(by_bytes, byte_tables([1 << p for p in g])) for g in self.generators()]
+
+    @cached_property
+    def points_of(self) -> partial:
+        """Sends a point mask to its points as a sorted index tuple."""
+        return partial(by_bytes, byte_tables([(p,) for p in range(self.plane.n)], ()), empty=())
 
     def orbit(self, members) -> list[tuple[int, ...]]:
-        """PGL orbit of a point set, as sorted index tuples in ascending order:
-        the closure of the set under `generators()`, which generate PGL(3,q)
-        at every q (see `generators`)."""
-        return sorted(_closure(tuple(sorted(members)), self.set_moves(), set()))
+        """PGL orbit of a point set (a repeated point counts once), as sorted
+        index tuples in ascending order: the closure of its mask under
+        `mask_moves`, the moves of `generators()`, which generate PGL(3,q) at
+        every q.  IndexError for a point outside [0, n)."""
+        return sorted(map(self.points_of, _closure(checked_mask(members, self.plane.n), self.mask_moves, set())))
 
 
-def _closure(start: tuple[int, ...], moves, seen: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Every tuple reached from `start` by repeated moves, breadth first, in
-    the order reached; each is added to `seen`, which holds none of them yet."""
+def _closure(start, moves, seen: set) -> list:
+    """Everything reached from `start` by repeated moves, breadth first, in
+    the order reached; each is added to `seen`, which holds none of them yet.
+    The orbit algorithm, on point masks and on permutation tuples."""
     seen.add(start)
     reached = [start]
     for t in reached:  # the list grows behind the loop: a BFS queue
@@ -709,12 +730,12 @@ def pgl_group(q: int) -> PGLGroup:
     return PGLGroup(plane_for_order(q))
 
 
-def pgl_orbits(q: int, sets) -> list[list[tuple[int, ...]]]:
-    """The PGL(3,q) orbits that the sorted index tuples `sets` meet, one
-    generator BFS each, in the order of their first member in `sets`."""
-    moves = pgl_group(q).set_moves()
-    seen: set[tuple[int, ...]] = set()
-    return [_closure(s, moves, seen) for s in sets if s not in seen]
+def pgl_orbits(q: int, masks) -> list[list[int]]:
+    """The PGL(3,q) orbits that the point masks `masks` meet, one generator
+    BFS each, in the order of their first member in `masks`."""
+    moves = pgl_group(q).mask_moves
+    seen: set[int] = set()
+    return [_closure(x, moves, seen) for x in masks if x not in seen]
 
 
 @dataclass(frozen=True)
@@ -727,14 +748,20 @@ class OrbitRep:
 
 def classify_up_to_pgl(q: int, sets) -> list[OrbitRep]:
     """Partition the given point-index sets into PGL(3,q) orbits, in
-    ascending order of their least member; a set given twice counts twice."""
-    order = pgl_group(q).order
-    counts = Counter(tuple(sorted(s)) for s in sets)
+    ascending order of their least member; a set given twice counts twice,
+    and a point repeated within a set counts once.  IndexError for a point
+    outside [0, n).
+
+    PGL(3,q) is transitive on points, so the least member of a non-empty
+    orbit contains point 0, and only those members are read as tuples."""
+    group = pgl_group(q)
+    counts = Counter(checked_mask(s, group.plane.n) for s in sets)
     reps = []
     for orbit in pgl_orbits(q, counts):
-        if order % len(orbit):
+        if group.order % len(orbit):
             raise AssertionError("orbit size does not divide the group order")
-        reps.append(OrbitRep(min(orbit), len(orbit), order // len(orbit), sum(counts[t] for t in orbit)))
+        least = min((group.points_of(x) for x in orbit if x & 1), default=())
+        reps.append(OrbitRep(least, len(orbit), group.order // len(orbit), sum(map(counts.__getitem__, orbit))))
     return sorted(reps, key=lambda r: r.canonical)
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pg2q.gfq import ReducibleModulus, field_for_order, field_new, prime_factors
-from pg2q.plane import IdenticalLines, Plane, PointSet, plane_for, plane_for_order
+from pg2q.plane import IdenticalLines, Plane, PointSet, by_bytes, byte_tables, mask_bits, plane_for, plane_for_order
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11])
@@ -197,6 +197,21 @@ def test_pointset_rejects_indices_off_the_plane():
         with pytest.raises(IndexError):
             PointSet(pl, bad)
     assert PointSet(pl, [12, 0, 12]).sorted_tuple() == (0, 12)
+
+
+def test_byte_tables_map_a_mask_byte_by_byte():
+    """With images (p,) a mask maps to its indices in ascending order, and
+    with images 1 << g(p) to the mask of its image under g, for every length
+    from 1 to 20 bits: one to three chunks, the last one partial or full."""
+    rng = random.Random(0)
+    for n in range(1, 21):
+        points = byte_tables([(p,) for p in range(n)], ())
+        g = rng.sample(range(n), n)
+        move = byte_tables([1 << g[p] for p in range(n)])
+        assert len(points) == len(move) == (n + 7) // 8
+        for mask in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]:
+            assert by_bytes(points, mask, ()) == tuple(mask_bits(mask))
+            assert by_bytes(move, mask) == sum(1 << g[p] for p in mask_bits(mask))
 
 
 def test_plane_for_shares_the_default_plane():

@@ -1,3 +1,4 @@
+import random
 import time
 from itertools import combinations, permutations, product
 from math import comb
@@ -12,7 +13,7 @@ from pg2q.codes import hyperoval
 from pg2q.constructions import all_certificates, interior_points, trivial
 from pg2q.conic import canonical_conic
 from pg2q.linalg import mat_inverse, mat_transpose, mat_vec
-from pg2q.plane import PointSet, mask_bits, plane_for_order
+from pg2q.plane import PointSet, mask_bits, mask_of, plane_for_order
 from pg2q.search import (
     JOBS_PER_SEED,
     CapTooSmall,
@@ -22,11 +23,13 @@ from pg2q.search import (
     _exists,
     _frontier_jobs,
     _line_orbits,
+    _line_seeds,
     _run_job,
     _Searcher,
     _seeded_sets,
     _seeds,
     brute_force_min,
+    classify_tangent_free,
     classify_up_to_pgl,
     enumerate_tangent_free,
     known_witnesses,
@@ -1097,3 +1100,100 @@ def test_orbit_matches_elements():
         members = s.sorted_tuple()
         table = np.unique(np.sort(np.asarray(g.elements())[:, list(members)], axis=1), axis=0)
         assert g.orbit(members) == [tuple(row) for row in table.tolist()]
+
+
+def _reference_bfs(start, perms):
+    """The orbit of a sorted index tuple by a BFS on tuples: each permutation
+    sends a tuple to its sorted image."""
+    seen, reached = {start}, [start]
+    for t in reached:
+        for g in perms:
+            img = tuple(sorted(g[p] for p in t))
+            if img not in seen:
+                seen.add(img)
+                reached.append(img)
+    return reached
+
+
+def _reference_orbit(group, members):
+    """`PGLGroup.orbit` by the tuple BFS, without masks."""
+    return sorted(_reference_bfs(tuple(sorted(set(members))), group.generators()))
+
+
+def _generator_matrices(gf):
+    """The matrices of `PGLGroup.generators`, in its order."""
+    g = gf.generator
+    return [(1, 1, 0, 0, 1, 0, 0, 0, 1), (1, 0, 0, 1, 1, 0, 0, 0, 1), (0, 0, 1, 1, 0, 0, 0, 1, 0), (g, 0, 0, 0, 1, 0, 0, 0, 1)]
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_mask_orbit_matches_tuple_reference(q):
+    """The mask BFS gives the orbit of the tuple BFS.  Each mask move is its
+    generator matrix applied point by point, and `points_of` reads a mask's
+    points, on the empty mask, the full mask and random masks.  The random
+    sets have small orbits above q = 4: 1, 2, n - 2 and n - 1 points, a line
+    less a point and a line plus a point; at q <= 4 one more has any size."""
+    rng = random.Random(q)
+    group = pgl_group(q)
+    pl = group.plane
+    n = pl.n
+    masks = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]
+    for move, mat in zip(group.mask_moves, _generator_matrices(pl.gf), strict=True):
+        for mask in masks:
+            assert move(mask) == mask_of(pl.apply_matrix(mat, p) for p in mask_bits(mask))
+    assert all(group.points_of(mask) == tuple(mask_bits(mask)) for mask in masks)
+    sizes = [1, 2, n - 2, n - 1] + ([rng.randrange(3, n - 2)] if q <= 4 else [])
+    sets = [rng.sample(range(n), k) for k in sizes]
+    for _ in range(2):
+        line = list(pl.points_on_line[rng.randrange(n)])
+        sets.append(line[:-1])
+        sets.append(line + [rng.choice([p for p in range(n) if p not in line])])
+    for members in sets:
+        assert group.orbit(members) == _reference_orbit(group, members)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11])
+def test_line_orbits_match_tuple_reference(q):
+    """`_line_orbits` on L0 masks lists the orbits of the tuple BFS, in the
+    same order and each in BFS order, so `_line_seeds` seeds from the same
+    least members, for every m."""
+    pl = plane_for_order(q)
+    l0 = pl.points_on_line[pl.index_of((0, 0, 1))]
+    g = pl.gf.generator
+    perms = [{p: pl.apply_matrix(mat, p) for p in l0}
+             for mat in ((1, 1, 0, 0, 1, 0, 0, 0, 1), (0, 1, 0, 1, 0, 0, 0, 0, 1), (g, 0, 0, 0, 1, 0, 0, 0, 1))]
+    for m in range(q + 2):
+        want, seen = [], set()
+        for t in combinations(l0, m):
+            if t not in seen:
+                want.append(_reference_bfs(t, perms))
+                seen.update(want[-1])
+        assert list(_line_orbits(pl, m)) == want
+        assert [seed[:m] for seed, _ in _line_seeds(pl, m)] == [orbit[0] for orbit in want]
+
+
+def test_orbit_layer_rejects_points_off_the_plane():
+    """A point outside [0, n) raises IndexError in `orbit` and in
+    `classify_up_to_pgl`, and a repeated point counts once."""
+    group = pgl_group(3)
+    for bad in [(0, 1, 2, -1), (0, 1, 2, 13)]:
+        with pytest.raises(IndexError):
+            group.orbit(bad)
+        with pytest.raises(IndexError):
+            classify_up_to_pgl(3, [bad])
+    assert group.orbit((0, 0, 1, 2)) == group.orbit((0, 1, 2))
+    assert classify_up_to_pgl(3, [(0, 0, 1, 2)]) == classify_up_to_pgl(3, [(2, 1, 0)])
+    assert classify_up_to_pgl(3, [(0, 1, 2)]) == [OrbitRep((0, 1, 2), 52, 108, 1)]  # 4 per line
+
+
+@pytest.mark.parametrize("q,n,canonical,size,stabiliser,seeded", [
+    (7, 12, (0, 1, 2, 7, 8, 9, 17, 20, 31, 34, 45, 48), 78_204, 72, 12),
+    (9, 15, (0, 1, 2, 3, 4, 5, 9, 10, 11, 21, 22, 23, 84, 85, 86), 98_280, 432, 1),
+])
+def test_one_class_at_the_larger_orders(q, n, canonical, size, stabiliser, seeded):
+    """The tangent-free 12-sets of PG(2,7) and 15-sets of PG(2,9) form one
+    class each, met by `seeded` of the sets found from the seeds; the
+    enumeration lists that class, least member first."""
+    assert classify_tangent_free(q, n) == [OrbitRep(canonical, size, stabiliser, seeded)]
+    sets = enumerate_tangent_free(q, n)
+    assert len(sets) == size and sets[0] == canonical

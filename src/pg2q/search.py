@@ -50,12 +50,14 @@ n are refuted first.  Enumeration (`enumerate_tangent_free`) and the
 secant-bound check run the same DFS from the same seeds: every class has a
 member through one of them.  Enumeration and classification share one orbit
 pass, `pgl_orbits`, which closes each PGL(3,q) class that its input meets by
-one generator BFS, `_closure`, on point masks.  Each generator is a mask move
-(`PGLGroup.mask_moves`): one table lookup per byte of the mask
-(`plane.byte_tables`), so a BFS step costs ceil(n/8) lookups and an int hash,
-not a sort and a tuple hash.  A mask is read back as a sorted tuple
-(`PGLGroup.points_of`) only where one is returned.  `_line_orbits` runs the
-same BFS on masks over the points of L0.
+one generator BFS, `_closure`, on point masks.  PGL(3,q) is generated by two
+collineations, the Singer cycle of the plane and one transvection
+(`PGLGroup.generators`), and each is a mask move (`PGLGroup.mask_moves`): one
+table lookup per byte of the mask (`plane.byte_tables`), so a BFS step costs
+two moves of ceil(n/8) lookups and two int hashes.  A mask is read back as a
+sorted tuple (`PGLGroup.points_of`) only where one is returned.
+`_line_orbits` runs the same BFS on masks over the points of L0, with three
+PGL(2,q) moves.
 """
 
 from __future__ import annotations
@@ -307,9 +309,14 @@ def _line_orbits(plane, m: int):
     seed per orbit.
 
     PGL(2,q) acts through I + E01, the swap of x and y and diag(g,1,1), which
-    fix L0 and P0 and act on L0 as the 2x2 matrices [[1,1],[0,1]], [[0,1],
-    [1,0]] and diag(g,1); by the argument of `PGLGroup.generators` these
-    generate GL(2,q), which acts on L0 as PGL(2,q).  A subset is a mask over
+    fix L0 and P0 and act on L0 as the 2x2 matrices U = [[1,1],[0,1]], W =
+    [[0,1],[1,0]] and D = diag(g,1), g the field's primitive element.  These
+    generate GL(2,q): D^k U D^-k = [[1,g^k],[0,1]], and a product of such
+    matrices adds their corner entries, which span GF(q) over GF(p) since g
+    lies in no proper subfield; so every [[1,a],[0,1]] is reached, and
+    conjugating by W every [[1,0],[a,1]].  These transvections generate
+    SL(2,q), and det D = g generates GF(q)*, so the group is GL(2,q), which
+    acts on L0 as PGL(2,q).  A subset is a mask over
     the q + 1 points of L0, bit i for its i-th point, and each matrix a mask
     move built as in `PGLGroup.mask_moves`.  The m-subsets are taken in `combinations`
     order, and each one not yet reached starts one generator BFS
@@ -640,40 +647,38 @@ class PGLGroup:
         self._elements = None
 
     def generators(self) -> list[tuple[int, ...]]:
-        """Four point permutations that generate PGL(3,q) at every q: the
-        transvections I + E01 and I + E10, the 3-cycle of the coordinates and
-        D = diag(g,1,1), g the field's primitive element.
+        """Two point permutations that generate PGL(3,q) at every q: the
+        Singer cycle s of `plane.singer`, s(point_of[k]) = point_of[k + 1 mod
+        n], and the transvection T = I + E01.
 
-        D^k (I + E01) D^-k = I + g^k E01, and a product of such matrices adds
-        their off-diagonal entries.  The powers of g span GF(q) over GF(p),
-        since g lies in no proper subfield, so these products give I + a E01
-        for every a; likewise I + a E10 from the powers g^-k.  Conjugating by
-        the 3-cycle moves the entry to every other off-diagonal place, so
-        every elementary transvection is reached, and these generate
-        SL(3,q).  det D = g generates GF(q)*, so with D the group is
-        GL(3,q), which acts on the points as PGL(3,q).  `elements` checks the
-        order for q <= 5; `enumerate_tangent_free` relies on it at every q.
+        s is multiplication by t in GF(q)[t]/(cubic) = GF(q^3), and t with
+        the scalars generates GF(q^3)*; so the lift to GL(3,q) of H = <s, T>,
+        the scalars Z included, contains a Singer cycle of GL(3,q).  By
+        Kantor's theorem (W. M. Kantor, "Linear groups containing a Singer
+        cycle", J. Algebra 62 (1980) 232-234) that lift then contains
+        SL(3,q) or lies in GammaL(1,q^3).  An element x -> a x^(q^i) of
+        GammaL(1,q^3) other than the identity fixes pointwise a GF(q)-subspace
+        of dimension at most 1, while T fixes a plane pointwise; so T is not
+        in GammaL(1,q^3), and the lift contains SL(3,q).  Its determinants
+        include the norms of GF(q^3)*, which are all of GF(q)*, so the lift
+        is GL(3,q) and H is PGL(3,q), also when q = 1 (mod 3).  `elements`
+        checks the order for q <= 5; `enumerate_tangent_free` relies on it at
+        every q.
         """
-        g = self.plane.gf.generator
-        mats = [
-            (1, 1, 0, 0, 1, 0, 0, 0, 1),
-            (1, 0, 0, 1, 1, 0, 0, 0, 1),
-            (0, 0, 1, 1, 0, 0, 0, 1, 0),
-            (g, 0, 0, 0, 1, 0, 0, 0, 1),
-        ]
-        perms = []
-        for m in mats:
-            perms.append(tuple(self.plane.apply_matrix(m, p) for p in range(self.plane.n)))
-        return perms
+        plane, n = self.plane, self.plane.n
+        point_of, slot = plane.singer.point_of, plane.singer.slot
+        return [tuple(point_of[(slot[p] + 1) % n] for p in range(n)),
+                tuple(plane.apply_matrix((1, 1, 0, 0, 1, 0, 0, 0, 1), p) for p in range(n))]
 
     def elements(self) -> memoryview:
         """Every group element as a point permutation, one row per element of
         a 2-D int32 memoryview (row g lists g(0), ..., g(n-1)), rows ascending.
 
-        The rows are the closure of `generators()` acting on the identity, so
-        reaching the group order checks the argument of `generators` for
-        q <= 5.  The table holds order x n entries (372000 x 31 at q = 5), so
-        it is built only for q <= 5.
+        The rows are the closure of the two `generators()` acting on the
+        identity, so reaching the group order checks that the Singer cycle
+        and the transvection generate PGL(3,q) for q <= 5.  The table holds
+        order x n entries (372000 x 31 at q = 5), so it is built only for
+        q <= 5.
         """
         if self.q > 5:
             raise GroupTooLarge(f"full enumeration not supported for q={self.q}")

@@ -1,7 +1,9 @@
 import random
 import time
+from functools import partial
 from itertools import combinations, permutations, product
 from math import comb
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from pg2q.codes import hyperoval
 from pg2q.constructions import all_certificates, interior_points, trivial
 from pg2q.conic import canonical_conic
 from pg2q.linalg import mat_inverse, mat_transpose, mat_vec
-from pg2q.plane import PointSet, mask_bits, mask_of, plane_for_order
+from pg2q.plane import PointSet, by_bytes, byte_tables, mask_bits, mask_of, plane_for_order
 from pg2q.search import (
     JOBS_PER_SEED,
     CapTooSmall,
@@ -891,23 +893,28 @@ def test_enumerate_q5_size10():
 
 
 def test_pgl_group_order_and_closure():
-    g3 = pgl_group(3)
-    assert g3.order == 27 * 26 * 8 == 5616
-    # generator closure reproduces the full group order
-    gens = g3.generators()
-    seen = {tuple(range(g3.plane.n))}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for g in gens:
-                img = tuple(g[s[i]] for i in range(len(s)))
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    assert len(seen) == 5616
+    """At q = 2, 3, 4 the two generators close, acting on the identity, to a
+    group of order |PGL(3,q)|; at q = 5 `elements()` checks the order
+    itself."""
+    assert pgl_group(3).order == 27 * 26 * 8 == 5616
     assert pgl_group(5).order == 372000
+    for q in (2, 3, 4):
+        group = pgl_group(q)
+        gens = group.generators()
+        assert len(gens) == 2
+        moves = [itemgetter(*g) for g in gens]  # sends t to t o g
+        seen = {tuple(range(group.plane.n))}
+        frontier = list(seen)
+        while frontier:
+            nxt = []
+            for s in frontier:
+                for move in moves:
+                    img = move(s)
+                    if img not in seen:
+                        seen.add(img)
+                        nxt.append(img)
+            frontier = nxt
+        assert len(seen) == group.order == q**3 * (q**3 - 1) * (q**2 - 1)
 
 
 @pytest.mark.parametrize("q,shape", [(4, (60480, 21)), (5, (372000, 31))], ids=["q4", "q5"])
@@ -1115,32 +1122,41 @@ def _reference_bfs(start, perms):
     return reached
 
 
-def _reference_orbit(group, members):
-    """`PGLGroup.orbit` by the tuple BFS, without masks."""
-    return sorted(_reference_bfs(tuple(sorted(set(members))), group.generators()))
-
-
 def _generator_matrices(gf):
-    """The matrices of `PGLGroup.generators`, in its order."""
+    """Four elementary matrices that generate GL(3,q): the transvections
+    I + E01 and I + E10, the 3-cycle of the coordinates and diag(g,1,1), g the
+    field's primitive element.  A second generating set, beside the Singer
+    cycle and I + E01 of `PGLGroup.generators`."""
     g = gf.generator
     return [(1, 1, 0, 0, 1, 0, 0, 0, 1), (1, 0, 0, 1, 1, 0, 0, 0, 1), (0, 0, 1, 1, 0, 0, 0, 1, 0), (g, 0, 0, 0, 1, 0, 0, 0, 1)]
 
 
+def _reference_orbit(plane, members):
+    """`PGLGroup.orbit` by the tuple BFS over the four `_generator_matrices`,
+    without masks or the Singer cycle."""
+    perms = [[plane.apply_matrix(mat, p) for p in range(plane.n)] for mat in _generator_matrices(plane.gf)]
+    return sorted(_reference_bfs(tuple(sorted(set(members))), perms))
+
+
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
 def test_mask_orbit_matches_tuple_reference(q):
-    """The mask BFS gives the orbit of the tuple BFS.  Each mask move is its
-    generator matrix applied point by point, and `points_of` reads a mask's
-    points, on the empty mask, the full mask and random masks.  The random
-    sets have small orbits above q = 4: 1, 2, n - 2 and n - 1 points, a line
-    less a point and a line plus a point; at q <= 4 one more has any size."""
+    """The mask BFS gives the orbit of the tuple BFS over a second generating
+    set, the four elementary matrices.  The Singer move shifts each point one
+    slot along `singer.point_of` and the transvection move is I + E01 applied
+    point by point, and `points_of` reads a mask's points, on the empty mask,
+    the full mask and random masks.  The random sets have small orbits above
+    q = 4: 1, 2, n - 2 and n - 1 points, a line less a point and a line plus a
+    point; at q <= 4 one more has any size."""
     rng = random.Random(q)
     group = pgl_group(q)
     pl = group.plane
     n = pl.n
+    point_of, slot = pl.singer.point_of, pl.singer.slot
     masks = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]
-    for move, mat in zip(group.mask_moves, _generator_matrices(pl.gf), strict=True):
-        for mask in masks:
-            assert move(mask) == mask_of(pl.apply_matrix(mat, p) for p in mask_bits(mask))
+    singer_move, transvection_move = group.mask_moves
+    for mask in masks:
+        assert singer_move(mask) == mask_of(point_of[(slot[p] + 1) % n] for p in mask_bits(mask))
+        assert transvection_move(mask) == mask_of(pl.apply_matrix((1, 1, 0, 0, 1, 0, 0, 0, 1), p) for p in mask_bits(mask))
     assert all(group.points_of(mask) == tuple(mask_bits(mask)) for mask in masks)
     sizes = [1, 2, n - 2, n - 1] + ([rng.randrange(3, n - 2)] if q <= 4 else [])
     sets = [rng.sample(range(n), k) for k in sizes]
@@ -1149,7 +1165,33 @@ def test_mask_orbit_matches_tuple_reference(q):
         sets.append(line[:-1])
         sets.append(line + [rng.choice([p for p in range(n) if p not in line])])
     for members in sets:
-        assert group.orbit(members) == _reference_orbit(group, members)
+        assert group.orbit(members) == _reference_orbit(pl, members)
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 11, 13, 16])
+def test_two_generators_beyond_the_element_table(q):
+    """Where `elements()` is not built: the Singer cycle sends every line to a
+    line, and the two-generator orbits of a point pair, a line less a point
+    and a line plus a point have the sizes PGL(3,q) gives them and are closed
+    under each of the four elementary moves, which generate PGL(3,q).  Covers
+    q = 1 (mod 3) (7, 13, 16), even q (8, 16) and p = 3 (9)."""
+    group = pgl_group(q)
+    pl = group.plane
+    n = pl.n
+    singer = group.generators()[0]
+    lines = set(pl.line_masks)
+    assert {mask_of(singer[p] for p in pts) for pts in pl.points_on_line} == lines
+    line = pl.points_on_line[0]
+    off = next(p for p in range(n) if p not in line)
+    cases = [((0, 1), n * (n - 1) // 2), (line[:-1], n * (q + 1)), ((*line, off), n * (n - q - 1))]
+    moves = [partial(by_bytes, byte_tables([1 << pl.apply_matrix(mat, p) for p in range(n)]))
+             for mat in _generator_matrices(pl.gf)]
+    for members, size in cases:
+        [orbit] = search.pgl_orbits(q, [mask_of(members)])
+        assert len(orbit) == size
+        reached = set(orbit)
+        for move in moves:
+            assert reached.issuperset(map(move, orbit))
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11])

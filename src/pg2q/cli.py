@@ -12,6 +12,7 @@ import math
 import os
 import sys
 import time
+from functools import lru_cache
 
 from .plane import PointSet, plane_for_order
 from .tangency import is_tangent_free, spectrum
@@ -261,7 +262,10 @@ def cmd_theoremsuite(args):
     return None, {"parameters": {"level": args.level}, "results": summary}, 0 if ok else 1
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: each parse
+    returns a fresh namespace, so no option of one command reaches another."""
     ap = argparse.ArgumentParser(prog="pg2q", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 

@@ -3,7 +3,8 @@ codeword supports, and the peeling (iterative erasure) decoder whose fixpoints
 are the stopping sets of the plane's LDPC code.
 
 Convention: rows of the incidence matrix are lines, columns are points.  The
-matrix is never stored densely: its rows are read off the plane's line masks.
+matrix is never stored: an elimination writes its byte rows (`linalg.rref`)
+from the plane's points_on_line.
 A codeword is a tuple of n ints in [0, p), entry i on point i; the checks read
 any integer sequence of length n.
 
@@ -55,9 +56,18 @@ class IncidenceCode:
         self.p = plane.gf.p
         self._null_basis = None
 
-    def _rows(self, cols) -> list[list[int]]:
-        """The incidence matrix restricted to the given point columns, one row per line."""
-        return [[m >> c & 1 for c in cols] for m in self.plane.line_masks]
+    def _rows(self, cols) -> list[bytes]:
+        """The incidence matrix on the given distinct point columns, one byte
+        row per line, written from the line's q + 1 points."""
+        col = {c: j for j, c in enumerate(cols)}
+        rows = []
+        for pts in self.plane.points_on_line:
+            row = bytearray(len(col))
+            for pt in pts:
+                if pt in col:
+                    row[col[pt]] = 1
+            rows.append(bytes(row))
+        return rows
 
     def _residues(self, v) -> list[int]:
         """The entries of v mod p; raises ValueError unless v has n entries."""
@@ -125,7 +135,7 @@ class IncidenceCode:
         n, p = self.plane.n, self.p
         if cols and (cols[0] < 0 or cols[-1] >= n):
             raise IndexError(f"point indices must lie in [0, {n})")
-        basis = nullspace(self._rows(cols), field_for_order(p), ncols=len(cols)) if cols else []
+        basis = nullspace(self._rows(cols), field_for_order(p), ncols=len(cols))
         dim = len(basis)
         # steps[j]: the non-zero entries of basis vector j; closing[j]: the
         # columns no basis vector after j touches, final once j is fixed

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import or_
 
 from .gfq import GF, QuadChar
 from .linalg import mat_inverse, mat_mul, mat_transpose
@@ -82,14 +83,19 @@ class Conic:
         """Mask of the external lines, indexed by line."""
         return mask_of(l for l, c in enumerate(self.line_intersections) if c == 0)
 
+    @cached_property
+    def _external_joins(self) -> dict[int, int]:
+        return {}
+
     def external_joins(self, p: int) -> int:
-        """Mask of the points on an external line through p.  Points and lines
-        share one index space, so line_masks[p] is the pencil of p."""
-        lm = self.plane.line_masks
-        out = 0
-        for l in mask_bits(lm[p] & self.external_lines):
-            out |= lm[l]
-        return out
+        """Mask of the points on an external line through p, kept with the
+        conic from its first read.  Points and lines share one index space,
+        so line_masks[p] is the pencil of p."""
+        joins = self._external_joins
+        if p not in joins:
+            lm = self.plane.line_masks
+            joins[p] = reduce(or_, (lm[l] for l in mask_bits(lm[p] & self.external_lines)), 0)
+        return joins[p]
 
     def classify_line(self, l: int) -> LineClass:
         c = self.line_intersections[l]

@@ -1,5 +1,6 @@
-"""Small dense linear algebra over a declared GF: row reduction, nullspaces,
-and 3x3 matrix helpers for collineations.  Everything works on integer codes.
+"""Small dense linear algebra: row reduction and nullspaces over a prime field
+on byte rows, and 3x3 matrix helpers over a declared GF for collineations.
+Everything works on integer codes.
 """
 
 from __future__ import annotations
@@ -7,53 +8,61 @@ from __future__ import annotations
 from .gfq import GF
 
 
-def rref(rows: list[list[int]], gf: GF) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices).
+def rref(rows, gf: GF) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over the prime field gf; returns (rows,
+    pivot column indices).  ValueError for a field with h > 1 (or p > 127).
 
-    Needs a tabled field (`gf.add_table` and `gf.mul_table` set: order at
-    most `gfq._TABLE_LIMIT`), as every plane field and its prime subfield
-    is.  A row is scaled through the multiplication-table row of the pivot's
-    inverse, and another row loses f times the pivot row as
-    add[v][(-f) * w], so each entry costs two list lookups, not three GF
-    method calls.
+    Rows are copied to `bytes`, one entry in [0, p) per column.  The pivot
+    row is scaled by one `translate` through a multiplication table.
+    Another row loses f times it as one int sum, row + (-f) * pivot row with
+    the second packed once per pivot and f, then `to_bytes` and one
+    `translate` mod p.  A byte of the sum is at most 2(p - 1) < 256, so none
+    carries.
     """
-    add, mul = gf.add_table, gf.mul_table
-    m = [list(r) for r in rows]
+    p = gf.p
+    if gf.h != 1 or p > 127:
+        raise ValueError(f"row reduction needs a prime field of order below 128, not {gf!r}")
+    # mul[a] maps byte v < p to a * v mod p; mod maps byte v to v mod p
+    mul = [bytes(a * v % p for v in range(p)).ljust(256, b"\0") for a in range(p)]
+    mod = bytes(v % p for v in range(256))
+    m = [bytes(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        scale = mul[gf.inv(m[r][c])]
-        row = m[r] = [scale[v] for v in m[r]]
+        row = m[r] = m[r].translate(mul[gf.inv(m[r][c])])
+        packed = {}  # f -> the pivot row times -f, one byte per column
         for i in range(nrows):
             f = m[i][c]
-            if i != r and f != 0:
-                negf = mul[gf.neg(f)]
-                m[i] = [add[vi][negf[vr]] for vi, vr in zip(m[i], row)]
+            if f and i != r:
+                s = packed.get(f)
+                if s is None:
+                    s = packed[f] = int.from_bytes(row.translate(mul[p - f]), "little")
+                m[i] = (int.from_bytes(m[i], "little") + s).to_bytes(ncols, "little").translate(mod)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return m[:r], pivots
+    return [list(row) for row in m[:r]], pivots
 
 
-def nullspace(rows: list[list[int]], gf: GF, ncols: int | None = None) -> list[list[int]]:
-    """Basis of the right nullspace of the given row list."""
+def nullspace(rows, gf: GF, ncols: int | None = None) -> list[list[int]]:
+    """Basis of the right nullspace over the prime field gf, read off `rref`:
+    one vector per free column, 1 there and 0 at the other free columns."""
+    red, pivots = rref(rows, gf)
     if ncols is None:
         ncols = len(rows[0])
-    red, pivots = rref(rows, gf) if rows else ([], [])
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in sorted(set(range(ncols)).difference(pivots)):
         v = [0] * ncols
         v[fc] = 1
-        for ri, pc in enumerate(pivots):
-            v[pc] = gf.neg(red[ri][fc])
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc] % gf.p
         basis.append(v)
     return basis
 

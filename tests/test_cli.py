@@ -1,8 +1,11 @@
 import json
 import os
 import random
+import subprocess
+import sys
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -194,6 +197,31 @@ def test_peel_has_no_erased_option(capsys, tmp_path):
     f.write_text("[0, 1, 2]")
     assert dispatch(["peel", "--erased", str(f), "--q", "5"]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_one_parser_serves_a_sequence_of_commands(capsys, tmp_path):
+    """The parser is built once per process.  Four commands in a row, each
+    against a fresh interpreter: an option one command parses (peel's --q)
+    must not reach the next, since `_load_set` reads a bare index list only
+    for a command with --q, and peel only with --q given."""
+    bare, doc = tmp_path / "e.json", tmp_path / "s.json"
+    bare.write_text(json.dumps(sorted(trivial(5).members)))
+    doc.write_text(trivial(5).dump())
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    cases = [
+        (["peel", "--set", str(bare), "--q", "5"], 0),
+        (["verify", "--set", str(doc)], 0),
+        (["verify", "--set", str(bare)], 2),
+        (["peel", "--set", str(bare)], 2),
+    ]
+    for argv, want in cases:
+        code, out, err = run(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "pg2q.cli", *argv], env=env, capture_output=True, text=True)
+        assert (code, err) == (fresh.returncode, fresh.stderr) and code == want, argv
+        if code:
+            assert out == fresh.stdout == "", argv
+        else:
+            assert strip_wall_time(out) == strip_wall_time(fresh.stdout), argv
 
 
 def test_construct_rejects_plane_above_cap(capsys):

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations, product
+from math import comb
 
 import numpy as np
 import pytest
@@ -447,7 +448,11 @@ def test_stopping_classified_sets_are_fixpoints():
     assert peel_decode(4, h.members) == frozenset(h.members)
 
 
-def test_nullspace_dimension_q5():
-    # rank of the odd-order plane incidence matrix is (p(p+1)/2)^h + 1
-    assert len(incidence_code(5).nullspace_basis()) == 31 - 16
-    assert len(incidence_code(9).nullspace_basis()) == 91 - 37
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19])
+def test_nullspace_dimension_is_hamadas(q):
+    """The incidence matrix of PG(2,p^h) has p-rank C(p+1,2)^h + 1
+    (MacWilliams and Mann, Inform. and Control 12 (1968)), so the dual code
+    has dimension n - C(p+1,2)^h - 1."""
+    code = incidence_code(q)
+    p, h = code.p, code.plane.gf.h
+    assert len(code.nullspace_basis()) == code.plane.n - comb(p + 1, 2) ** h - 1

@@ -175,15 +175,17 @@ def test_dual_arc_of_interior_set():
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_external_joins_are_the_external_joins(q):
+    """On the canonical conic and on a transformed one; every point is read
+    twice, so the second read comes from the conic's table of joins."""
     pl = plane_for_order(q)
-    c = canonical_conic(pl)
-    assert c.external_lines == sum(
-        1 << l for l in range(pl.n) if c.classify_line(l) is LineClass.EXTERNAL
-    )
-    for p in range(pl.n):
-        want = sum(
-            1 << r
-            for r in range(pl.n)
-            if r != p and c.classify_line(pl.meet(p, r)) is LineClass.EXTERNAL
+    canonical = canonical_conic(pl)
+    for c in (canonical, canonical.transform(random_invertible(pl.gf, random.Random(q)))):
+        assert c.external_lines == sum(
+            1 << l for l in range(pl.n) if c.classify_line(l) is LineClass.EXTERNAL
         )
-        assert c.external_joins(p) & ~(1 << p) == want, p
+        want = [
+            sum(1 << r for r in range(pl.n) if r != p and c.classify_line(pl.meet(p, r)) is LineClass.EXTERNAL)
+            for p in range(pl.n)
+        ]
+        for _ in range(2):
+            assert [c.external_joins(p) & ~(1 << p) for p in range(pl.n)] == want

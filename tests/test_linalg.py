@@ -1,13 +1,16 @@
-"""Row reduction and nullspaces over small fields, against the elimination by
-GF method calls that linalg.rref replaced with table rows."""
+"""Row reduction and nullspaces over prime fields, against an elimination by
+GF method calls: linalg.rref works on byte rows, one byte per column, and
+refuses a field with h > 1."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pg2q.codes import incidence_code
 from pg2q.gfq import field_for_order
 from pg2q.linalg import nullspace, rref
 
-ORDERS = [2, 3, 5, 4, 8, 9, 25]
+ORDERS = [2, 3, 5, 7, 13, 31, 61]
 
 
 def reference_rref(rows, gf):
@@ -84,3 +87,26 @@ def test_nullspace_basis_annihilates_the_rows_and_is_unit_on_its_free_columns(ca
     # so a combination's value at free column j is its j-th coefficient
     for j, v in enumerate(basis):
         assert [v[c] for c in free] == [int(k == j) for k in range(len(free))]
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 131])
+def test_rref_and_nullspace_refuse_fields_beyond_byte_rows(q):
+    """An extension field, and a prime p > 127, where a byte of a row sum
+    could reach 2(p - 1) > 255."""
+    gf = field_for_order(q)
+    with pytest.raises(ValueError, match="prime field"):
+        rref([[1, 2], [3, 1]], gf)
+    with pytest.raises(ValueError, match="prime field"):
+        nullspace([[1, 2], [3, 1]], gf)
+    with pytest.raises(ValueError, match="prime field"):
+        nullspace([], gf, ncols=2)
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 11, 13])
+def test_dual_code_basis_matches_the_method_call_elimination(q):
+    """The n x n incidence matrix over F_p, rows read off the line masks."""
+    code = incidence_code(q)
+    n = code.plane.n
+    rows = [[m >> c & 1 for c in range(n)] for m in code.plane.line_masks]
+    want = reference_nullspace(rows, field_for_order(code.p), n)
+    assert code.nullspace_basis() == [tuple(v) for v in want]

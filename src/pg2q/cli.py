@@ -363,8 +363,7 @@ def dispatch(argv) -> int:
     report = {"command": args.cmd, **body, "wall_time": round(time.monotonic() - t0, 3)}
     if field is not None:
         report["field"] = field.to_json()
-    json.dump(report, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
     return code
 
 

@@ -31,7 +31,7 @@ from itertools import combinations, compress
 
 from .gfq import field_for_order
 from .linalg import nullspace
-from .plane import Plane, PointSet, as_plane, plane_for_order
+from .plane import Plane, PointSet, as_plane, mask_bits, plane_for_order
 from .tangency import is_tangent_free
 
 
@@ -185,13 +185,10 @@ def incidence_code(plane: Plane | int) -> IncidenceCode:
 def trivial_signing(q: int) -> tuple[int, ...]:
     """+1 on the first line minus the meet, -1 on the second: weight 2q."""
     plane = plane_for_order(q)
-    l1, l2 = 0, 1
+    first, second = plane.line_masks[0], plane.line_masks[1]
     v = [0] * plane.n
-    for pt in plane.points_on_line[l1]:
-        v[pt] = 1
-    for pt in plane.points_on_line[l2]:
-        v[pt] = plane.gf.p - 1
-    v[plane.meet(l1, l2)] = 0
+    for pt in mask_bits(first ^ second):
+        v[pt] = 1 if first >> pt & 1 else plane.gf.p - 1
     return tuple(v)
 
 

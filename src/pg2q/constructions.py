@@ -32,10 +32,7 @@ class NotExterior(ValueError):
 def trivial(q: int) -> PointSet:
     """Points of two lines minus their intersection: 2q points, no tangents."""
     plane = plane_for_order(q)
-    l1, l2 = 0, 1
-    z = plane.meet(l1, l2)
-    members = (set(plane.points_on_line[l1]) | set(plane.points_on_line[l2])) - {z}
-    return PointSet(plane, members)
+    return PointSet(plane, mask_bits(plane.line_masks[0] ^ plane.line_masks[1]))
 
 
 def find_valid_a(q: int) -> list[int]:

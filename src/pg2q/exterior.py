@@ -109,10 +109,13 @@ class DichotomyReport:
     ok: bool
 
 
-def check_extension_dichotomy(q: int, transforms: int = 3, all_lines: bool = False, rng=None) -> DichotomyReport:
-    """For the canonical pair (and optionally random images / all external
-    lines): q = 3 mod 4 admits no off-line extender, q = 1 mod 4 exactly one,
-    namely <(1,0,-a)> in canonical coordinates."""
+DICHOTOMY_TRANSFORMS = 3
+
+
+def check_extension_dichotomy(q: int, all_lines: bool = False, rng=None) -> DichotomyReport:
+    """For the canonical pair, DICHOTOMY_TRANSFORMS random images of it (and
+    optionally all external lines): q = 3 mod 4 admits no off-line extender,
+    q = 1 mod 4 exactly one, namely <(1,0,-a)> in canonical coordinates."""
     import random as _random
 
     from .linalg import random_invertible
@@ -128,12 +131,13 @@ def check_extension_dichotomy(q: int, transforms: int = 3, all_lines: bool = Fal
             cases.append((conic, l, pred))
     if rng is None:
         rng = _random.Random(q)
-    for _ in range(transforms):
+    p0, p1 = plane.points_on_line[line][:2]
+    for _ in range(DICHOTOMY_TRANSFORMS):
         m = random_invertible(gf, rng)
         cases.append(
             (
                 conic.transform(m),
-                plane.apply_matrix_to_line(m, line),
+                plane.meet(plane.apply_matrix(m, p0), plane.apply_matrix(m, p1)),  # the image line
                 plane.apply_matrix(m, plane.index_of((1, 0, gf.neg(a)))),
             )
         )

@@ -17,7 +17,7 @@ from itertools import compress, product
 from operator import getitem
 
 from .gfq import GF, FieldSpec, field_for_order, field_new, order_exceeds
-from .linalg import mat_inverse, mat_transpose, mat_vec
+from .linalg import mat_vec
 
 
 # Plane keeps per-line tables of O(n q) entries (n = q^2+q+1), and line_masks
@@ -48,9 +48,6 @@ class Plane:
         self.coords: list[tuple[int, int, int]] = coords
         self._index = {c: i for i, c in enumerate(coords)}
         self.points_on_line = [self._line_points(a, b, c) for a, b, c in coords]
-        # incidence (a dot product) is symmetric and line i has point i's
-        # triple, so the lines through point i are the points on line i
-        self.lines_through_point = self.points_on_line
         self.line_masks = [mask_of(pts) for pts in self.points_on_line]
 
     @cached_property
@@ -93,26 +90,16 @@ class Plane:
         return bool(self.line_masks[l] >> p & 1)
 
     def meet(self, l: int, m: int) -> int:
-        """The point on lines l and m: the normalised cross product of their
-        triples.  Points and lines share one index space, so the same call
-        with two points gives the line through them, their join."""
+        """The one point on lines l and m, the AND of their masks.  Points and
+        lines share one index space, so the same call with two points gives
+        the line through them, their join."""
         if l == m:
             raise IdenticalLines(f"line {l} repeated")
-        gf, a, b = self.gf, self.coords[l], self.coords[m]
-        return self._index[self.normalize((
-            gf.sub(gf.mul(a[1], b[2]), gf.mul(a[2], b[1])),
-            gf.sub(gf.mul(a[2], b[0]), gf.mul(a[0], b[2])),
-            gf.sub(gf.mul(a[0], b[1]), gf.mul(a[1], b[0])),
-        ))]
+        return (self.line_masks[l] & self.line_masks[m]).bit_length() - 1
 
     def apply_matrix(self, mat, p: int) -> int:
         """Image of a point index under a 3x3 matrix (row-major codes)."""
         return self._index[self.normalize(mat_vec(mat, self.coords[p], self.gf))]
-
-    def apply_matrix_to_line(self, mat, l: int) -> int:
-        """Image of a line under a point map x -> Mx: duals map by (M^-1)^T."""
-        mt = mat_transpose(mat_inverse(mat, self.gf))
-        return self._index[self.normalize(mat_vec(mt, self.coords[l], self.gf))]
 
 
 def _singer_orbit(gf: GF, n: int) -> list[tuple[int, int, int]]:

@@ -549,14 +549,13 @@ def known_witnesses(q: int) -> dict[int, tuple[int, ...]]:
     if q % 4 == 3 and 7 <= q <= 13:
         # conic plus a no-3-collinear exterior clique, when one exists
         from .conic import canonical_conic
-        from .exterior import exterior_clique_search
+        from .exterior import conic_union_check, exterior_clique_search
 
-        plane = plane_for_order(q)
-        con = canonical_conic(plane)
+        con = canonical_conic(plane_for_order(q))
         for clique in exterior_clique_search(q, no_three_collinear=True):
-            union = PointSet(plane, set(con.points) | set(clique.members))
-            if is_tangent_free(union):
-                out.setdefault(len(union), union.sorted_tuple())
+            if conic_union_check(con, clique.members):
+                union = tuple(sorted(set(con.points) | clique.members))
+                out.setdefault(len(union), union)
                 break
     return out
 

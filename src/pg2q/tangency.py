@@ -141,7 +141,8 @@ def determined_directions(affine: PointSet, linf: int) -> DirectionSet:
         raise PointsOnInfinity("affine set meets the chosen infinite line")
     det, non = set(), set()
     for d in plane.points_on_line[linf]:
-        if any(affine.per_line[l] >= 2 for l in plane.lines_through_point[d] if l != linf):
+        # the lines through d: incidence is symmetric, so they are points_on_line[d]
+        if any(affine.per_line[l] >= 2 for l in plane.points_on_line[d] if l != linf):
             det.add(d)
         else:
             non.add(d)
@@ -211,9 +212,7 @@ def is_trivial_set(s: PointSet) -> bool:
     heavy = [l for l, c in enumerate(s.per_line) if c == q]
     if len(heavy) != 2:
         return False
-    z = plane.meet(heavy[0], heavy[1])
-    want = (plane.line_masks[heavy[0]] | plane.line_masks[heavy[1]]) & ~(1 << z)
-    return s.mask == want
+    return s.mask == plane.line_masks[heavy[0]] ^ plane.line_masks[heavy[1]]
 
 
 def secant_bound_check(p: int) -> SecantBoundReport:

@@ -372,7 +372,7 @@ def _reference_peel_decode(plane, erased, rng=None):
                 continue
             victim = next(pt for pt in plane.points_on_line[l] if pt in erased)
             erased.remove(victim)
-            for m in plane.lines_through_point[victim]:
+            for m in plane.points_on_line[victim]:
                 counts[m] -= 1
             changed = True
     return frozenset(erased)

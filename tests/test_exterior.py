@@ -82,7 +82,7 @@ def test_find_extenders_q13_unique():
 
 @pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29])
 def test_extension_dichotomy(q):
-    rep = check_extension_dichotomy(q, transforms=2)
+    rep = check_extension_dichotomy(q)
     assert rep.ok
     assert rep.off_line_count == rep.expected_off == (1 if q % 4 == 1 else 0)
 
@@ -90,7 +90,7 @@ def test_extension_dichotomy(q):
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31])
 def test_extension_dichotomy_all_lines(q):
     """Loop every external line of the canonical conic, not just z = ax."""
-    rep = check_extension_dichotomy(q, transforms=1, all_lines=True)
+    rep = check_extension_dichotomy(q, all_lines=True)
     assert rep.ok
 
 

@@ -15,21 +15,37 @@ from pg2q.gfq import ReducibleModulus, field_for_order, field_new, prime_factors
 from pg2q.plane import IdenticalLines, Plane, PointSet, by_bytes, byte_tables, mask_bits, plane_for, plane_for_order
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11])
-def test_plane_axioms_exhaustive(q):
-    pl = plane_for_order(q)
+def _reference_join(plane: Plane, i: int, j: int) -> int:
+    """The join of points i and j (or the meet of lines i and j): the
+    normalised cross product of their triples."""
+    gf, a, b = plane.gf, plane.coords[i], plane.coords[j]
+    return plane.index_of((
+        gf.sub(gf.mul(a[1], b[2]), gf.mul(a[2], b[1])),
+        gf.sub(gf.mul(a[2], b[0]), gf.mul(a[0], b[2])),
+        gf.sub(gf.mul(a[0], b[1]), gf.mul(a[1], b[0])),
+    ))
+
+
+@pytest.mark.parametrize("p, h, modulus", [
+    *(pytest.param(p, h, None, id=str(p**h))
+      for p, h in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4))),
+    pytest.param(3, 2, (2, 1, 1), id="9-[2, 1, 1]"),
+])
+def test_plane_axioms_exhaustive(p, h, modulus):
+    pl = plane_for(p, h, modulus)
+    q = p**h
     n = q * q + q + 1
     assert pl.n == n == len(pl.coords)
     assert all(len(pts) == q + 1 for pts in pl.points_on_line)
-    assert all(len(ls) == q + 1 for ls in pl.lines_through_point)
     # each pair of points joined by exactly one line, dually for lines
     for i in range(n):
         for j in range(i + 1, n):
             l = pl.meet(i, j)  # the join of points i and j
+            assert l == _reference_join(pl, i, j)
             assert pl.incident(i, l) and pl.incident(j, l)
-            common = set(pl.lines_through_point[i]) & set(pl.lines_through_point[j])
-            assert common == {l}
-            # the same call read on lines: the meet of lines i and j
+            # incidence is symmetric, so points_on_line[i] are also the lines
+            # through point i: l is the one line through i and j, and the
+            # same call read on lines gives the meet of lines i and j
             assert set(pl.points_on_line[i]) & set(pl.points_on_line[j]) == {l}
 
 
@@ -70,7 +86,7 @@ def test_tables_match_dense_reference(spec):
     pl = Plane(field_new(spec.p, spec.h, spec.modulus))
     inc = _reference_incidence(pl)
     assert pl.points_on_line == [tuple(np.flatnonzero(inc[l]).tolist()) for l in range(pl.n)]
-    assert pl.lines_through_point == [tuple(np.flatnonzero(inc[:, p]).tolist()) for p in range(pl.n)]
+    assert pl.points_on_line == [tuple(np.flatnonzero(inc[:, p]).tolist()) for p in range(pl.n)]
     assert pl.line_masks == [sum(1 << p for p in np.flatnonzero(inc[l]).tolist()) for l in range(pl.n)]
     # every pair up to q = 16, then every point against 40 seeded lines
     lines = range(pl.n) if pl.q <= 16 else random.Random(pl.n).sample(range(pl.n), 40)

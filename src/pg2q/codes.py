@@ -271,14 +271,14 @@ class StoppingEquivalenceReport:
     ok: bool
 
 
-def stopping_equivalence_check(plane: Plane | int, samples: int = 300, rng: random.Random | None = None) -> StoppingEquivalenceReport:
+def stopping_equivalence_check(plane: Plane | int) -> StoppingEquivalenceReport:
     """Peeling makes no progress exactly on tangent-free (stopping) sets.
 
-    Exhaustive over all 6-subsets for q=3; random subsets plus the known
-    stopping sets for larger q.
+    Exhaustive over all 6-subsets for q=3; 300 random subsets, drawn from a
+    generator seeded by q, at every q.
     """
     plane = as_plane(plane)
-    rng = rng or random.Random(plane.q * 7919)
+    rng = random.Random(plane.q * 7919)
     cases = 0
     ok = True
 
@@ -291,7 +291,7 @@ def stopping_equivalence_check(plane: Plane | int, samples: int = 300, rng: rand
     if plane.q == 3:
         for sub in combinations(range(plane.n), 6):
             check(sub)
-    for _ in range(samples):
+    for _ in range(300):
         size = rng.randrange(1, plane.n)
         check(rng.sample(range(plane.n), size))
     return StoppingEquivalenceReport(plane.q, cases, ok)

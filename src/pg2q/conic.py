@@ -108,6 +108,16 @@ class Conic:
         # self-duality: the lines of a set L through point p are the members of L on line p
         return PointSet(self.plane, self.tangent_lines).per_line
 
+    @cached_property
+    def exterior(self) -> int:
+        """Mask of the exterior points, those on two tangents."""
+        return mask_of(p for p, c in enumerate(self._tangent_counts) if c == 2)
+
+    @cached_property
+    def interior(self) -> int:
+        """Mask of the interior points, those on no tangent."""
+        return mask_of(p for p, c in enumerate(self._tangent_counts) if c == 0)
+
     def classify_point(self, p: int) -> PointClass:
         c = self._tangent_counts[p]
         if c == 1:
@@ -123,10 +133,7 @@ class Conic:
 
     def point_census(self) -> tuple[int, int, int]:
         """(on-conic, exterior, interior) point counts."""
-        tc = self._tangent_counts
-        on = sum(1 for c in tc if c == 1)
-        ext = sum(1 for c in tc if c == 2)
-        return on, ext, self.plane.n - on - ext
+        return len(self.points), self.exterior.bit_count(), self.interior.bit_count()
 
     def transform(self, mat) -> "Conic":
         """Conic with point set mapped by x -> Mx (substitute x -> M^-1 x)."""
@@ -160,11 +167,7 @@ def canonical_conic(plane: Plane) -> Conic:
 
 
 def interior_point_indices(conic: Conic) -> list[int]:
-    return [p for p in range(conic.plane.n) if conic.classify_point(p) is PointClass.INTERIOR]
-
-
-def exterior_point_indices(conic: Conic) -> list[int]:
-    return [p for p in range(conic.plane.n) if conic.classify_point(p) is PointClass.EXTERIOR]
+    return mask_bits(conic.interior)
 
 
 def discriminant_point_class(conic_line_a: int, xi: int, gf: GF) -> PointClass:

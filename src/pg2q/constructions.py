@@ -7,7 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .conic import Conic, PointClass, canonical_conic
+from .conic import Conic, canonical_conic, interior_point_indices
+from .exterior import pg25_ten_set
 from .gfq import GF, QuadChar, field_for_order
 from .plane import PointSet, mask_bits, plane_for_order
 from .tangency import Spectrum, WrongSize, is_tangent_free, redei_completion, spectrum
@@ -66,8 +67,6 @@ def two_conics(q: int, a: int) -> PointSet:
 def interior_points(conic: Conic) -> PointSet:
     """All interior points of the conic: q(q-1)/2 points, tangent-free for
     q >= 5."""
-    from .conic import interior_point_indices
-
     q = conic.plane.q
     if q < 5:
         raise QTooSmall("interior points of a conic have tangents for q=3")
@@ -83,7 +82,7 @@ def punctured_interior(conic: Conic, exterior_point: int, r: int) -> PointSet:
     q = plane.q
     if not 0 <= r <= (q - 5) // 2:
         raise RTooLarge(f"need 0 <= r <= (q-5)/2 = {(q - 5) // 2}")
-    if conic.classify_point(exterior_point) is not PointClass.EXTERIOR:
+    if not (conic.exterior >> exterior_point) & 1:
         raise NotExterior(f"point {exterior_point} is not exterior")
     ext_lines = mask_bits(plane.line_masks[exterior_point] & conic.external_lines)
     if len(ext_lines) < r:
@@ -91,12 +90,7 @@ def punctured_interior(conic: Conic, exterior_point: int, r: int) -> PointSet:
     removed = 0
     for l in ext_lines[:r]:
         removed |= plane.line_masks[l]
-    members = [
-        p
-        for p in range(plane.n)
-        if conic.classify_point(p) is PointClass.INTERIOR and not (removed >> p) & 1
-    ]
-    return PointSet(plane, members)
+    return PointSet(plane, mask_bits(conic.interior & ~removed))
 
 
 def _graph_completion(q: int, graph_map) -> PointSet:
@@ -219,7 +213,7 @@ def build(name: str, q: int, r: int | None = None, a: int | None = None) -> Cons
     elif name == "punctured_interior":
         r = opts["r"]
         con = canonical_conic(plane)
-        ext = next(x for x in range(plane.n) if con.classify_point(x) is PointClass.EXTERIOR)
+        ext = (con.exterior & -con.exterior).bit_length() - 1  # the least exterior point
         ps, claimed = punctured_interior(con, ext, r), q * (q - 1) // 2 - r * (q + 1) // 2
         name = f"punctured_interior_r{r}"
     elif name == "trace_graph":
@@ -228,8 +222,6 @@ def build(name: str, q: int, r: int | None = None, a: int | None = None) -> Cons
         ps, claimed = frobenius_graph(q), q + (q - p) // (p - 1)
         notes = "printed size formula disagrees with the construction; kept for the record"
     elif name == "pg25_ten_set":
-        from .exterior import pg25_ten_set
-
         if q != 5:
             raise ValueError("pg25_ten_set is defined for q=5")
         ps, claimed = pg25_ten_set(), 10

@@ -5,12 +5,13 @@ half-line exterior sets.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
-from .conic import Conic, LineClass, PointClass, canonical_conic, exterior_point_indices, is_arc
+from .conic import Conic, canonical_conic, is_arc
 from .gfq import GF, QuadChar
+from .linalg import random_invertible
 from .plane import Plane, PointSet, mask_bits, mask_of, plane_for_order
-from .search import TooLarge
 from .tangency import is_tangent_free
 
 
@@ -18,14 +19,14 @@ class NotExternal(ValueError):
     pass
 
 
+class TooLarge(ValueError):
+    """The input is beyond the size an exhaustive search is run at."""
+
+
 def exterior_points_on_line(conic: Conic, line: int) -> list[int]:
-    if conic.classify_line(line) is not LineClass.EXTERNAL:
+    if not (conic.external_lines >> line) & 1:
         raise NotExternal(f"line {line} is not external")
-    return [
-        p
-        for p in conic.plane.points_on_line[line]
-        if conic.classify_point(p) is PointClass.EXTERIOR
-    ]
+    return mask_bits(conic.plane.line_masks[line] & conic.exterior)
 
 
 @dataclass(frozen=True)
@@ -116,10 +117,6 @@ def check_extension_dichotomy(q: int, all_lines: bool = False, rng=None) -> Dich
     """For the canonical pair, DICHOTOMY_TRANSFORMS random images of it (and
     optionally all external lines): q = 3 mod 4 admits no off-line extender,
     q = 1 mod 4 exactly one, namely <(1,0,-a)> in canonical coordinates."""
-    import random as _random
-
-    from .linalg import random_invertible
-
     plane = plane_for_order(q)
     gf = plane.gf
     conic, line, a = canonical_external_line(plane)
@@ -130,7 +127,7 @@ def check_extension_dichotomy(q: int, all_lines: bool = False, rng=None) -> Dich
             pred = plane.index_of((1, 0, gf.neg(slope))) if slope is not None else None
             cases.append((conic, l, pred))
     if rng is None:
-        rng = _random.Random(q)
+        rng = random.Random(q)
     p0, p1 = plane.points_on_line[line][:2]
     for _ in range(DICHOTOMY_TRANSFORMS):
         m = random_invertible(gf, rng)
@@ -226,7 +223,7 @@ def exterior_clique_search(q: int, no_three_collinear: bool = False) -> list[Poi
             p = bit.bit_length() - 1
             extend(members + (p,), c & conic.external_joins(p))
 
-    extend((), mask_of(exterior_point_indices(conic)))
+    extend((), conic.exterior)
     out = [
         PointSet(plane, members)
         for members in cliques

@@ -72,6 +72,9 @@ from functools import cached_property, lru_cache, partial
 from itertools import combinations, groupby
 from operator import itemgetter
 
+from . import constructions
+from .conic import canonical_conic
+from .exterior import TooLarge, conic_union_check, exterior_clique_search
 from .plane import Plane, PointSet, by_bytes, byte_tables, checked_mask, mask_of, plane_for, plane_for_order
 from .tangency import is_tangent_free, spectrum_feasible
 
@@ -81,14 +84,6 @@ class CapTooSmall(ValueError):
 
 
 class Infeasible(ValueError):
-    pass
-
-
-class TooLarge(ValueError):
-    """The input is beyond the size an exhaustive search is run at."""
-
-
-class GroupTooLarge(ValueError):
     pass
 
 
@@ -480,7 +475,7 @@ def _exists(plane, n, workers=1, deadline=None):
     the workers inherit, so every job still queued or running returns within
     4096 nodes, and the pool is closed and joined.
     """
-    import multiprocessing as mp
+    import multiprocessing as mp  # about 10 ms to import, paid only by a process that searches
 
     nodes = 0
     pool = stop = None
@@ -539,18 +534,13 @@ class SearchResult:
 def known_witnesses(q: int) -> dict[int, tuple[int, ...]]:
     """Verified tangent-free sets by size: the first set of each size in the
     construction list, then a conic plus a no-3-collinear exterior clique."""
-    from .constructions import all_certificates
-
     out: dict[int, tuple[int, ...]] = {}
-    for c in all_certificates(q):
+    for c in constructions.all_certificates(q):
         if not (c.actual_size > 0 and c.tangent_free):
             raise AssertionError(f"construction {c.name} at q={q} is not a tangent-free set")
         out.setdefault(len(c.points), c.points.sorted_tuple())
     if q % 4 == 3 and 7 <= q <= 13:
         # conic plus a no-3-collinear exterior clique, when one exists
-        from .conic import canonical_conic
-        from .exterior import conic_union_check, exterior_clique_search
-
         con = canonical_conic(plane_for_order(q))
         for clique in exterior_clique_search(q, no_three_collinear=True):
             if conic_union_check(con, clique.members):
@@ -680,7 +670,7 @@ class PGLGroup:
         q <= 5.
         """
         if self.q > 5:
-            raise GroupTooLarge(f"full enumeration not supported for q={self.q}")
+            raise TooLarge(f"full enumeration not supported for q={self.q}")
         if self._elements is None:
             # itemgetter(*g) sends a permutation t to t o g
             perms = _closure(tuple(range(self.plane.n)), [itemgetter(*g) for g in self.generators()], set())

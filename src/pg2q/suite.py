@@ -18,15 +18,18 @@ at size 15.
 
 from __future__ import annotations
 
+import os
 import time
+from itertools import product
+
+from . import codes, conic, constructions, exterior, search, tangency
+from .gfq import QuadChar
+from .plane import PointSet, plane_for_order
 
 
 def _check_censuses(qs):
-    from .conic import canonical_conic
-    from .plane import plane_for_order
-
     for q in qs:
-        c = canonical_conic(plane_for_order(q))
+        c = conic.canonical_conic(plane_for_order(q))
         if c.line_census() != (q + 1, q * (q + 1) // 2, q * (q - 1) // 2):
             return False, f"line census off at q={q}"
         if c.point_census() != (q + 1, q * (q + 1) // 2, q * (q - 1) // 2):
@@ -35,11 +38,9 @@ def _check_censuses(qs):
 
 
 def _check_constructions(qs):
-    from .constructions import all_certificates
-
     bad = []
     for q in qs:
-        for cert in all_certificates(q):
+        for cert in constructions.all_certificates(q):
             if cert.status == "INVALID":
                 bad.append((q, cert.name))
             if cert.status == "FLAGGED" and not cert.name.startswith("frobenius"):
@@ -48,42 +49,32 @@ def _check_constructions(qs):
 
 
 def _check_u(q, expected, workers):
-    from .search import min_tangent_free
-
-    res = min_tangent_free(q, 2 * q, workers=workers)
+    res = search.min_tangent_free(q, 2 * q, workers=workers)
     ok = res.found and res.u == expected
     return ok, f"u_{q} = {res.u} (nodes {res.nodes})"
 
 
 def _check_u_oracle():
-    from .search import brute_force_min, min_tangent_free
-
-    a = min_tangent_free(3, 8).u
-    b = brute_force_min(3)
+    a = search.min_tangent_free(3, 8).u
+    b = search.brute_force_min(3)
     return a == b == 6, f"search {a} vs brute force {b}"
 
 
 def _check_dichotomy(qs):
-    from .exterior import check_extension_dichotomy
-
     for q in qs:
-        rep = check_extension_dichotomy(q)
+        rep = exterior.check_extension_dichotomy(q)
         if not rep.ok:
             return False, f"dichotomy fails at q={q}"
     return True, f"extension dichotomy holds for q in {list(qs)}"
 
 
 def _check_spectrum_system():
-    from .tangency import spectrum_solutions
-
-    sols = spectrum_solutions(10, 5, 4)
+    sols = tangency.spectrum_solutions(10, 5, 4)
     return sols == [(5, 21, 2, 3), (6, 15, 10, 0)], f"solutions {sols}"
 
 
 def _check_ten_set():
-    from .exterior import pg25_ten_set
-
-    ps = pg25_ten_set()
+    ps = exterior.pg25_ten_set()
     return len(ps) == 10, "conic + 3 exterior points + concurrency point"
 
 
@@ -92,29 +83,21 @@ def _check_redei_directions(qs):
     completion's points there are the non-determined directions of the rest
     (the converse of the Redei completion), and the graph with its determined
     directions meets every line in 1 mod p points."""
-    from .constructions import frobenius_graph, trace_graph
-    from .plane import PointSet, plane_for_order
-    from .tangency import one_mod_p_check, redei_converse_check
-
     bad = []
     for q in qs:
         plane = plane_for_order(q)
         linf = plane.index_of((1, 0, 0))  # the line x = 0 of the graph completions
-        for graph in (frobenius_graph, trace_graph):
+        for graph in (constructions.frobenius_graph, constructions.trace_graph):
             s = graph(q)
             affine = PointSet(plane, s.members - set(plane.points_on_line[linf]))
-            if not (redei_converse_check(s, linf) and one_mod_p_check(affine, linf)):
+            if not (tangency.redei_converse_check(s, linf) and tangency.one_mod_p_check(affine, linf)):
                 bad.append((q, graph.__name__))
     return not bad, f"converse and 1 mod p for the Frobenius and trace graphs, q in {list(qs)}" + (
         f"; failures {bad}" if bad else "")
 
 
 def _check_pg25_desargues():
-    from .conic import canonical_conic
-    from .constructions import interior_points, verify_desargues
-    from .plane import plane_for_order
-
-    ok = verify_desargues(interior_points(canonical_conic(plane_for_order(5))))
+    ok = constructions.verify_desargues(constructions.interior_points(conic.canonical_conic(plane_for_order(5))))
     return ok, "the 10 interior points of a conic in PG(2,5) and their 10 3-secants"
 
 
@@ -123,65 +106,51 @@ def _check_external_line_formula(qs):
     points: the join is external to y^2 = xz exactly when the discriminant
     formula is a non-square; and on the external line z = ax the sign of
     xi^2 - a classifies <(1,xi,a)>."""
-    from itertools import product
-
-    from .conic import LineClass, discriminant_point_class
-    from .exterior import canonical_external_line, external_line_test_formula, join_line_coords
-    from .gfq import QuadChar
-    from .plane import plane_for_order
-
     for q in qs:
         plane = plane_for_order(q)
         gf = plane.gf
-        conic, _, ext_a = canonical_external_line(plane)
+        con, _, ext_a = exterior.canonical_external_line(plane)
         for alpha, lam, xi, a in product(range(q), repeat=4):
             if (alpha, lam) != (xi, a) and (
-                conic.classify_line(plane.index_of(join_line_coords(gf, alpha, lam, xi, a))) is LineClass.EXTERNAL
-            ) != (external_line_test_formula(gf, alpha, lam, xi, a) is QuadChar.NONSQUARE):
+                con.classify_line(plane.index_of(exterior.join_line_coords(gf, alpha, lam, xi, a)))
+                is conic.LineClass.EXTERNAL
+            ) != (exterior.external_line_test_formula(gf, alpha, lam, xi, a) is QuadChar.NONSQUARE):
                 return False, f"the formula misclassifies the join of <(1,{alpha},{lam})> and <(1,{xi},{a})> at q={q}"
         for xi in range(q):
-            if conic.classify_point(plane.index_of((1, xi, ext_a))) is not discriminant_point_class(ext_a, xi, gf):
+            if con.classify_point(plane.index_of((1, xi, ext_a))) is not conic.discriminant_point_class(ext_a, xi, gf):
                 return False, f"the discriminant misclassifies <(1,{xi},{ext_a})> at q={q}"
     return True, f"external-line formula and point discriminant hold for q in {list(qs)}"
 
 
 def _check_codes_quick():
-    from .codes import hyperoval, incidence_code, trivial_signing
-
-    code5 = incidence_code(5)
-    v = trivial_signing(5)
+    code5 = codes.incidence_code(5)
+    v = codes.trivial_signing(5)
     if not (code5.is_dual_codeword(v) and len(code5.support(v)) == 10):
         return False, "trivial signing is not a weight-10 dual codeword"
-    h = hyperoval(4)
+    h = codes.hyperoval(4)
     vh = [1 if p in h.members else 0 for p in range(21)]
-    if not incidence_code(4).is_dual_codeword(vh):
+    if not codes.incidence_code(4).is_dual_codeword(vh):
         return False, "hyperoval is not a dual codeword"
     return True, "trivial signing weight 10; hyperoval weight 6"
 
 
 def _check_classification(q, n, expected):
-    from .search import classify_tangent_free
-
-    reps = classify_tangent_free(q, n)
+    reps = search.classify_tangent_free(q, n)
     got = sorted((r.class_size, r.stabilizer_order) for r in reps)
     total = sum(size for size, _ in got)
     return got == expected, f"({q},{n}): {total} sets in {len(got)} classes (size, |Stab|) {got}"
 
 
 def _check_cliques(qs):
-    from .conic import canonical_conic
-    from .exterior import conic_union_check, exterior_clique_search
-    from .plane import plane_for_order
-
     msgs = []
     for q in qs:
         if q % 4 == 1:
-            exterior_clique_search(q)  # asserts collinearity internally
+            exterior.exterior_clique_search(q)  # asserts collinearity internally
             msgs.append(f"q={q} all collinear")
         else:
-            wits = exterior_clique_search(q, no_three_collinear=True)
-            conic = canonical_conic(plane_for_order(q))
-            good = [w for w in wits if conic_union_check(conic, w.members)]
+            wits = exterior.exterior_clique_search(q, no_three_collinear=True)
+            con = conic.canonical_conic(plane_for_order(q))
+            good = [w for w in wits if exterior.conic_union_check(con, w.members)]
             if not good:
                 return False, f"no tangent-free union at q={q}"
             msgs.append(f"q={q}: {len(good)} tangent-free unions of size {q + 1 + (q + 1) // 2}")
@@ -189,28 +158,22 @@ def _check_cliques(qs):
 
 
 def _check_stopping(qs):
-    from .codes import stopping_equivalence_check
-
     for q in qs:
-        rep = stopping_equivalence_check(q)
+        rep = codes.stopping_equivalence_check(q)
         if not rep.ok:
             return False, f"stopping-set equivalence fails at q={q}"
     return True, f"peeling fixpoints = tangent-free sets for q in {list(qs)}"
 
 
 def _check_secant_bound(ps):
-    from .tangency import secant_bound_check
-
     for p in ps:
-        rep = secant_bound_check(p)
+        rep = tangency.secant_bound_check(p)
         if not rep.all_heavy_trivial:
             return False, f"non-trivial heavy-line set at p={p}"
     return True, f"heavy-secant sets are trivial for p in {list(ps)}"
 
 
 def run_suite(level: str, workers: int | None = None, note=print):
-    import os
-
     workers = workers or os.cpu_count() or 1
     checks = [
         ("censuses_q<=13", lambda: _check_censuses([3, 5, 7, 9, 11, 13])),

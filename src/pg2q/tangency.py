@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .plane import PointSet
+from .plane import PointSet, plane_for
 
 
 class PointsOnInfinity(ValueError):
@@ -228,8 +228,7 @@ def secant_bound_check(p: int) -> SecantBoundReport:
     `heavy_sets_found` counts the sets found through those seeds, at least
     one per heavy class, and `nodes` the nodes of their searches.
     """
-    from .plane import plane_for
-    from .search import _seeded_sets
+    from .search import _seeded_sets  # search imports this module for is_tangent_free and spectrum_feasible
 
     plane = plane_for(p, 1)
     heavy_found = 0

@@ -511,6 +511,23 @@ def test_theoremsuite_quick(capsys):
     assert "[ok]" in err
 
 
+def test_theoremsuite_full_runs_every_check():
+    """The full level passes every check, among them the classifications,
+    the clique searches and the stopping-set equivalence that only it runs."""
+    from pg2q.suite import run_suite
+
+    notes = []
+    summary, ok = run_suite("full", workers=1, note=notes.append)
+    assert ok and all(entry["ok"] for entry in summary.values()), summary
+    assert list(summary) == [
+        "censuses_q<=13", "constructions_q<=7", "u3_oracle", "u5", "dichotomy_5_7", "spectrum_system",
+        "pg25_ten_set", "redei_directions", "pg25_desargues", "external_line_formula", "codes_quick",
+        "secant_bound_p<=5", "censuses_q<=31", "constructions_q<=31", "u7", "classification_pg25",
+        "classification_pg27", "dichotomy_q<=13", "cliques_5_7_11", "stopping_equivalence",
+    ]
+    assert len(notes) == len(summary)
+
+
 @pytest.mark.parametrize("check,module,name,broken", [
     ("_check_redei_directions", "tangency", "one_mod_p_check", lambda affine, linf: False),
     ("_check_pg25_desargues", "constructions", "verify_desargues", lambda s: False),

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pg2q.conic import LineClass, canonical_conic, exterior_point_indices, is_arc
+from pg2q.conic import LineClass, canonical_conic, is_arc
 from pg2q.exterior import (
     NotExternal,
     TooLarge,
@@ -20,7 +20,7 @@ from pg2q.exterior import (
 )
 from pg2q.gfq import QuadChar
 from pg2q.linalg import random_invertible
-from pg2q.plane import PointSet, plane_for_order
+from pg2q.plane import PointSet, mask_bits, plane_for_order
 from pg2q.tangency import is_tangent_free, spectrum
 
 
@@ -247,7 +247,7 @@ def _reference_cliques(q, no_three_collinear):
     external joins, in the order of a lowest-vertex-first DFS."""
     pl = plane_for_order(q)
     conic = canonical_conic(pl)
-    verts = exterior_point_indices(conic)
+    verts = mask_bits(conic.exterior)
     adj = [
         sum(1 << j for j, w in enumerate(verts) if w != v and _external_join(conic, v, w))
         for v in verts
@@ -281,7 +281,7 @@ def test_is_exterior_set_is_pairwise_external(data):
     q = data.draw(st.sampled_from([5, 7, 9, 11]))
     pl = plane_for_order(q)
     conic = canonical_conic(pl)
-    ext = exterior_point_indices(conic)
+    ext = mask_bits(conic.exterior)
     members = data.draw(st.lists(st.sampled_from(ext), max_size=6, unique=True))
     if data.draw(st.booleans()):
         # an exterior set plus a few points, so that both answers occur

@@ -203,14 +203,14 @@ def cmd_exterior_clique(args):
     cliques = exterior_clique_search(args.q, no_three_collinear=args.no3col)
     plane = plane_for_order(args.q)
     conic = canonical_conic(plane)
-    unions = [conic_union_check(conic, c.members) for c in cliques]
+    unions = [conic_union_check(conic, c) for c in cliques]
     body = {
         "parameters": {"q": args.q, "no3col": args.no3col},
         "results": {
             "clique_size": (args.q + 1) // 2,
             "count": len(cliques),
             "tangent_free_unions": sum(unions),
-            "witness": [list(plane.coords[p]) for p in sorted(cliques[0].members)] if cliques else None,
+            "witness": [list(plane.coords[p]) for p in cliques[0]] if cliques else None,
         },
     }
     return plane.gf.spec, body, 0

@@ -185,10 +185,9 @@ def incidence_code(plane: Plane | int) -> IncidenceCode:
 def trivial_signing(q: int) -> tuple[int, ...]:
     """+1 on the first line minus the meet, -1 on the second: weight 2q."""
     plane = plane_for_order(q)
-    first, second = plane.line_masks[0], plane.line_masks[1]
     v = [0] * plane.n
-    for pt in mask_bits(first ^ second):
-        v[pt] = 1 if first >> pt & 1 else plane.gf.p - 1
+    for pt in mask_bits(plane.line_masks[0] ^ plane.line_masks[1]):
+        v[pt] = 1 if plane.incident(pt, 0) else plane.gf.p - 1
     return tuple(v)
 
 
@@ -202,7 +201,7 @@ def hyperoval(q: int = 4) -> PointSet:
     pts.append(plane.index_of((0, 0, 1)))
     pts.append(plane.index_of((0, 1, 0)))  # nucleus of y^2 = xz
     out = PointSet(plane, pts)
-    if not (len(out) == q + 2 and all(c <= 2 for c in out.per_line)):
+    if not (len(out) == q + 2 and max(out.per_line) <= 2):
         raise AssertionError(f"the hyperoval at q={q} is not a (q+2)-arc")
     return out
 

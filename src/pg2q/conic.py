@@ -71,7 +71,7 @@ class Conic:
         return tuple(i for i, c in enumerate(self.plane.coords) if self.evaluate(c) == 0)
 
     @cached_property
-    def line_intersections(self) -> tuple[int, ...]:
+    def line_intersections(self) -> bytes:
         return PointSet(self.plane, self.points).per_line
 
     @cached_property
@@ -104,7 +104,7 @@ class Conic:
         return LineClass.SECANT if c == 2 else LineClass.EXTERNAL
 
     @cached_property
-    def _tangent_counts(self) -> tuple[int, ...]:
+    def _tangent_counts(self) -> bytes:
         # self-duality: the lines of a set L through point p are the members of L on line p
         return PointSet(self.plane, self.tangent_lines).per_line
 
@@ -127,8 +127,7 @@ class Conic:
     def line_census(self) -> tuple[int, int, int]:
         """(tangent, secant, external) line counts."""
         li = self.line_intersections
-        t = sum(1 for c in li if c == 1)
-        s = sum(1 for c in li if c == 2)
+        t, s = li.count(1), li.count(2)
         return t, s, self.plane.n - t - s
 
     def point_census(self) -> tuple[int, int, int]:
@@ -185,4 +184,4 @@ def discriminant_point_class(conic_line_a: int, xi: int, gf: GF) -> PointClass:
 
 def is_arc(plane: Plane, indices) -> bool:
     """No line carries three of the given points."""
-    return all(c <= 2 for c in PointSet(plane, indices).per_line)
+    return max(PointSet(plane, indices).per_line) <= 2

@@ -7,10 +7,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .conic import Conic, canonical_conic, interior_point_indices
+from .conic import Conic, canonical_conic
 from .exterior import pg25_ten_set
 from .gfq import GF, QuadChar, field_for_order
-from .plane import PointSet, mask_bits, plane_for_order
+from .plane import PointSet, mask_bits, mask_of, plane_for_order
 from .tangency import Spectrum, WrongSize, is_tangent_free, redei_completion, spectrum
 
 
@@ -33,7 +33,7 @@ class NotExterior(ValueError):
 def trivial(q: int) -> PointSet:
     """Points of two lines minus their intersection: 2q points, no tangents."""
     plane = plane_for_order(q)
-    return PointSet(plane, mask_bits(plane.line_masks[0] ^ plane.line_masks[1]))
+    return PointSet.from_mask(plane, plane.line_masks[0] ^ plane.line_masks[1])
 
 
 def find_valid_a(q: int) -> list[int]:
@@ -57,11 +57,9 @@ def two_conics(q: int, a: int) -> PointSet:
         raise InvalidA(f"a={a}: need 1-a and a(a-1) nonzero squares in GF({q}), that is a in {valid}")
     plane = plane_for_order(q)
     gf = plane.gf
-    neg1 = gf.neg(1)
-    c1 = Conic(plane, (0, 0, 1, neg1, 0, 0))
+    c1 = Conic(plane, (0, 0, 1, gf.neg(1), 0, 0))
     c2 = Conic(plane, (0, 0, 1, gf.neg(a), 0, 0))
-    members = set(c1.points) ^ set(c2.points)
-    return PointSet(plane, members)
+    return PointSet.from_mask(plane, mask_of(c1.points) ^ mask_of(c2.points))
 
 
 def interior_points(conic: Conic) -> PointSet:
@@ -70,7 +68,7 @@ def interior_points(conic: Conic) -> PointSet:
     q = conic.plane.q
     if q < 5:
         raise QTooSmall("interior points of a conic have tangents for q=3")
-    return PointSet(conic.plane, interior_point_indices(conic))
+    return PointSet.from_mask(conic.plane, conic.interior)
 
 
 def punctured_interior(conic: Conic, exterior_point: int, r: int) -> PointSet:
@@ -90,7 +88,7 @@ def punctured_interior(conic: Conic, exterior_point: int, r: int) -> PointSet:
     removed = 0
     for l in ext_lines[:r]:
         removed |= plane.line_masks[l]
-    return PointSet(plane, mask_bits(conic.interior & ~removed))
+    return PointSet.from_mask(plane, conic.interior & ~removed)
 
 
 def _graph_completion(q: int, graph_map) -> PointSet:
@@ -121,13 +119,12 @@ def verify_desargues(s: PointSet) -> bool:
     member, and no line with four members."""
     if len(s) != 10:
         raise WrongSize("a Desargues configuration has 10 points")
-    plane = s.plane
     three = [l for l, c in enumerate(s.per_line) if c == 3]
     if len(three) != 10 or any(c >= 4 for c in s.per_line):
         return False
     # self-duality: the lines of a set L through point p are the members of L on line p
-    through = PointSet(plane, three).per_line
-    return all(through[p] == 3 for p in s.members)
+    through = PointSet(s.plane, three).per_line
+    return all(through[p] == 3 for p in s)
 
 
 # -- the construction list ----------------------------------------------------------

@@ -152,8 +152,7 @@ def check_extension_dichotomy(q: int, all_lines: bool = False, rng=None) -> Dich
             counts_ok = False
         if residue == 1 and predicted is not None and rep.extenders_off_line != (predicted,):
             hit = False
-        on_expected = set(con.plane.points_on_line[l]) - set(rep.base_points)
-        if set(rep.extenders_on_line) != on_expected:
+        if mask_of(rep.extenders_on_line) != con.plane.line_masks[l] ^ mask_of(rep.base_points):
             every = False
     return DichotomyReport(
         q, residue, off_count, expected_off, hit, every, counts_ok and hit and every
@@ -187,7 +186,7 @@ def pg25_ten_set() -> PointSet:
     q2 = plane.meet(second[0], second[2])
     if q1 != q2:
         raise AssertionError("the three second external lines must be concurrent")
-    out = PointSet(plane, set(conic.points) | set(base) | {q1})
+    out = PointSet(plane, (*conic.points, *base, q1))
     if not (len(out) == 10 and is_tangent_free(out)):
         raise AssertionError("the PG(2,5) 10-set must be tangent-free")
     return out
@@ -237,5 +236,5 @@ def exterior_clique_search(q: int, no_three_collinear: bool = False) -> list[Poi
 
 def conic_union_check(conic: Conic, exterior_members) -> bool:
     """Is the union of the conic with the given exterior set tangent-free?"""
-    union = PointSet(conic.plane, set(conic.points) | set(exterior_members))
+    union = PointSet(conic.plane, (*conic.points, *exterior_members))
     return is_tangent_free(union)

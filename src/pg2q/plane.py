@@ -266,37 +266,51 @@ def as_plane(plane: Plane | int) -> Plane:
 
 
 class PointSet:
-    """An immutable set of point indices; per_line[l] is the number of its
-    points on line l, the one line-count table of a set."""
+    """An immutable set of point indices, held as its point mask; per_line[l]
+    is the number of its points on line l, the one line-count table of a set.
+    A count is at most q + 1 <= MAX_PLANE_ORDER + 1 < 256, so the table is
+    one byte a line."""
 
     def __init__(self, plane: Plane, members=()):
         self.plane = plane
-        self.members: frozenset[int] = frozenset(members)
-        self.mask = checked_mask(self.members, plane.n)
+        self.mask = checked_mask(members, plane.n)
+
+    @classmethod
+    def from_mask(cls, plane: Plane, mask: int) -> "PointSet":
+        """The set of a point mask; IndexError for a negative mask or a bit at n or above."""
+        if mask < 0 or mask >> plane.n:
+            raise IndexError(f"point indices must lie in [0, {plane.n})")
+        out = cls.__new__(cls)
+        out.plane, out.mask = plane, mask
+        return out
+
+    @property
+    def members(self) -> frozenset[int]:
+        return frozenset(mask_bits(self.mask))
 
     @cached_property
-    def per_line(self) -> tuple[int, ...]:
+    def per_line(self) -> bytes:
         mask = self.mask
-        return tuple((mask & lm).bit_count() for lm in self.plane.line_masks)
+        return bytes([(mask & lm).bit_count() for lm in self.plane.line_masks])
 
     def __contains__(self, p: int) -> bool:
-        return p in self.members
+        return 0 <= p < self.plane.n and bool(self.mask >> p & 1)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
     def __iter__(self):
-        return iter(sorted(self.members))
+        return iter(mask_bits(self.mask))
 
     def sorted_tuple(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
+        return tuple(mask_bits(self.mask))
 
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
         return {
             "field": self.plane.gf.spec.to_json(),
-            "points": [list(self.plane.coords[p]) for p in sorted(self.members)],
+            "points": [list(self.plane.coords[p]) for p in self],
         }
 
     @classmethod

@@ -74,7 +74,7 @@ from operator import itemgetter
 
 from . import constructions
 from .conic import canonical_conic
-from .exterior import TooLarge, conic_union_check, exterior_clique_search
+from .exterior import TooLarge, exterior_clique_search
 from .plane import Plane, PointSet, by_bytes, byte_tables, checked_mask, mask_of, plane_for, plane_for_order
 from .tangency import is_tangent_free, spectrum_feasible
 
@@ -543,9 +543,9 @@ def known_witnesses(q: int) -> dict[int, tuple[int, ...]]:
         # conic plus a no-3-collinear exterior clique, when one exists
         con = canonical_conic(plane_for_order(q))
         for clique in exterior_clique_search(q, no_three_collinear=True):
-            if conic_union_check(con, clique.members):
-                union = tuple(sorted(set(con.points) | clique.members))
-                out.setdefault(len(union), union)
+            union = PointSet(con.plane, (*con.points, *clique))
+            if is_tangent_free(union):
+                out.setdefault(len(union), union.sorted_tuple())
                 break
     return out
 

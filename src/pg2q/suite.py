@@ -89,7 +89,7 @@ def _check_redei_directions(qs):
         linf = plane.index_of((1, 0, 0))  # the line x = 0 of the graph completions
         for graph in (constructions.frobenius_graph, constructions.trace_graph):
             s = graph(q)
-            affine = PointSet(plane, s.members - set(plane.points_on_line[linf]))
+            affine = PointSet.from_mask(plane, s.mask & ~plane.line_masks[linf])
             if not (tangency.redei_converse_check(s, linf) and tangency.one_mod_p_check(affine, linf)):
                 bad.append((q, graph.__name__))
     return not bad, f"converse and 1 mod p for the Frobenius and trace graphs, q in {list(qs)}" + (
@@ -128,7 +128,7 @@ def _check_codes_quick():
     if not (code5.is_dual_codeword(v) and len(code5.support(v)) == 10):
         return False, "trivial signing is not a weight-10 dual codeword"
     h = codes.hyperoval(4)
-    vh = [1 if p in h.members else 0 for p in range(21)]
+    vh = [1 if p in h else 0 for p in range(21)]
     if not codes.incidence_code(4).is_dual_codeword(vh):
         return False, "hyperoval is not a dual codeword"
     return True, "trivial signing weight 10; hyperoval weight 6"
@@ -150,7 +150,7 @@ def _check_cliques(qs):
         else:
             wits = exterior.exterior_clique_search(q, no_three_collinear=True)
             con = conic.canonical_conic(plane_for_order(q))
-            good = [w for w in wits if exterior.conic_union_check(con, w.members)]
+            good = [w for w in wits if exterior.conic_union_check(con, w)]
             if not good:
                 return False, f"no tangent-free union at q={q}"
             msgs.append(f"q={q}: {len(good)} tangent-free unions of size {q + 1 + (q + 1) // 2}")

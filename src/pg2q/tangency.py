@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .plane import PointSet, plane_for
+from .plane import PointSet, mask_of, plane_for
 
 
 class PointsOnInfinity(ValueError):
@@ -58,16 +58,13 @@ class Spectrum:
 
 
 def spectrum(s: PointSet) -> Spectrum:
-    counts = [0] * (s.plane.q + 2)
-    for c in s.per_line:
-        counts[c] += 1
-    return Spectrum(s.plane.q, len(s), tuple(counts))
+    return Spectrum(s.plane.q, len(s), tuple(map(s.per_line.count, range(s.plane.q + 2))))
 
 
 def is_tangent_free(s: PointSet) -> bool:
     """No line meets the set in exactly one point (the empty set passes
     vacuously; report non-emptiness separately)."""
-    return all(c != 1 for c in s.per_line)
+    return 1 not in s.per_line
 
 
 def spectrum_solutions(n: int, q: int, max_i: int) -> list[tuple[int, ...]]:
@@ -139,14 +136,10 @@ def determined_directions(affine: PointSet, linf: int) -> DirectionSet:
     plane = affine.plane
     if affine.per_line[linf] > 0:
         raise PointsOnInfinity("affine set meets the chosen infinite line")
-    det, non = set(), set()
-    for d in plane.points_on_line[linf]:
-        # the lines through d: incidence is symmetric, so they are points_on_line[d]
-        if any(affine.per_line[l] >= 2 for l in plane.points_on_line[d] if l != linf):
-            det.add(d)
-        else:
-            non.add(d)
-    return DirectionSet(linf, frozenset(det), frozenset(non))
+    secants = mask_of(l for l, c in enumerate(affine.per_line) if c >= 2)
+    # the lines through d: incidence is symmetric, so they are the points on line d
+    det = frozenset(d for d in plane.points_on_line[linf] if plane.line_masks[d] & secants)
+    return DirectionSet(linf, det, frozenset(plane.points_on_line[linf]) - det)
 
 
 def redei_completion(affine: PointSet, linf: int) -> PointSet:
@@ -162,7 +155,7 @@ def redei_completion(affine: PointSet, linf: int) -> PointSet:
     limit = (q + 3) // 2
     if len(ds.determined) >= limit:
         raise TooManyDirections(len(ds.determined), limit)
-    out = PointSet(plane, affine.members | ds.non_determined)
+    out = PointSet.from_mask(plane, affine.mask | mask_of(ds.non_determined))
     if not is_tangent_free(out):
         raise AssertionError("completion must be tangent-free")
     return out
@@ -172,15 +165,13 @@ def redei_converse_check(s: PointSet, linf: int) -> bool:
     """For a tangent-free set of size q+k with k points on the chosen line,
     those k points must be exactly the non-determined directions of the rest."""
     plane = s.plane
-    q = plane.q
-    on_line = {p for p in s.members if plane.incident(p, linf)}
-    if len(s) != q + len(on_line):
-        raise SizeMismatch(f"|S|={len(s)} but |S on line|={len(on_line)}, need |S|=q+k")
+    on_line = s.mask & plane.line_masks[linf]
+    if len(s) != plane.q + on_line.bit_count():
+        raise SizeMismatch(f"|S|={len(s)} but |S on line|={on_line.bit_count()}, need |S|=q+k")
     if not is_tangent_free(s):
         raise SizeMismatch("input set has a tangent")
-    affine = PointSet(plane, s.members - on_line)
-    ds = determined_directions(affine, linf)
-    return frozenset(on_line) == ds.non_determined
+    ds = determined_directions(PointSet.from_mask(plane, s.mask ^ on_line), linf)
+    return on_line == mask_of(ds.non_determined)
 
 
 def one_mod_p_check(affine: PointSet, linf: int) -> bool:
@@ -189,7 +180,7 @@ def one_mod_p_check(affine: PointSet, linf: int) -> bool:
     plane = affine.plane
     p = plane.gf.p
     ds = determined_directions(affine, linf)
-    full = PointSet(plane, affine.members | ds.determined)
+    full = PointSet.from_mask(plane, affine.mask | mask_of(ds.determined))
     return all(c % p == 1 for c in full.per_line)
 
 
@@ -210,9 +201,7 @@ def is_trivial_set(s: PointSet) -> bool:
     if len(s) != 2 * q:
         return False
     heavy = [l for l, c in enumerate(s.per_line) if c == q]
-    if len(heavy) != 2:
-        return False
-    return s.mask == plane.line_masks[heavy[0]] ^ plane.line_masks[heavy[1]]
+    return len(heavy) == 2 and s.mask == plane.line_masks[heavy[0]] ^ plane.line_masks[heavy[1]]
 
 
 def secant_bound_check(p: int) -> SecantBoundReport:

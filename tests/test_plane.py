@@ -95,7 +95,7 @@ def test_tables_match_dense_reference(spec):
     rng = random.Random(pl.n)
     for _ in range(5):
         members = rng.sample(range(pl.n), rng.randrange(pl.n + 1))
-        assert PointSet(pl, members).per_line == tuple(inc[:, members].sum(axis=1).tolist())
+        assert PointSet(pl, members).per_line == bytes(inc[:, members].sum(axis=1).tolist())
 
 
 def test_core_runs_without_numpy():
@@ -145,6 +145,21 @@ def test_package_has_no_assert_statements():
     src = Path(__file__).resolve().parent.parent / "src" / "pg2q"
     found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_package_builds_no_point_set_from_mask_bits():
+    """A set held as a mask becomes a PointSet by PointSet.from_mask, not by a
+    round trip through its list of indices, PointSet(plane, mask_bits(m))."""
+    src = Path(__file__).resolve().parent.parent / "src" / "pg2q"
+
+    def name(f):
+        return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and name(node.func) == "PointSet"
+             and any(isinstance(a, ast.Call) and name(a.func) == "mask_bits" for a in node.args)]
     assert found == []
 
 
@@ -212,7 +227,34 @@ def test_pointset_rejects_indices_off_the_plane():
     for bad in ([13], [0, -1]):
         with pytest.raises(IndexError):
             PointSet(pl, bad)
-    assert PointSet(pl, [12, 0, 12]).sorted_tuple() == (0, 12)
+    ps = PointSet(pl, [12, 0, 12])
+    assert ps.sorted_tuple() == (0, 12)
+    # membership answers False off the plane, on either side of it
+    assert 0 in ps and 12 in ps and 1 not in ps
+    for off in (-1, -13, pl.n, pl.n + 1, 1 << 80, -(1 << 80)):
+        assert off not in ps
+        assert off not in PointSet(pl, range(pl.n))
+
+
+@pytest.mark.parametrize("spec", [s for s in _reference_fields() if s.q <= 16], ids=lambda s: f"{s.q}-{list(s.modulus)}")
+def test_pointset_is_its_mask(spec):
+    """A PointSet keeps the plane and the mask, and once read, per_line as
+    bytes; nothing else.  from_mask builds the same set as the indices do."""
+    pl = plane_for(spec.p, spec.h, spec.modulus)
+    ps = PointSet(pl, [0, 3, 5])
+    assert set(vars(ps)) == {"plane", "mask"}
+    assert len(ps.per_line) == pl.n
+    assert set(vars(ps)) == {"plane", "mask", "per_line"} and type(ps.per_line) is bytes
+    rng = random.Random(pl.n)
+    for m in [0, (1 << pl.n) - 1] + [rng.getrandbits(pl.n) for _ in range(6)]:
+        a, b = PointSet.from_mask(pl, m), PointSet(pl, mask_bits(m))
+        assert set(vars(a)) == {"plane", "mask"}
+        assert a.sorted_tuple() == b.sorted_tuple() == tuple(mask_bits(m))
+        assert a.per_line == b.per_line and a.to_json() == b.to_json()
+        assert len(a) == m.bit_count() and a.members == frozenset(mask_bits(m))
+    for bad in (-1, 1 << pl.n):
+        with pytest.raises(IndexError):
+            PointSet.from_mask(pl, bad)
 
 
 def test_byte_tables_map_a_mask_byte_by_byte():

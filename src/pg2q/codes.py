@@ -4,7 +4,7 @@ are the stopping sets of the plane's LDPC code.
 
 Convention: rows of the incidence matrix are lines, columns are points.  The
 matrix is never stored: an elimination writes its byte rows (`linalg.rref`)
-from the plane's points_on_line.
+from the plane's line masks.
 A codeword is a tuple of n ints in [0, p), entry i on point i; the checks read
 any integer sequence of length n.
 
@@ -31,7 +31,7 @@ from itertools import combinations, compress
 
 from .gfq import field_for_order
 from .linalg import nullspace
-from .plane import Plane, PointSet, as_plane, mask_bits, plane_for_order
+from .plane import Plane, PointSet, as_plane, check_index, mask_bits, mask_of, plane_for_order
 from .tangency import is_tangent_free
 
 
@@ -58,14 +58,13 @@ class IncidenceCode:
 
     def _rows(self, cols) -> list[bytes]:
         """The incidence matrix on the given distinct point columns, one byte
-        row per line, written from the line's q + 1 points."""
+        row per line, written from the line's points among the columns."""
         col = {c: j for j, c in enumerate(cols)}
-        rows = []
-        for pts in self.plane.points_on_line:
+        cols_mask, rows = mask_of(col), []
+        for lm in self.plane.line_masks:
             row = bytearray(len(col))
-            for pt in pts:
-                if pt in col:
-                    row[col[pt]] = 1
+            for pt in mask_bits(lm & cols_mask):
+                row[col[pt]] = 1
             rows.append(bytes(row))
         return rows
 
@@ -78,7 +77,7 @@ class IncidenceCode:
     def is_dual_codeword(self, v) -> bool:
         """Every line sum must vanish mod p."""
         vals = self._residues(v)
-        return all(sum(vals[i] for i in pts) % self.p == 0 for pts in self.plane.points_on_line)
+        return all(sum(vals[i] for i in mask_bits(lm)) % self.p == 0 for lm in self.plane.line_masks)
 
     def support(self, v) -> frozenset[int]:
         return frozenset(i for i, x in enumerate(self._residues(v)) if x)
@@ -133,8 +132,7 @@ class IncidenceCode:
         """
         cols = sorted(set(members))
         n, p = self.plane.n, self.p
-        if cols and (cols[0] < 0 or cols[-1] >= n):
-            raise IndexError(f"point indices must lie in [0, {n})")
+        check_index(n, *cols)
         basis = nullspace(self._rows(cols), field_for_order(p), ncols=len(cols))
         dim = len(basis)
         # steps[j]: the non-zero entries of basis vector j; closing[j]: the

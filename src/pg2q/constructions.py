@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from .conic import Conic, canonical_conic
 from .exterior import pg25_ten_set
 from .gfq import GF, QuadChar, field_for_order
-from .plane import PointSet, mask_bits, mask_of, plane_for_order
+from .plane import PointSet, check_index, mask_bits, mask_of, plane_for_order
 from .tangency import Spectrum, WrongSize, is_tangent_free, redei_completion, spectrum
 
 
@@ -80,6 +80,7 @@ def punctured_interior(conic: Conic, exterior_point: int, r: int) -> PointSet:
     q = plane.q
     if not 0 <= r <= (q - 5) // 2:
         raise RTooLarge(f"need 0 <= r <= (q-5)/2 = {(q - 5) // 2}")
+    check_index(plane.n, exterior_point)
     if not (conic.exterior >> exterior_point) & 1:
         raise NotExterior(f"point {exterior_point} is not exterior")
     ext_lines = mask_bits(plane.line_masks[exterior_point] & conic.external_lines)

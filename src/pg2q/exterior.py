@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .conic import Conic, canonical_conic, is_arc
 from .gfq import GF, QuadChar
 from .linalg import random_invertible
-from .plane import Plane, PointSet, mask_bits, mask_of, plane_for_order
+from .plane import Plane, PointSet, check_index, mask_bits, mask_of, plane_for_order
 from .tangency import is_tangent_free
 
 
@@ -24,6 +24,7 @@ class TooLarge(ValueError):
 
 
 def exterior_points_on_line(conic: Conic, line: int) -> list[int]:
+    check_index(conic.plane.n, line)
     if not (conic.external_lines >> line) & 1:
         raise NotExternal(f"line {line} is not external")
     return mask_bits(conic.plane.line_masks[line] & conic.exterior)
@@ -128,7 +129,7 @@ def check_extension_dichotomy(q: int, all_lines: bool = False, rng=None) -> Dich
             cases.append((conic, l, pred))
     if rng is None:
         rng = random.Random(q)
-    p0, p1 = plane.points_on_line[line][:2]
+    p0, p1 = mask_bits(plane.line_masks[line])[:2]
     for _ in range(DICHOTOMY_TRANSFORMS):
         m = random_invertible(gf, rng)
         cases.append(

@@ -20,8 +20,8 @@ from .gfq import GF, FieldSpec, field_for_order, field_new, order_exceeds
 from .linalg import mat_vec
 
 
-# Plane keeps per-line tables of O(n q) entries (n = q^2+q+1), and line_masks
-# takes n^2 bits: about 2.2 MB at q = 64, growing as q^4 (130 GB at q = 1009).
+# A Plane's one incidence table is line_masks, n masks of n bits (n = q^2+q+1):
+# about 2.2 MB at q = 64, growing as q^4 (130 GB at q = 1009).
 MAX_PLANE_ORDER = 64
 
 
@@ -30,45 +30,37 @@ class IdenticalLines(ValueError):
 
 
 class Plane:
-    """Full incidence tables for PG(2,q); immutable after construction."""
+    """PG(2,q) and its one incidence table, line_masks; immutable after construction."""
 
     def __init__(self, gf: GF):
-        self.gf = gf
-        q = gf.q
         _check_plane_order(gf.p, gf.h)
-        self.q = q
+        self.gf = gf
+        q = self.q = gf.q
         self.n = q * q + q + 1
-        coords = []
-        for y in range(q):
-            for z in range(q):
-                coords.append((1, y, z))
-        for z in range(q):
-            coords.append((0, 1, z))
-        coords.append((0, 0, 1))
+        coords = [(1, y, z) for y in range(q) for z in range(q)] + [(0, 1, z) for z in range(q)] + [(0, 0, 1)]
         self.coords: list[tuple[int, int, int]] = coords
         self._index = {c: i for i, c in enumerate(coords)}
-        self.points_on_line = [self._line_points(a, b, c) for a, b, c in coords]
-        self.line_masks = [mask_of(pts) for pts in self.points_on_line]
+        self.line_masks = [self._line_mask(a, b, c) for a, b, c in coords]
 
     @cached_property
     def singer(self) -> SingerCycle:
         """The plane indexed along a Singer cycle, built on first use."""
         return SingerCycle(self)
 
-    def _line_points(self, a: int, b: int, c: int) -> tuple[int, ...]:
-        """The q+1 point indices on the line ax + by + cz = 0, ascending."""
+    def _line_mask(self, a: int, b: int, c: int) -> int:
+        """The mask of the q+1 points on the line ax + by + cz = 0."""
         gf, q = self.gf, self.q
         if c:
             # <(1, y, z)> with z = u + v y, then <(0, 1, v)>
             ic = gf.inv(c)
             u, v = gf.mul(gf.neg(a), ic), gf.mul(gf.neg(b), ic)
-            return tuple(y * q + gf.add(u, gf.mul(v, y)) for y in range(q)) + (q * q + v,)
+            return sum(1 << (y * q + gf.add(u, gf.mul(v, y))) for y in range(q)) | 1 << (q * q + v)
         if b:
             # <(1, -a/b, z)> for every z, then <(0, 0, 1)>
             y = gf.mul(gf.neg(a), gf.inv(b))
-            return tuple(range(y * q, y * q + q)) + (q * q + q,)
+            return ((1 << q) - 1) << (y * q) | 1 << (q * q + q)
         # the line x = 0: <(0, 1, z)> for every z, then <(0, 0, 1)>
-        return tuple(range(q * q, q * q + q + 1))
+        return ((1 << (q + 1)) - 1) << (q * q)
 
     # -- coordinates ---------------------------------------------------------
 
@@ -87,12 +79,14 @@ class Plane:
         return self._index[self.normalize(v)]
 
     def incident(self, p: int, l: int) -> bool:
+        check_index(self.n, p, l)
         return bool(self.line_masks[l] >> p & 1)
 
     def meet(self, l: int, m: int) -> int:
         """The one point on lines l and m, the AND of their masks.  Points and
         lines share one index space, so the same call with two points gives
         the line through them, their join."""
+        check_index(self.n, l, m)
         if l == m:
             raise IdenticalLines(f"line {l} repeated")
         return (self.line_masks[l] & self.line_masks[m]).bit_length() - 1
@@ -151,7 +145,7 @@ class SingerCycle:
         for k, p in enumerate(self.point_of):
             slot[p] = k
         self.slot: tuple[int, ...] = tuple(slot)
-        self.difference_set: tuple[int, ...] = tuple(sorted(slot[p] for p in plane.points_on_line[0]))
+        self.difference_set: tuple[int, ...] = tuple(sorted(slot[p] for p in mask_bits(plane.line_masks[0])))
         self._bits = 8 * n
         self._low = (1 << self._bits) - 1
         self._diffs = sum(1 << 8 * d for d in self.difference_set)  # D(x)
@@ -161,8 +155,7 @@ class SingerCycle:
         """One byte per slot, 1 at the slots of the given points (a collection;
         a repeated point counts once).  IndexError for a point off the plane."""
         n, slot = self.n, self.slot
-        if points and (min(points) < 0 or max(points) >= n):
-            raise IndexError(f"point indices must lie in [0, {n})")
+        check_index(n, *points)
         out = bytearray(n)
         for p in points:
             out[slot[p]] = 1
@@ -202,6 +195,12 @@ def mask_of(points) -> int:
     for p in points:
         mask |= 1 << p
     return mask
+
+
+def check_index(n: int, *indices: int) -> None:
+    """IndexError unless every index lies in [0, n): a point, or a line, of a plane of n points."""
+    if indices and (min(indices) < 0 or max(indices) >= n):
+        raise IndexError(f"point indices must lie in [0, {n})")
 
 
 def checked_mask(points, n: int) -> int:

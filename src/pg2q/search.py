@@ -75,7 +75,7 @@ from operator import itemgetter
 from . import constructions
 from .conic import canonical_conic
 from .exterior import TooLarge, exterior_clique_search
-from .plane import Plane, PointSet, by_bytes, byte_tables, checked_mask, mask_of, plane_for, plane_for_order
+from .plane import Plane, PointSet, by_bytes, byte_tables, checked_mask, mask_bits, mask_of, plane_for, plane_for_order
 from .tangency import is_tangent_free, spectrum_feasible
 
 
@@ -317,7 +317,7 @@ def _line_orbits(plane, m: int):
     order, and each one not yet reached starts one generator BFS
     (`_closure`), run only when the orbits before it are used.
     """
-    l0 = plane.points_on_line[plane.index_of((0, 0, 1))]
+    l0 = mask_bits(plane.line_masks[plane.index_of((0, 0, 1))])
     where = {p: i for i, p in enumerate(l0)}
     g = plane.gf.generator
     moves = [partial(by_bytes, byte_tables([1 << where[plane.apply_matrix(mat, p)] for p in l0]))
@@ -337,16 +337,15 @@ def _line_seeds(plane, m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     A; `excluded` is the mask of L0 outside A."""
     # the line z = 0 and the point (0,0,1) share a triple, so one index
     p0 = plane.index_of((0, 0, 1))
-    line = plane.points_on_line[p0]
     out = []
     for orbit in _line_orbits(plane, m):
         a = orbit[0]
-        outside = [p for p in line if p not in a]
+        outside = plane.line_masks[p0] & ~mask_of(a)
         seed = a + (p0,)
         if outside:
-            x, y, _ = plane.coords[outside[0]]
+            x, y, _ = plane.coords[(outside & -outside).bit_length() - 1]
             seed += (plane.index_of((x, y, 1)),)
-        out.append((seed, mask_of(outside)))
+        out.append((seed, outside))
     return tuple(out)
 
 

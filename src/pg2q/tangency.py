@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .plane import PointSet, mask_of, plane_for
+from .plane import PointSet, check_index, mask_bits, mask_of, plane_for
 
 
 class PointsOnInfinity(ValueError):
@@ -134,12 +134,14 @@ def determined_directions(affine: PointSet, linf: int) -> DirectionSet:
     """A point D on the infinite line is determined iff some line through D
     carries at least two points of the affine set."""
     plane = affine.plane
+    check_index(plane.n, linf)
     if affine.per_line[linf] > 0:
         raise PointsOnInfinity("affine set meets the chosen infinite line")
     secants = mask_of(l for l, c in enumerate(affine.per_line) if c >= 2)
     # the lines through d: incidence is symmetric, so they are the points on line d
-    det = frozenset(d for d in plane.points_on_line[linf] if plane.line_masks[d] & secants)
-    return DirectionSet(linf, det, frozenset(plane.points_on_line[linf]) - det)
+    on_line = mask_bits(plane.line_masks[linf])
+    det = frozenset(d for d in on_line if plane.line_masks[d] & secants)
+    return DirectionSet(linf, det, frozenset(on_line) - det)
 
 
 def redei_completion(affine: PointSet, linf: int) -> PointSet:

@@ -308,7 +308,7 @@ def test_dual_codeword_negative_controls():
     code = incidence_code(5)
     pl = plane_for_order(5)
     # a full line: its own sum is q+1 = 1 mod p, so only the zero vector fits
-    v, exact, _ = code.dual_codeword_on_support(pl.points_on_line[0])
+    v, exact, _ = code.dual_codeword_on_support(mask_bits(pl.line_masks[0]))
     assert v is None and exact
     # a tangent-free set that is NOT a codeword support
     s = interior_points(canonical_conic(pl))
@@ -370,9 +370,9 @@ def _reference_peel_decode(plane, erased, rng=None):
         for l in lines:
             if counts[l] != 1:
                 continue
-            victim = next(pt for pt in plane.points_on_line[l] if pt in erased)
+            victim = next(pt for pt in mask_bits(plane.line_masks[l]) if pt in erased)
             erased.remove(victim)
-            for m in plane.points_on_line[victim]:
+            for m in mask_bits(plane.line_masks[victim]):
                 counts[m] -= 1
             changed = True
     return frozenset(erased)

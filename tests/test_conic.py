@@ -13,7 +13,7 @@ from pg2q.conic import (
     is_arc,
 )
 from pg2q.linalg import nullspace, random_invertible
-from pg2q.plane import plane_for_order
+from pg2q.plane import mask_bits, plane_for_order
 
 ODD_Q = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31]
 
@@ -106,7 +106,7 @@ def test_line_type_interior_counts(q):
     c = canonical_conic(pl)
     for l in range(pl.n):
         interior = sum(
-            1 for p in pl.points_on_line[l] if c.classify_point(p) is PointClass.INTERIOR
+            1 for p in mask_bits(pl.line_masks[l]) if c.classify_point(p) is PointClass.INTERIOR
         )
         cls = c.classify_line(l)
         if cls is LineClass.SECANT:
@@ -150,7 +150,7 @@ def test_is_arc_and_conic_fit():
     assert is_arc(pl, c.points)
     assert arc_is_conic_check(pl, c.points)
     # a 3-secant ruins an arc
-    line_pts = list(pl.points_on_line[0])[:3]
+    line_pts = mask_bits(pl.line_masks[0])[:3]
     assert not is_arc(pl, line_pts + list(c.points)[:2])
     with pytest.raises(TooFewPoints):
         arc_is_conic_check(pl, list(c.points)[:4])

@@ -50,7 +50,7 @@ def test_is_exterior_set_basics():
     assert _reference_is_exterior_set(conic, base[:1])  # singleton, vacuous
     # two points joined by a secant of the conic fail
     secant = next(l for l in range(pl.n) if conic.classify_line(l) is LineClass.SECANT)
-    two = list(pl.points_on_line[secant])[:2]
+    two = mask_bits(pl.line_masks[secant])[:2]
     assert not _reference_is_exterior_set(conic, two)
 
 
@@ -59,7 +59,7 @@ def test_find_extenders_q5():
     conic, line, a = canonical_external_line(pl)
     rep = find_extenders(conic, line)
     assert [pl.coords[p] for p in rep.extenders_off_line] == [(1, 0, 3)]  # <(1,0,-a)>
-    assert set(rep.extenders_on_line) == set(pl.points_on_line[line]) - set(rep.base_points)
+    assert set(rep.extenders_on_line) == set(mask_bits(pl.line_masks[line])) - set(rep.base_points)
     # cross-check a few candidates against the definitional test
     for p in list(rep.extenders_off_line) + list(rep.extenders_on_line)[:2]:
         assert _reference_is_exterior_set(conic, list(rep.base_points) + [p])

@@ -11,8 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pg2q.conic import canonical_conic
+from pg2q.constructions import punctured_interior
+from pg2q.exterior import exterior_points_on_line
 from pg2q.gfq import ReducibleModulus, field_for_order, field_new, prime_factors
 from pg2q.plane import IdenticalLines, Plane, PointSet, by_bytes, byte_tables, mask_bits, plane_for, plane_for_order
+from pg2q.tangency import determined_directions
 
 
 def _reference_join(plane: Plane, i: int, j: int) -> int:
@@ -36,17 +40,17 @@ def test_plane_axioms_exhaustive(p, h, modulus):
     q = p**h
     n = q * q + q + 1
     assert pl.n == n == len(pl.coords)
-    assert all(len(pts) == q + 1 for pts in pl.points_on_line)
+    assert all(lm.bit_count() == q + 1 for lm in pl.line_masks)
     # each pair of points joined by exactly one line, dually for lines
     for i in range(n):
         for j in range(i + 1, n):
             l = pl.meet(i, j)  # the join of points i and j
             assert l == _reference_join(pl, i, j)
             assert pl.incident(i, l) and pl.incident(j, l)
-            # incidence is symmetric, so points_on_line[i] are also the lines
-            # through point i: l is the one line through i and j, and the
-            # same call read on lines gives the meet of lines i and j
-            assert set(pl.points_on_line[i]) & set(pl.points_on_line[j]) == {l}
+            # incidence is symmetric, so line_masks[i] is also the mask of the
+            # lines through point i: l is the one line through i and j, and
+            # the same call read on lines gives the meet of lines i and j
+            assert pl.line_masks[i] & pl.line_masks[j] == 1 << l
 
 
 def _reference_incidence(plane: Plane) -> np.ndarray:
@@ -85,9 +89,9 @@ def _reference_fields():
 def test_tables_match_dense_reference(spec):
     pl = Plane(field_new(spec.p, spec.h, spec.modulus))
     inc = _reference_incidence(pl)
-    assert pl.points_on_line == [tuple(np.flatnonzero(inc[l]).tolist()) for l in range(pl.n)]
-    assert pl.points_on_line == [tuple(np.flatnonzero(inc[:, p]).tolist()) for p in range(pl.n)]
     assert pl.line_masks == [sum(1 << p for p in np.flatnonzero(inc[l]).tolist()) for l in range(pl.n)]
+    # self-duality: the lines through point p are the points on line p
+    assert pl.line_masks == [sum(1 << l for l in np.flatnonzero(inc[:, p]).tolist()) for p in range(pl.n)]
     # every pair up to q = 16, then every point against 40 seeded lines
     lines = range(pl.n) if pl.q <= 16 else random.Random(pl.n).sample(range(pl.n), 40)
     for l in lines:
@@ -171,7 +175,7 @@ def test_counts_examples():
 
 def test_double_count():
     pl = plane_for_order(5)
-    assert sum(len(pts) for pts in pl.points_on_line) == 31 * 6
+    assert sum(lm.bit_count() for lm in pl.line_masks) == 31 * 6
 
 
 def test_join_meet_examples():
@@ -257,6 +261,37 @@ def test_pointset_is_its_mask(spec):
             PointSet.from_mask(pl, bad)
 
 
+@pytest.mark.parametrize("spec", _reference_fields(), ids=lambda s: f"{s.q}-{list(s.modulus)}")
+def test_plane_keeps_one_incidence_table(spec):
+    """A Plane stores its field, order, size, coordinates, their index and
+    line_masks, its one incidence table; the Singer cycle joins them once read."""
+    pl = Plane(field_new(spec.p, spec.h, spec.modulus))
+    keys = {"gf", "q", "n", "coords", "_index", "line_masks"}
+    assert set(vars(pl)) == keys
+    assert pl.singer.n == pl.n
+    assert set(vars(pl)) == keys | {"singer"}
+
+
+@pytest.mark.parametrize("q", [5, 9])
+def test_index_outside_the_plane_raises(q):
+    """A point or line index outside [0, n) is refused, never wrapped: -1 and
+    -n would otherwise read line n - 1 and line 0, and n, n + 1 none."""
+    pl = plane_for_order(q)
+    n = pl.n
+    conic = canonical_conic(pl)
+    calls = [
+        lambda i: pl.meet(i, 0), lambda i: pl.meet(0, i),
+        lambda i: pl.incident(0, i), lambda i: pl.incident(i, 0),
+        lambda i: determined_directions(PointSet(pl, [0]), i),
+        lambda i: exterior_points_on_line(conic, i),
+        lambda i: punctured_interior(conic, i, 0),
+    ]
+    for bad in (-1, -n, n, n + 1):
+        for call in calls:
+            with pytest.raises(IndexError, match=rf"point indices must lie in \[0, {n}\)"):
+                call(bad)
+
+
 def test_byte_tables_map_a_mask_byte_by_byte():
     """With images (p,) a mask maps to its indices in ascending order, and
     with images 1 << g(p) to the mask of its image under g, for every length
@@ -293,7 +328,7 @@ def test_singer_cycle(spec):
     diffs = sc.difference_set
     assert sorted((a - b) % n for a in diffs for b in diffs if a != b) == list(range(1, n))
     # the translates D + j are the lines; line_of[j] is the index of D + j
-    index = {frozenset(pts): l for l, pts in enumerate(pl.points_on_line)}
+    index = {frozenset(mask_bits(lm)): l for l, lm in enumerate(pl.line_masks)}
     line_of = [index[frozenset(sc.point_of[(d + j) % n] for d in diffs)] for j in range(n)]
     assert sorted(line_of) == list(range(n))
     rng = random.Random(n)

@@ -103,7 +103,7 @@ def _triple_seed_witness(pl, n):
     triangle through points 0 and 1; together they are exhaustive, since the
     collineation group is transitive on each kind of triple."""
     l01 = pl.meet(0, 1)
-    third_on = min(set(pl.points_on_line[l01]) - {0, 1})
+    third_on = min(set(mask_bits(pl.line_masks[l01])) - {0, 1})
     third_off = next(p for p in range(pl.n) if not pl.incident(p, l01))
     for seed in ((0, 1, third_on), (0, 1, third_off)):
         witness = _search_from(pl, n, None, seed, 0)[0]
@@ -324,7 +324,7 @@ def test_frame_collineation_inverts_a_random_collineation(q):
         m = random_invertible(pl.gf, rng)
         g = _frame_collineation(pl, tuple(pl.apply_matrix(m, p) for p in _frame(pl)))
         assert all(g[pl.apply_matrix(m, p)] == p for p in range(pl.n))
-    line = pl.points_on_line[0]
+    line = mask_bits(pl.line_masks[0])
     off = next(p for p in range(pl.n) if not pl.incident(p, 0))
     with pytest.raises(ZeroDivisionError):
         _frame_collineation(pl, (line[0], line[1], line[2], off))
@@ -333,7 +333,7 @@ def test_frame_collineation_inverts_a_random_collineation(q):
 def _line_group_reference(pl):
     """PGL(2,q) on L0 from every invertible 2x2 matrix M, acting as the
     block matrix diag(M, 1), as permutations of the points of L0."""
-    gf, line = pl.gf, pl.points_on_line[pl.index_of((0, 0, 1))]
+    gf, line = pl.gf, mask_bits(pl.line_masks[pl.index_of((0, 0, 1))])
     perms = set()
     for a, b, c, d in product(range(pl.q), repeat=4):
         if gf.sub(gf.mul(a, d), gf.mul(b, c)):
@@ -351,7 +351,7 @@ def test_line_orbits(q):
     pl = plane_for_order(q)
     l0 = p0 = pl.index_of((0, 0, 1))
     assert pl.coords[l0] == pl.coords[p0] == (0, 0, 1)
-    line = pl.points_on_line[l0]
+    line = mask_bits(pl.line_masks[l0])
     assert all(pl.coords[p][2] == 0 for p in line)
     group = _line_group_reference(pl)[1] if q <= 9 else None
     for m in range(2, 5):
@@ -381,7 +381,7 @@ def test_seeds_lie_on_the_heavy_line():
     for q, n in [(4, 21), (5, 10), (7, 12), (9, 14), (11, 17)]:
         pl = plane_for_order(q)
         l0 = p0 = pl.index_of((0, 0, 1))
-        line = pl.points_on_line[l0]
+        line = mask_bits(pl.line_masks[l0])
         caps = []
         for m, seed, excluded in _seeds(pl, n):
             caps.append(m)
@@ -431,7 +431,7 @@ def _reference_scan(pl, partial, free, n_target, cover=True):
     if cover:
         on_tangents = {x: 0 for x in range(pl.n) if free >> x & 1}
         for l in tangents:
-            for x in pl.points_on_line[l]:
+            for x in mask_bits(pl.line_masks[l]):
                 if x in on_tangents:
                     on_tangents[x] += 1
         if sum(sorted(on_tangents.values(), reverse=True)[:r]) < len(tangents):
@@ -591,7 +591,7 @@ def _per_subset_secant_reference(p):
     L0 in exactly that subset.  Returns (all_heavy_trivial,
     max_secant_by_size, nodes)."""
     pl = plane_for_order(p)
-    line = pl.points_on_line[pl.index_of((0, 0, 1))]
+    line = mask_bits(pl.line_masks[pl.index_of((0, 0, 1))])
     all_trivial, max_sec, nodes = True, {}, 0
     for size in range(p + 2, 2 * p + 1):
         xmin = -((-(2 * size - p + 1)) // 4)
@@ -708,19 +708,19 @@ def test_frame_seed_over_extension_fields(q):
             assert not any(pl.incident(frame[k], line) for k in range(4) if k not in (i, j))
     l1 = pl.meet(frame[0], frame[1])
     l2 = pl.meet(frame[2], frame[3])
-    trivial_set = (set(pl.points_on_line[l1]) | set(pl.points_on_line[l2])) - {pl.meet(l1, l2)}
+    trivial_set = (set(mask_bits(pl.line_masks[l1])) | set(mask_bits(pl.line_masks[l2]))) - {pl.meet(l1, l2)}
     ex_mask = sum(1 << p for p in range(pl.n) if p not in trivial_set)
     assert _search_from(pl, 2 * q - 1, None, frame, ex_mask)[0] is None
     assert _search_from(pl, 2 * q, None, frame, ex_mask)[0] == tuple(sorted(trivial_set))
     l0 = p0 = pl.index_of((0, 0, 1))
-    line = pl.points_on_line[l0]
+    line = mask_bits(pl.line_masks[l0])
     a = next(_line_orbits(pl, q))[0]  # the first seed of m = q (see _seeds)
     b = next(p for p in line if p not in a)
     assert pl.coords[b] == (0, 1, 0)
     seed = a + (p0, pl.index_of((0, 1, 1)))
     excluded = 1 << b
     pb = pl.meet(p0, b)
-    trivial_set = (set(pl.points_on_line[l0]) | set(pl.points_on_line[pb])) - {b}
+    trivial_set = (set(mask_bits(pl.line_masks[l0])) | set(mask_bits(pl.line_masks[pb]))) - {b}
     ex_mask = excluded | sum(1 << p for p in range(pl.n) if p not in trivial_set)
     assert _search_from(pl, 2 * q - 1, q, seed, ex_mask)[0] is None
     assert _search_from(pl, 2 * q, q, seed, ex_mask)[0] == tuple(sorted(trivial_set))
@@ -975,7 +975,7 @@ def test_stabiliser_by_quadrangle_maps(q, n, stabilisers):
     pl = plane_for_order(q)
 
     def collinear(a, b, c):
-        return c in pl.points_on_line[pl.meet(a, b)]
+        return c in mask_bits(pl.line_masks[pl.meet(a, b)])
 
     reps = classify_up_to_pgl(q, _seeded_sets(pl, n)[0])
     for r in reps:
@@ -1161,7 +1161,7 @@ def test_mask_orbit_matches_tuple_reference(q):
     sizes = [1, 2, n - 2, n - 1] + ([rng.randrange(3, n - 2)] if q <= 4 else [])
     sets = [rng.sample(range(n), k) for k in sizes]
     for _ in range(2):
-        line = list(pl.points_on_line[rng.randrange(n)])
+        line = mask_bits(pl.line_masks[rng.randrange(n)])
         sets.append(line[:-1])
         sets.append(line + [rng.choice([p for p in range(n) if p not in line])])
     for members in sets:
@@ -1180,8 +1180,8 @@ def test_two_generators_beyond_the_element_table(q):
     n = pl.n
     singer = group.generators()[0]
     lines = set(pl.line_masks)
-    assert {mask_of(singer[p] for p in pts) for pts in pl.points_on_line} == lines
-    line = pl.points_on_line[0]
+    assert {mask_of(singer[p] for p in mask_bits(lm)) for lm in pl.line_masks} == lines
+    line = mask_bits(pl.line_masks[0])
     off = next(p for p in range(n) if p not in line)
     cases = [((0, 1), n * (n - 1) // 2), (line[:-1], n * (q + 1)), ((*line, off), n * (n - q - 1))]
     moves = [partial(by_bytes, byte_tables([1 << pl.apply_matrix(mat, p) for p in range(n)]))
@@ -1200,7 +1200,7 @@ def test_line_orbits_match_tuple_reference(q):
     same order and each in BFS order, so `_line_seeds` seeds from the same
     least members, for every m."""
     pl = plane_for_order(q)
-    l0 = pl.points_on_line[pl.index_of((0, 0, 1))]
+    l0 = mask_bits(pl.line_masks[pl.index_of((0, 0, 1))])
     g = pl.gf.generator
     perms = [{p: pl.apply_matrix(mat, p) for p in l0}
              for mat in ((1, 1, 0, 0, 1, 0, 0, 0, 1), (0, 1, 0, 1, 0, 0, 0, 0, 1), (g, 0, 0, 0, 1, 0, 0, 0, 1))]

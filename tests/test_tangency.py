@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pg2q.conic import canonical_conic
 from pg2q.constructions import interior_points, trivial
-from pg2q.plane import PointSet, plane_for_order
+from pg2q.plane import PointSet, mask_bits, plane_for_order
 from pg2q.tangency import (
     PointsOnInfinity,
     SizeMismatch,
@@ -63,7 +63,7 @@ def test_tangent_free_iff_no_unit_line(data):
     ps = PointSet(pl, members)
     # independent scan over the raw incidence lists
     scan = all(
-        sum(1 for p in pl.points_on_line[l] if p in members) != 1 for l in range(pl.n)
+        sum(1 for p in mask_bits(pl.line_masks[l]) if p in members) != 1 for l in range(pl.n)
     )
     assert is_tangent_free(ps) == scan == (spectrum(ps)[1] == 0)
 

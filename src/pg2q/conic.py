@@ -15,7 +15,7 @@ from operator import or_
 
 from .gfq import GF, QuadChar
 from .linalg import mat_inverse, mat_mul, mat_transpose
-from .plane import Plane, PointSet, mask_bits, mask_of
+from .plane import Plane, PointSet, check_index, mask_bits, mask_of
 
 
 class DegenerateConic(ValueError):
@@ -93,11 +93,13 @@ class Conic:
         so line_masks[p] is the pencil of p."""
         joins = self._external_joins
         if p not in joins:
+            check_index(self.plane.n, p)
             lm = self.plane.line_masks
             joins[p] = reduce(or_, (lm[l] for l in mask_bits(lm[p] & self.external_lines)), 0)
         return joins[p]
 
     def classify_line(self, l: int) -> LineClass:
+        check_index(self.plane.n, l, kind="line")
         c = self.line_intersections[l]
         if c == 1:
             return LineClass.TANGENT
@@ -119,6 +121,7 @@ class Conic:
         return mask_of(p for p, c in enumerate(self._tangent_counts) if c == 0)
 
     def classify_point(self, p: int) -> PointClass:
+        check_index(self.plane.n, p)
         c = self._tangent_counts[p]
         if c == 1:
             return PointClass.ON_CONIC

@@ -24,7 +24,7 @@ class TooLarge(ValueError):
 
 
 def exterior_points_on_line(conic: Conic, line: int) -> list[int]:
-    check_index(conic.plane.n, line)
+    check_index(conic.plane.n, line, kind="line")
     if not (conic.external_lines >> line) & 1:
         raise NotExternal(f"line {line} is not external")
     return mask_bits(conic.plane.line_masks[line] & conic.exterior)

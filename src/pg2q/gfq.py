@@ -2,7 +2,8 @@
 
 Elements are integer codes in [0, q).  The element with polynomial-basis
 coordinates (c_0, ..., c_{h-1}) over the declared modulus has code
-sum(c_i * p**i), so prime fields are plain integers mod p.
+sum(c_i * p**i), so prime fields are plain integers mod p.  Every field, of
+order at most MAX_ORDER, is held as its q x q add and mul tables.
 """
 
 from __future__ import annotations
@@ -11,8 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-MAX_ORDER = 1 << 20
-_TABLE_LIMIT = 512  # dense q x q add/mul tables below this order
+MAX_ORDER = 512  # its add and mul tables take about 6 MB
 
 
 class NotPrime(ValueError):
@@ -175,11 +175,8 @@ class GF:
         self.modulus = modulus
         self.spec = FieldSpec(p, h, modulus)
         self._exp, self._log = self._build_exp_log()
-        # add_table[a][b] = a + b and mul_table[a][b] = a * b; None above _TABLE_LIMIT
-        self.add_table = None
-        self.mul_table = None
-        if q <= _TABLE_LIMIT:
-            self.add_table, self.mul_table = self._build_tables()
+        # add_table[a][b] = a + b and mul_table[a][b] = a * b
+        self.add_table, self.mul_table = self._build_tables()
 
     # -- construction helpers ------------------------------------------------
 
@@ -207,58 +204,17 @@ class GF:
             e >>= 1
         return r
 
-    def _times(self, g: int):
-        """The map a -> a*g, in O(1) integer operations per call.
-
-        Multiplying by g is GF(p)-linear, so a*g is the coordinate-wise sum of
-        the images of a's low k digits and of its high digits, each read from
-        a table of about sqrt(q) entries made by `_raw_mul`.  The images are
-        held "wide", coordinate i in bits [iB, iB+B) of an int, B one bit more
-        than p needs, so one integer addition adds every coordinate at once;
-        a coordinate that reached p has bit B-1 set after adding 2^(B-1) - p,
-        and p is taken off exactly there.  Two dicts read the wide halves back
-        as codes.
-        """
-        p, h = self.p, self.h
-        if h == 1:
-            return lambda a: a * g % p
-        k = (h + 1) // 2
-        lo_n, hi_n = p**k, p ** (h - k)
-        b = p.bit_length() + 1
-
-        def wide(code):
-            return sum(c << i * b for i, c in enumerate(_digits(code, p, h)))
-
-        lo_img = [wide(self._raw_mul(a, g)) for a in range(lo_n)]
-        hi_img = [wide(self._raw_mul(a * lo_n, g)) for a in range(hi_n)]
-        lo_code = {wide(a): a for a in range(lo_n)}
-        hi_code = {wide(a): a * lo_n for a in range(hi_n)}
-        ones = sum(1 << i * b for i in range(h))
-        bias = ((1 << b - 1) - p) * ones
-        lo_bits, lo_mask = k * b, (1 << k * b) - 1
-
-        def times_g(a):
-            hi, lo = divmod(a, lo_n)
-            s = lo_img[lo] + hi_img[hi]
-            s -= ((s + bias) >> b - 1 & ones) * p
-            return lo_code[s & lo_mask] + hi_code[s >> lo_bits]
-
-        return times_g
-
     def _build_exp_log(self):
         q = self.q
         rads = prime_factors(q - 1)
-        gen = None
-        for g in range(2, q):
-            if all(self._raw_pow(g, (q - 1) // r) != 1 for r in rads):
-                gen = g
+        for gen in range(2, q):
+            if all(self._raw_pow(gen, (q - 1) // r) != 1 for r in rads):
                 break
-        if gen is None:  # q == 2
+        else:  # q == 2
             gen = 1
-        times_gen = self._times(gen)
         exp = [1] * (q - 1)
         for i in range(1, q - 1):
-            exp[i] = times_gen(exp[i - 1])
+            exp[i] = self._raw_mul(exp[i - 1], gen)
         log = [-1] * q
         for i, v in enumerate(exp):
             log[v] = i
@@ -285,15 +241,7 @@ class GF:
     # -- arithmetic ------------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.add_table is not None:
-            return self.add_table[a][b]
-        p, code, mul = self.p, 0, 1
-        for _ in range(self.h):
-            code += ((a + b) % p) * mul
-            a //= p
-            b //= p
-            mul *= p
-        return code
+        return self.add_table[a][b]
 
     def neg(self, a: int) -> int:
         # g^((q-1)/2) = -1 for odd q, and -a = a in characteristic 2
@@ -305,11 +253,7 @@ class GF:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self.mul_table is not None:
-            return self.mul_table[a][b]
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self.mul_table[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:

@@ -79,20 +79,22 @@ class Plane:
         return self._index[self.normalize(v)]
 
     def incident(self, p: int, l: int) -> bool:
-        check_index(self.n, p, l)
+        check_index(self.n, p)
+        check_index(self.n, l, kind="line")
         return bool(self.line_masks[l] >> p & 1)
 
     def meet(self, l: int, m: int) -> int:
         """The one point on lines l and m, the AND of their masks.  Points and
         lines share one index space, so the same call with two points gives
         the line through them, their join."""
-        check_index(self.n, l, m)
+        check_index(self.n, l, m, kind="line")
         if l == m:
             raise IdenticalLines(f"line {l} repeated")
         return (self.line_masks[l] & self.line_masks[m]).bit_length() - 1
 
     def apply_matrix(self, mat, p: int) -> int:
         """Image of a point index under a 3x3 matrix (row-major codes)."""
+        check_index(self.n, p)
         return self._index[self.normalize(mat_vec(mat, self.coords[p], self.gf))]
 
 
@@ -197,10 +199,10 @@ def mask_of(points) -> int:
     return mask
 
 
-def check_index(n: int, *indices: int) -> None:
-    """IndexError unless every index lies in [0, n): a point, or a line, of a plane of n points."""
+def check_index(n: int, *indices: int, kind: str = "point") -> None:
+    """IndexError, naming the kind of index, unless every index lies in [0, n)."""
     if indices and (min(indices) < 0 or max(indices) >= n):
-        raise IndexError(f"point indices must lie in [0, {n})")
+        raise IndexError(f"{kind} indices must lie in [0, {n})")
 
 
 def checked_mask(points, n: int) -> int:
@@ -240,8 +242,8 @@ _plane_of = lru_cache(maxsize=None)(Plane)
 
 
 def _check_plane_order(p: int, h: int = 1) -> None:
-    """Refuse PG(2,p^h) above MAX_PLANE_ORDER before its field is built: a
-    field near gfq.MAX_ORDER takes seconds to tabulate."""
+    """Refuse PG(2,p^h) above MAX_PLANE_ORDER before its field is built, so
+    that the refusal names the plane cap, also above gfq.MAX_ORDER."""
     if h >= 1 and order_exceeds(p, h, MAX_PLANE_ORDER):
         order = f"{p}^{h}" if h > 1 else p
         raise ValueError(f"PG(2,{order}) exceeds the plane order cap {MAX_PLANE_ORDER}")

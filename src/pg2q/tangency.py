@@ -134,7 +134,7 @@ def determined_directions(affine: PointSet, linf: int) -> DirectionSet:
     """A point D on the infinite line is determined iff some line through D
     carries at least two points of the affine set."""
     plane = affine.plane
-    check_index(plane.n, linf)
+    check_index(plane.n, linf, kind="line")
     if affine.per_line[linf] > 0:
         raise PointsOnInfinity("affine set meets the chosen infinite line")
     secants = mask_of(l for l, c in enumerate(affine.per_line) if c >= 2)

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from pg2q.cli import dispatch
 from pg2q.conic import canonical_conic
 from pg2q.constructions import all_certificates, find_valid_a, interior_points, trivial
-from pg2q.gfq import ReducibleModulus, field_new
+from pg2q.gfq import MAX_ORDER, ReducibleModulus, field_new
 from pg2q.linalg import random_invertible
-from pg2q.plane import PointSet, plane_for, plane_for_order
+from pg2q.plane import MAX_PLANE_ORDER, PointSet, plane_for, plane_for_order
 from pg2q.tangency import spectrum
 
 
@@ -396,26 +396,38 @@ def test_verify_rejects_malformed_coordinates(capsys, monkeypatch, doc, message)
     assert message in err
 
 
+FIELD_CAP = f"exceeds cap {MAX_ORDER}"
+PLANE_CAP = f"exceeds the plane order cap {MAX_PLANE_ORDER}"
+
+
 @pytest.mark.parametrize(
-    "argv,doc",
+    "argv,doc,message",
     [
-        (("search-min", "--q", "2000003"), None),
-        (("search-min", "--q", "1000000007"), None),
-        (("field-info", "--p", "3", "--h", "4000000"), None),
-        (("field-info", "--p", "1000000007"), None),
-        (("verify", "--set", "-"), {"field": {"p": 1000000007, "h": 1, "modulus": [0, 1]}, "points": [[1, 0, 0]]}),
-        (("verify", "--set", "-"), {"field": {"p": 3, "h": 4000000, "modulus": [0, 1]}, "points": [[1, 0, 0]]}),
-        # within the field cap but above the plane cap: refused before GF(2^20) is built
-        (("search-min", "--q", "1048576"), None),
+        (("search-min", "--q", "2000003"), None, PLANE_CAP),
+        (("search-min", "--q", "1000000007"), None, PLANE_CAP),
+        (("field-info", "--p", "3", "--h", "4000000"), None, FIELD_CAP),
+        (("field-info", "--p", "1000000007"), None, FIELD_CAP),
+        (("field-info", "--p", "2", "--h", "10"), None, FIELD_CAP),
+        (("verify", "--set", "-"), {"field": {"p": 1000000007, "h": 1, "modulus": [0, 1]}, "points": [[1, 0, 0]]},
+         PLANE_CAP),
+        (("verify", "--set", "-"), {"field": {"p": 3, "h": 4000000, "modulus": [0, 1]}, "points": [[1, 0, 0]]},
+         PLANE_CAP),
+        # above both caps: the plane cap is checked first
+        (("search-min", "--q", "1048576"), None, PLANE_CAP),
         (("verify", "--set", "-"), {"field": {"p": 2, "h": 20, "modulus": [1, 0, 0, 1] + [0] * 16 + [1]},
-                                    "points": [[1, 0, 0]]}),
+                                    "points": [[1, 0, 0]]}, PLANE_CAP),
+        # within the field cap but above the plane cap: refused before GF(2^7) or GF(2^9) is built
+        (("search-min", "--q", "128"), None, PLANE_CAP),
+        (("verify", "--set", "-"), {"field": {"p": 2, "h": 9, "modulus": [1, 0, 0, 0, 1, 0, 0, 0, 0, 1]},
+                                    "points": [[1, 0, 0]]}, PLANE_CAP),
     ],
-    ids=["q-2000003", "q-1000000007", "h-4000000", "p-1000000007", "json-p", "json-h", "plane-q", "plane-json"],
+    ids=["q-2000003", "q-1000000007", "h-4000000", "p-1000000007", "field-h-10", "json-p", "json-h",
+         "plane-q", "plane-json", "plane-q-128", "plane-json-2^9"],
 )
-def test_oversized_order_refused_at_once(capsys, monkeypatch, argv, doc):
-    """An order above the field or the plane cap exits 2 with a message
-    before any primality test, factoring, field table or power of the order
-    is computed."""
+def test_oversized_order_refused_at_once(capsys, monkeypatch, argv, doc, message):
+    """An order above the field or the plane cap exits 2 with the message of
+    the cap it breaks, the plane cap first, before any primality test,
+    factoring, field table or power of the order is computed."""
     import io
 
     if doc is not None:
@@ -423,7 +435,7 @@ def test_oversized_order_refused_at_once(capsys, monkeypatch, argv, doc):
     t0 = time.monotonic()
     code, out, err = run(capsys, *argv)
     assert time.monotonic() - t0 < 0.5
-    assert code == 2 and out == "" and "exceeds" in err and "cap" in err
+    assert code == 2 and out == "" and message in err and "Traceback" not in err
 
 
 def test_usage_error_exit_2(capsys):

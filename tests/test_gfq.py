@@ -16,6 +16,8 @@ from pg2q.gfq import (
     is_prime,
 )
 
+from output_manifest import PINNED, canonical_sha256, field_tables
+
 SMALL_PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 49, 64, 81]
 
 
@@ -63,10 +65,11 @@ def test_field_new_checks_the_order_before_any_modulus_search(monkeypatch):
         field_new(3, 0)
 
 
-@pytest.mark.parametrize("p,h", [(2, 16), (3, 10), (5, 6)])
+@pytest.mark.parametrize("p,h", [(2, 9), (3, 5), (7, 3)])
 def test_exp_table_matches_raw_powers(p, h):
-    """The exp table, stepped by the multiply-by-generator map, holds the
-    powers of the generator that the general multiplication gives."""
+    """At the largest orders of characteristic 2, 3 and 7 within MAX_ORDER,
+    the exp table, stepped by the general multiplication, holds the powers
+    of the generator that square-and-multiply gives, and log inverts it."""
     gf = GF(p, h)
     exps = [0, 1, gf.q - 2] + random.Random(gf.q).sample(range(gf.q - 1), 60)
     for e in exps:
@@ -196,16 +199,32 @@ def test_field_axioms_exhaustive(q):
     assert (mul[:, add] == add[mul[:, :, None], mul[:, None, :]]).all()
 
 
-@pytest.mark.parametrize("q", [521, 729, 1024])
-def test_neg_above_table_limit(q):
-    """Above the table limit, where `add` adds digit by digit, `neg` through
-    the log tables is the digit-wise negation: a + (-a) = 0 and -(-a) = a."""
-    gf = field_for_order(q)
-    assert q > gfq._TABLE_LIMIT and gf.add_table is None
-    p, h = gf.p, gf.h
+@pytest.mark.parametrize("p,h", [(3, 5), (7, 3), (509, 1), (2, 9)])
+def test_neg_is_digitwise(p, h):
+    """`neg` through the log tables is the digit-wise negation, and the add
+    table agrees: a + (-a) = 0 and -(-a) = a."""
+    gf = GF(p, h)
+    q = gf.q
     for a in range(q):
         assert gf.neg(a) == sum((-d) % p * p**i for i, d in enumerate(gfq._digits(a, p, h)))
         assert gf.add(a, gf.neg(a)) == 0 and gf.neg(gf.neg(a)) == a
+
+
+@pytest.mark.parametrize("q,p,h", [(521, 521, 1), (729, 3, 6), (1024, 2, 10)], ids=["521", "729", "1024"])
+def test_order_above_cap_refused(q, p, h):
+    """Every field is held as its tables, so an order above MAX_ORDER is
+    refused with the cap message, whether asked for by order or by p and h."""
+    assert q > gfq.MAX_ORDER
+    with pytest.raises(ValueError, match=f"field order {q} exceeds cap {gfq.MAX_ORDER}"):
+        field_for_order(q)
+    with pytest.raises(ValueError, match=rf"field order {p}\^{h} exceeds cap {gfq.MAX_ORDER}"):
+        GF(p, h)
+
+
+def test_field_tables_match_the_pinned_digest():
+    """The modulus, generator, exp and log tables of every field, and the add
+    and mul tables of every field a plane is built over, hash as pinned."""
+    assert canonical_sha256(field_tables()) == PINNED["field_tables"]
 
 
 @given(st.sampled_from([3, 5, 9, 27, 8]), st.data())

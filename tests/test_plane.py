@@ -275,20 +275,24 @@ def test_plane_keeps_one_incidence_table(spec):
 @pytest.mark.parametrize("q", [5, 9])
 def test_index_outside_the_plane_raises(q):
     """A point or line index outside [0, n) is refused, never wrapped: -1 and
-    -n would otherwise read line n - 1 and line 0, and n, n + 1 none."""
+    -n would otherwise read line n - 1 and line 0, and n, n + 1 none.  The
+    message names the kind of index refused."""
     pl = plane_for_order(q)
     n = pl.n
     conic = canonical_conic(pl)
     calls = [
-        lambda i: pl.meet(i, 0), lambda i: pl.meet(0, i),
-        lambda i: pl.incident(0, i), lambda i: pl.incident(i, 0),
-        lambda i: determined_directions(PointSet(pl, [0]), i),
-        lambda i: exterior_points_on_line(conic, i),
-        lambda i: punctured_interior(conic, i, 0),
+        ("line", lambda i: pl.meet(i, 0)), ("line", lambda i: pl.meet(0, i)),
+        ("line", lambda i: pl.incident(0, i)), ("point", lambda i: pl.incident(i, 0)),
+        ("line", lambda i: determined_directions(PointSet(pl, [0]), i)),
+        ("line", lambda i: exterior_points_on_line(conic, i)),
+        ("point", lambda i: punctured_interior(conic, i, 0)),
+        ("line", conic.classify_line), ("point", conic.classify_point),
+        ("point", conic.external_joins),
+        ("point", lambda i: pl.apply_matrix((1, 0, 0, 0, 1, 0, 0, 0, 1), i)),
     ]
     for bad in (-1, -n, n, n + 1):
-        for call in calls:
-            with pytest.raises(IndexError, match=rf"point indices must lie in \[0, {n}\)"):
+        for kind, call in calls:
+            with pytest.raises(IndexError, match=rf"^{kind} indices must lie in \[0, {n}\)$"):
                 call(bad)
 
 

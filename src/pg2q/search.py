@@ -31,24 +31,22 @@ identities have a solution with no tangent and x_m >= 1
 (`tangency.spectrum_feasible`).  The seeds of each m are built once per
 plane (`_line_seeds`).
 
-An existence level has one path, `_exists`.  The frontier is the same DFS cut
-at a size below each seed: each node it reaches there (or a tangent-free node
-above it) is recorded as a (partial, excluded) job instead of being searched.
-The jobs run in order of m, then seed, then DFS, and the first job that finds
-a witness settles the level.  They run in this process until the level has
-used `POOL_AFTER_S` of CPU time; with more than one worker, the jobs left
-after that run in a fork pool, so a small level forks none.  A pool is
-stopped without a signal: the level sets a stop event that the jobs read, so
-the later jobs return at once, and the pool is closed and joined.  The
-frontier does not depend on the worker count and its nodes are counted with
-the jobs', so a level has the same witness and node count at every worker
-count and wherever it hands its jobs to the pool.
+Every search from the seeds has one job runner, `_run_jobs`, with two modes:
+stop at the first set (an existence level, `_exists`) or collect every set
+(`_seeded_sets`).  The frontier is the same DFS cut at a size below each seed:
+each node it reaches there (or a tangent-free node above it) is recorded as a
+(partial, excluded) job instead of being searched.  The jobs run in order of
+m, then seed, then DFS, in this process until the run has used `POOL_AFTER_S`
+of CPU time; with more than one worker, the jobs left after that run in a fork
+pool, so a small run forks none.  The frontier does not depend on the worker
+count and its nodes are counted with the jobs', so a run has the same sets and
+node count at every worker count and wherever it hands its jobs to the pool.
 
 Every search is exact-size: it looks for sets of exactly n points, and an
 existence level stops at its first one, which is safe because the sizes below
 n are refuted first.  Enumeration (`enumerate_tangent_free`) and the
-secant-bound check run the same DFS from the same seeds: every class has a
-member through one of them.  Enumeration and classification share one orbit
+secant-bound check collect from the same seeds: every class has a member
+through one of them.  Enumeration and classification share one orbit
 pass, `pgl_orbits`, which closes each PGL(3,q) class that its input meets by
 one generator BFS, `_closure`, on point masks.  PGL(3,q) is generated by two
 collineations, the Singer cycle of the plane and one transvection
@@ -369,8 +367,8 @@ def _seeds(plane, n, least=2):
 def _seeded_sets(plane: Plane, n: int, least: int = 2):
     """Tangent-free n-sets, at least one per PGL(3,q) class with largest line
     count at least `least`: the DFS from every seed of `_seeds`, under its
-    line cap.  Returns (sets, nodes), the sets as sorted tuples in the order
-    found.
+    line cap, collected by `_run_jobs` with one worker per CPU.  Returns
+    (sets, nodes), the sets as sorted tuples in the order found.
 
     Raises Infeasible unless 1 <= n <= the number of points.  A set of 1 to
     3 points has a tangent, so those sizes give no seeds, sets or nodes.
@@ -379,13 +377,7 @@ def _seeded_sets(plane: Plane, n: int, least: int = 2):
         raise Infeasible("need n >= 1")
     if n > plane.n:
         raise Infeasible(f"n={n} exceeds the number of points")
-    out: list[tuple[int, ...]] = []
-    nodes = 0
-    for m, seed, excluded in _seeds(plane, n, least):
-        s = _Searcher(plane, m)
-        s.run(n, excluded, lambda t: out.append(tuple(sorted(t))), seed=seed)
-        nodes += s.nodes
-    return out, nodes
+    return _run_jobs(plane, n, False, os.cpu_count() or 1, least=least)
 
 
 def enumerate_tangent_free(q: int, n: int) -> list[tuple[int, ...]]:
@@ -397,17 +389,17 @@ def enumerate_tangent_free(q: int, n: int) -> list[tuple[int, ...]]:
     return sorted(points_of(x) for orbit in pgl_orbits(q, map(mask_of, sets)) for x in orbit)
 
 
-# -- existence levels ------------------------------------------------------------
+# -- the job runner --------------------------------------------------------------
 
 
 # the frontier cuts each seed's subtree into at least this many jobs where
-# its depth allows, whatever the worker count, so that a level's node count
+# its depth allows, whatever the worker count, so that a run's node count
 # does not depend on it: 3 per worker on 2 CPUs
 JOBS_PER_SEED = 6
 
-# a level runs its jobs in this process until it has used this many CPU
+# a run executes its jobs in this process until it has used this many CPU
 # seconds (of this thread, `time.thread_time`), and only then forks a pool for
-# the jobs left, so that a level too small to pay for the fork runs without one
+# the jobs left, so that a run too small to pay for the fork goes without one
 POOL_AFTER_S = 0.5
 
 
@@ -431,7 +423,7 @@ _stop = None  # a pool worker's stop event, set by `_start_worker`
 
 def _start_worker(stop):
     """Pool initializer.  A worker ignores SIGINT, so an interrupt reaches only
-    the level, which then stops its jobs through `stop`; a worker killed
+    the run, which then stops its jobs through `stop`; a worker killed
     mid-job would leave its result missing and the pool's join waiting."""
     global _stop
     _stop = stop
@@ -439,43 +431,36 @@ def _start_worker(stop):
 
 
 def _run_job(args):
-    """One frontier subtree: (witness or None, nodes, unfinished).  A job
-    returns unfinished when the deadline passes or, in a pool worker, once
-    the level has set the stop event."""
-    spec, n, m, members, ex_mask, deadline = args
+    """One frontier subtree: (sets, nodes, unfinished), stopping at the first
+    set with `first`.  A job returns unfinished when the deadline passes or,
+    in a pool worker, once the run has set the stop event."""
+    spec, n, m, members, ex_mask, deadline, first = args
     if (deadline is not None and time.monotonic() > deadline) or (_stop is not None and _stop.is_set()):
-        return None, 0, True
+        return [], 0, True
     # a forked worker inherits the parent's plane cache
     s = _Searcher(plane_for(spec.p, spec.h, spec.modulus), m)
     s.deadline = deadline
     s.stop = _stop
-    box = []
+    found = []
     try:
-        s.run(n, ex_mask, lambda t: box.append(tuple(sorted(t))) or True, seed=members)
+        s.run(n, ex_mask, lambda t: found.append(tuple(sorted(t))) or first, seed=members)
     except SearchTimeout as e:
-        return None, e.nodes, True
-    return (box[0] if box else None), s.nodes, False
+        return [], e.nodes, True
+    return found, s.nodes, False
 
 
-def _exists(plane, n, workers=1, deadline=None):
-    """Tangent-free set of size n, or None, and the node count; raises
-    SearchTimeout on the deadline.
-
-    The seeds are taken one m at a time, in `_seeds` order, and the frontier
-    splits each seed's subtree into jobs.  The jobs run in order, in this
-    process until the level has used `POOL_AFTER_S` of CPU time and, with
-    more than one worker, in a fork pool for the jobs left after that (and
-    for every later m); the first job that finds a witness or runs out of
-    time settles the level, as in the serial DFS, and the later jobs stay
-    uncounted.  So a level settled under `POOL_AFTER_S` forks no pool, and a
-    level has the same witness and node count at every handover point.  The
-    pool is never terminated, since a worker signalled while it sends a
-    result can leave the result queue locked: the level sets the stop event
-    the workers inherit, so every job still queued or running returns within
-    4096 nodes, and the pool is closed and joined.
+def _run_jobs(plane, n, first, workers, deadline=None, least=2):
+    """The tangent-free n-sets that the DFS finds from the seeds of `_seeds`
+    with m >= `least`, as sorted tuples in job order, and the node count;
+    with `first`, only the first set (module docstring).  The first job that
+    runs out of time (SearchTimeout) or, with `first`, finds a set settles
+    the run, and the later jobs stay uncounted.  The pool is never
+    terminated, since a worker signalled while it sends a result can leave
+    the result queue locked: the run sets the stop event the workers
+    inherit, so every job still queued or running returns within 4096
+    nodes, and the pool is closed and joined.
     """
-    import multiprocessing as mp  # about 10 ms to import, paid only by a process that searches
-
+    found: list[tuple[int, ...]] = []
     nodes = 0
     pool = stop = None
     start = time.thread_time()
@@ -488,6 +473,8 @@ def _exists(plane, n, workers=1, deadline=None):
                 yield _run_job(job)
                 continue
             if pool is None:
+                import multiprocessing as mp  # about 10 ms to import, paid only by a run that forks
+
                 ctx = mp.get_context("fork")
                 stop = ctx.Event()
                 pool = ctx.Pool(workers, initializer=_start_worker, initargs=(stop,))
@@ -495,25 +482,32 @@ def _exists(plane, n, workers=1, deadline=None):
             return
 
     try:
-        for m, seeds in groupby(_seeds(plane, n), key=itemgetter(0)):
+        for m, seeds in groupby(_seeds(plane, n, least), key=itemgetter(0)):
             jobs = []
             for _, seed, ex_mask in seeds:
                 cut, cnt = _frontier_jobs(plane, n, m, seed, ex_mask, JOBS_PER_SEED)
                 jobs += cut
                 nodes += cnt
-            args = [(plane.gf.spec, n, m, members, ex_mask, deadline) for members, ex_mask in jobs]
-            for witness, cnt, timed_out in results(args):
+            args = [(plane.gf.spec, n, m, members, ex_mask, deadline, first) for members, ex_mask in jobs]
+            for sets, cnt, timed_out in results(args):
                 nodes += cnt
                 if timed_out:
                     raise SearchTimeout(nodes)
-                if witness is not None:
-                    return witness, nodes
-        return None, nodes
+                found += sets
+                if first and found:
+                    return found, nodes
+        return found, nodes
     finally:
         if pool is not None:
             stop.set()
             pool.close()
             pool.join()
+
+
+def _exists(plane, n, workers=1, deadline=None):
+    """An existence level: a tangent-free n-set, or None, and the nodes."""
+    sets, nodes = _run_jobs(plane, n, True, workers, deadline)
+    return (sets[0] if sets else None), nodes
 
 
 @dataclass

@@ -149,6 +149,7 @@ def redei_completion(affine: PointSet, linf: int) -> PointSet:
     whenever fewer than (q+3)/2 directions are determined."""
     plane = affine.plane
     q = plane.q
+    check_index(plane.n, linf, kind="line")
     if plane.gf.p == 2:
         raise WrongSize("completion requires odd characteristic")
     if len(affine) != q:
@@ -167,6 +168,7 @@ def redei_converse_check(s: PointSet, linf: int) -> bool:
     """For a tangent-free set of size q+k with k points on the chosen line,
     those k points must be exactly the non-determined directions of the rest."""
     plane = s.plane
+    check_index(plane.n, linf, kind="line")
     on_line = s.mask & plane.line_masks[linf]
     if len(s) != plane.q + on_line.bit_count():
         raise SizeMismatch(f"|S|={len(s)} but |S on line|={on_line.bit_count()}, need |S|=q+k")
@@ -214,10 +216,11 @@ def secant_bound_check(p: int) -> SecantBoundReport:
     >= |S|/2 - (p-1)/4.
     Being trivial and the largest secant are invariant under PGL(3,p), and
     every class of tangent-free sets with largest line count m has a member
-    through a seed of m (`search._seeds`), so each size runs the capped DFS
-    of `search._seeded_sets` from the seeds with m >= xmin.
-    `heavy_sets_found` counts the sets found through those seeds, at least
-    one per heavy class, and `nodes` the nodes of their searches.
+    through a seed of m (`search._seeds`), so each size collects the sets of
+    the capped DFS from the seeds with m >= xmin (`search._seeded_sets`, in
+    a fork pool after `search.POOL_AFTER_S`).  `heavy_sets_found` counts the
+    sets found through those seeds, at least one per heavy class, and
+    `nodes` the nodes of their searches.
     """
     from .search import _seeded_sets  # search imports this module for is_tangent_free and spectrum_feasible
 

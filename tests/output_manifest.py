@@ -5,11 +5,19 @@ the reason in CHANGES.md."""
 
 import hashlib
 import json
+from dataclasses import asdict
 
 from pg2q.gfq import GF, prime_factors
+from pg2q.plane import plane_for_order
+from pg2q.search import _seeded_sets, classify_tangent_free, min_tangent_free
+from pg2q.tangency import secant_bound_check
 
 PINNED = {
     "field_tables": "58e78a33a9be96eac945cbbd0a2daa7d7a08f04a5abacf8647c4598e973d2bad",
+    "seeded_sets": "150a29062e2129a44ce50ea5116eff8e7092385d0678b00538b788e0137500fb",
+    "secant_bound_check": "7cf50a4df307979e76fcd51e202358ff14d56653ef6039098315a0e028af15f0",
+    "min_tangent_free": "040ade37d1004e5fbc522a5ec44b5de6a79779c7ff5e8135817c784a4d6f8461",
+    "classify_tangent_free_7_12": "fffe51681a66a0013d474a2aa97d92dd1fb5c47504e3ddddb5c97e73129dc03b",
 }
 
 
@@ -35,3 +43,25 @@ def field_tables(limit: int = 512, tabulated: int = 64) -> dict:
             entry["add"], entry["mul"] = gf.add_table, gf.mul_table
         out[str(q)] = entry
     return out
+
+
+# the benchmark's classification cases (CLASSIFY of perfbench/stages.py)
+CLASSIFY = [(3, 6), (3, 8), (3, 9), (4, 6), (4, 8), (4, 9), (4, 10), (4, 11), (5, 10)]
+SEEDED_CASES = CLASSIFY + [(5, 12), (7, 12), (9, 15)]
+
+
+def search_outputs() -> dict:
+    """The outputs of the search layer, each one job-runner path: the sets,
+    in order, and the nodes of `_seeded_sets` at `SEEDED_CASES`; the reports
+    of `secant_bound_check` at p = 3, 5, 7; u, witness, nodes, the refuted
+    sizes and the status of `min_tangent_free` at one worker for q = 3, 4,
+    5, 7, 8, 9; and the classes of `classify_tangent_free(7, 12)`."""
+    seeded = {f"{q},{n}": _seeded_sets(plane_for_order(q), n) for q, n in SEEDED_CASES}
+    secant = {str(p): asdict(secant_bound_check(p)) for p in (3, 5, 7)}
+    exact = {}
+    for q in (3, 4, 5, 7, 8, 9):
+        r = min_tangent_free(q, workers=1)
+        exact[str(q)] = [r.u, r.witness, r.nodes, r.exhausted_below, r.status]
+    classes = [asdict(r) for r in classify_tangent_free(7, 12)]
+    return {"seeded_sets": seeded, "secant_bound_check": secant, "min_tangent_free": exact,
+            "classify_tangent_free_7_12": classes}

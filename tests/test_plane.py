@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from pg2q.conic import canonical_conic
 from pg2q.constructions import punctured_interior
-from pg2q.exterior import exterior_points_on_line
+from pg2q.exterior import exterior_points_on_line, find_extenders
 from pg2q.gfq import ReducibleModulus, field_for_order, field_new, prime_factors
 from pg2q.plane import IdenticalLines, Plane, PointSet, by_bytes, byte_tables, mask_bits, plane_for, plane_for_order
-from pg2q.tangency import determined_directions
+from pg2q.tangency import determined_directions, one_mod_p_check, redei_completion, redei_converse_check
 
 
 def _reference_join(plane: Plane, i: int, j: int) -> int:
@@ -289,11 +289,78 @@ def test_index_outside_the_plane_raises(q):
         ("line", conic.classify_line), ("point", conic.classify_point),
         ("point", conic.external_joins),
         ("point", lambda i: pl.apply_matrix((1, 0, 0, 0, 1, 0, 0, 0, 1), i)),
+        ("line", lambda i: find_extenders(conic, i)),
+        ("line", lambda i: redei_completion(PointSet(pl, [0]), i)),
+        ("line", lambda i: redei_converse_check(PointSet(pl, [0]), i)),
+        ("line", lambda i: one_mod_p_check(PointSet(pl, [0]), i)),
     ]
     for bad in (-1, -n, n, n + 1):
         for kind, call in calls:
             with pytest.raises(IndexError, match=rf"^{kind} indices must lie in \[0, {n}\)$"):
                 call(bad)
+
+
+# the parameter names that hold a point or a line index in src/pg2q, by kind
+INDEX_KINDS = {"p": "point", "exterior_point": "point", "l": "line", "m": "line", "line": "line", "linf": "line"}
+# public parameters with one of those names that hold no index: the
+# characteristic p, a 3x3 matrix m and a largest line count m
+NOT_INDICES = {("order_exceeds", "p"), ("field_new", "p"), ("plane_for", "p"), ("secant_bound_check", "p"),
+               ("mat_vec", "m"), ("mat_transpose", "m"), ("det3", "m"), ("mat_inverse", "m"),
+               ("spectrum_feasible", "m")}
+
+
+def _public_parameters():
+    """(function or method name, its parameters) for every public top-level
+    function and every public method of a public class in src/pg2q, without
+    self or cls."""
+    out = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "pg2q").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            defs = [(node, False)] if isinstance(node, ast.FunctionDef) else []
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                defs = [(item, True) for item in node.body if isinstance(item, ast.FunctionDef)]
+            for fn, method in defs:
+                if not fn.name.startswith("_"):
+                    args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+                    out.append((fn.name, [a.arg for a in (args[1:] if method else args)]))
+    return out
+
+
+def _index_calls_checked(params):
+    """{(function name, parameter): kind} for each call of
+    `test_index_outside_the_plane_raises` that passes the bad index: a
+    lambda passes it as the argument named by its own parameter, and a bare
+    function or method takes it as its first parameter."""
+    tree = ast.parse(Path(__file__).read_text())
+    test = next(n for n in tree.body if getattr(n, "name", "") == "test_index_outside_the_plane_raises")
+    calls = next(n.value for n in test.body if isinstance(n, ast.Assign) and n.targets[0].id == "calls")
+    out = {}
+    for kind, call in (item.elts for item in calls.elts):
+        if isinstance(call, ast.Lambda):
+            bad = call.args.args[0].arg
+            for node in ast.walk(call.body):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    for k, arg in enumerate(node.args):
+                        if isinstance(arg, ast.Name) and arg.id == bad:
+                            out[name, params[name][k]] = kind.value
+        else:
+            out[call.attr, params[call.attr][0]] = kind.value
+    return out
+
+
+def test_every_index_parameter_is_checked_outside_the_plane():
+    """Every public function or method of src/pg2q with a point or line
+    index parameter, found by its name, is called with -1, -n, n and n + 1
+    for that parameter in `test_index_outside_the_plane_raises`, and must
+    name the right kind; a new entry point is either checked there or
+    listed in NOT_INDICES with the reason its name holds no index."""
+    public = _public_parameters()
+    found = {(f, a): INDEX_KINDS[a] for f, args in public for a in args if a in INDEX_KINDS}
+    assert NOT_INDICES <= set(found)
+    for pair in NOT_INDICES:
+        del found[pair]
+    assert _index_calls_checked(dict(public)) == found
 
 
 def test_byte_tables_map_a_mask_byte_by_byte():

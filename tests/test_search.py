@@ -27,6 +27,7 @@ from pg2q.search import (
     _line_orbits,
     _line_seeds,
     _run_job,
+    _run_jobs,
     _Searcher,
     _seeded_sets,
     _seeds,
@@ -40,6 +41,8 @@ from pg2q.search import (
     pgl_group,
 )
 from pg2q.tangency import is_tangent_free, is_trivial_set, secant_bound_check, spectrum, spectrum_solutions
+
+from output_manifest import CLASSIFY, PINNED, canonical_sha256, search_outputs
 
 
 def test_lower_bound_values():
@@ -584,6 +587,14 @@ def test_exact_node_counts():
     assert secant_bound_check(5).nodes == 34
 
 
+def test_search_outputs_match_the_pinned_digests():
+    """Every job-runner path gives its pinned output: the seeded sets in
+    order with their nodes, the secant-bound reports, the exact u_q levels
+    and the classes at (7,12) (`output_manifest.search_outputs`)."""
+    for name, value in search_outputs().items():
+        assert canonical_sha256(value) == PINNED[name], name
+
+
 def _per_subset_secant_reference(p):
     """The secant-bound check by an uncapped enumeration: for each size s and
     each x from the heavy-line size to s, the DFS with no line cap from one
@@ -679,12 +690,12 @@ def test_parallel_level_settled_by_first_witness():
         for jobs, cnt in cuts:
             nodes, every = nodes + cnt, every + cnt
             for members, ex_mask in jobs:
-                w, cnt, unfinished = _run_job((pl.gf.spec, 15, m, members, ex_mask, None))
-                assert not unfinished
+                sets, cnt, unfinished = _run_job((pl.gf.spec, 15, m, members, ex_mask, None, True))
+                assert not unfinished and len(sets) <= 1
                 every += cnt
                 if witness is None:
                     nodes += cnt
-                    witness = w
+                    witness = sets[0] if sets else None
         if witness is not None:
             break
     assert witness is not None and m == 6
@@ -801,12 +812,13 @@ def test_pool_stops_without_terminate(monkeypatch):
 
 
 @pytest.mark.parametrize("after", [0, 0.03, search.POOL_AFTER_S])
-@pytest.mark.parametrize("q,n", [(9, 14), (9, 15), (11, 15)])
+@pytest.mark.parametrize("q,n", [(7, 12), (9, 14), (9, 15), (11, 15)])
 def test_handover_keeps_witness_and_nodes(monkeypatch, q, n, after):
-    """The jobs settle in job order wherever the level hands them to the
+    """The jobs settle in job order wherever the run hands them to the
     pool: from the first job on (a pool is forked), after 0.03 CPU s, which
-    each of these levels passes after a few jobs here, or, at the default,
-    not at all, so workers=2 gives the workers=1 witness and node count."""
+    each of these runs passes after a few jobs here, or, at the default,
+    not at all.  So workers=2 gives the workers=1 witness and node count,
+    and in collect mode the workers=1 sets, in order, and node count."""
     import multiprocessing.pool
 
     forks = []
@@ -818,15 +830,22 @@ def test_handover_keeps_witness_and_nodes(monkeypatch, q, n, after):
 
     pl = plane_for_order(q)
     serial = _exists(pl, n, 1)
+    collected = _run_jobs(pl, n, False, 1)
     monkeypatch.setattr(search, "POOL_AFTER_S", after)
     monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", counted)
     assert _exists(pl, n, 2) == serial
+    assert forks or after
+    forks.clear()
+    assert _run_jobs(pl, n, False, 2) == collected
     assert forks or after
 
 
 def test_small_levels_fork_no_pool(monkeypatch):
     """u_9 is settled by levels 13 and 14 (97 and 7,756 nodes, well under
-    `POOL_AFTER_S` each) and a construction, so workers=2 forks no pool."""
+    `POOL_AFTER_S` each) and a construction, so workers=2 forks no pool; nor
+    do the enumerations of the benchmark's classification cases and the
+    secant-bound check at p = 7 (187 nodes), which collect with one worker
+    per CPU."""
     import multiprocessing.pool
 
     def refuse(self, *args, **kwargs):
@@ -835,6 +854,9 @@ def test_small_levels_fork_no_pool(monkeypatch):
     monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", refuse)
     res = min_tangent_free(9, 18, workers=2)
     assert (res.u, res.nodes) == (15, 7_853)
+    for q, n in CLASSIFY:
+        enumerate_tangent_free(q, n)
+    assert secant_bound_check(7).nodes == 187
 
 
 def test_enumerate_q3_size6_all_trivial():

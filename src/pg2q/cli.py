@@ -331,7 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theoremsuite", help="run the verification suite")
     p.add_argument("--level", choices=["quick", "full", "long"], default="quick")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="workers of the u_q proofs only (default: one per CPU); the classifications "
+                        "and the secant-bound checks always use one worker per CPU")
     p.set_defaults(func=cmd_theoremsuite)
 
     return ap

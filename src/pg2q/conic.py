@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache, reduce
 from operator import or_
 
 from .gfq import GF, QuadChar
-from .linalg import mat_inverse, mat_mul, mat_transpose
+from .linalg import mat_inverse, mat_vec
 from .plane import Plane, PointSet, check_index, mask_bits, mask_of
 
 
@@ -138,26 +138,20 @@ class Conic:
         return len(self.points), self.exterior.bit_count(), self.interior.bit_count()
 
     def transform(self, mat) -> "Conic":
-        """Conic with point set mapped by x -> Mx (substitute x -> M^-1 x)."""
+        """Conic with point set mapped by x -> Mx: the form Q'(y) = Q(M^-1 y),
+        its coefficients read off Q' at e1, e2, e3 and the sums ei + ej, a
+        cross term being Q'(ei + ej) - Q'(ei) - Q'(ej)."""
         gf = self.plane.gf
-        a = self._sym_matrix()
         minv = mat_inverse(mat, gf)
-        b = mat_mul(mat_transpose(minv), mat_mul(a, minv, gf), gf)
-        two = gf.add(1, 1)
-        return Conic(
-            self.plane,
-            (b[0], b[4], b[8], gf.mul(two, b[1]), gf.mul(two, b[2]), gf.mul(two, b[5])),
-        )
 
-    def _sym_matrix(self):
-        gf = self.plane.gf
-        xx, yy, zz, xy, xz, yz = self.coeffs
-        i2 = gf.inv(gf.add(1, 1))
-        hxy, hxz, hyz = gf.mul(i2, xy), gf.mul(i2, xz), gf.mul(i2, yz)
-        return (xx, hxy, hxz, hxy, yy, hyz, hxz, hyz, zz)
+        def image(v):
+            return self.evaluate(mat_vec(minv, v, gf))
 
-    def to_json(self) -> dict:
-        return {"field": self.plane.gf.spec.to_json(), "coeffs": list(self.coeffs)}
+        xx, yy, zz = image((1, 0, 0)), image((0, 1, 0)), image((0, 0, 1))
+        xy = gf.sub(gf.sub(image((1, 1, 0)), xx), yy)
+        xz = gf.sub(gf.sub(image((1, 0, 1)), xx), zz)
+        yz = gf.sub(gf.sub(image((0, 1, 1)), yy), zz)
+        return Conic(self.plane, (xx, yy, zz, xy, xz, yz))
 
 
 @lru_cache(maxsize=None)

@@ -77,21 +77,6 @@ def mat_vec(m, v, gf: GF) -> tuple[int, int, int]:
     )
 
 
-def mat_mul(a, b, gf: GF) -> tuple[int, ...]:
-    out = []
-    for i in range(3):
-        for j in range(3):
-            s = 0
-            for k in range(3):
-                s = gf.add(s, gf.mul(a[3 * i + k], b[3 * k + j]))
-            out.append(s)
-    return tuple(out)
-
-
-def mat_transpose(m) -> tuple[int, ...]:
-    return (m[0], m[3], m[6], m[1], m[4], m[7], m[2], m[5], m[8])
-
-
 def det3(m, gf: GF) -> int:
     a, b, c, d, e, f, g, h, i = m
     t1 = gf.mul(a, gf.sub(gf.mul(e, i), gf.mul(f, h)))

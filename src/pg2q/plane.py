@@ -208,6 +208,7 @@ def check_index(n: int, *indices: int, kind: str = "point") -> None:
 def checked_mask(points, n: int) -> int:
     """`mask_of` the points of a plane of n points; IndexError for a point
     outside [0, n)."""
+    points = tuple(points)  # an error raised producing them is not a bad index
     try:
         mask = mask_of(points)
     except ValueError:  # a negative index: a negative shift

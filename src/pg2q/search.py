@@ -109,6 +109,11 @@ def lower_bound(q: int) -> int:
 # -- repair DFS ------------------------------------------------------------------
 
 
+# the DFS looks at its deadline and stop event once per this many nodes: a
+# node at q = 64 can take over 1 ms, so a budget overshoots by well under 1 s
+CHECK_EVERY = 256
+
+
 class _Searcher:
     """One DFS instance over a fixed plane; reusable across targets.
 
@@ -121,8 +126,8 @@ class _Searcher:
     pushes the previous levels and `blocked` on an undo stack and `_remove`
     pops them.
 
-    The DFS checks every 4096 nodes whether the `deadline` has passed or the
-    `stop` event is set, and raises SearchTimeout if so.
+    The DFS checks every `CHECK_EVERY` nodes whether the `deadline` has
+    passed or the `stop` event is set, and raises SearchTimeout if so.
 
     With a `cut` size set, the DFS records every node of that size, and every
     tangent-free node, as a (partial, excluded) job in `jobs`, uncounted and
@@ -268,7 +273,7 @@ class _Searcher:
             self.jobs.append((tuple(self.partial), excluded_mask))
             return False
         self.nodes += 1
-        if self.nodes % 4096 == 0 and (
+        if self.nodes % CHECK_EVERY == 0 and (
                 (self.deadline is not None and time.monotonic() > self.deadline)
                 or (self.stop is not None and self.stop.is_set())):
             raise SearchTimeout(self.nodes)
@@ -457,8 +462,8 @@ def _run_jobs(plane, n, first, workers, deadline=None, least=2):
     the run, and the later jobs stay uncounted.  The pool is never
     terminated, since a worker signalled while it sends a result can leave
     the result queue locked: the run sets the stop event the workers
-    inherit, so every job still queued or running returns within 4096
-    nodes, and the pool is closed and joined.
+    inherit, so every job still queued or running returns within
+    `CHECK_EVERY` nodes, and the pool is closed and joined.
     """
     found: list[tuple[int, ...]] = []
     nodes = 0

@@ -5,12 +5,18 @@ the reason in CHANGES.md."""
 
 import hashlib
 import json
+import random
 from dataclasses import asdict
 
+from pg2q.conic import canonical_conic
+from pg2q.exterior import check_extension_dichotomy
 from pg2q.gfq import GF, prime_factors
+from pg2q.linalg import random_invertible
 from pg2q.plane import plane_for_order
 from pg2q.search import _seeded_sets, classify_tangent_free, min_tangent_free
 from pg2q.tangency import secant_bound_check
+
+ODD_Q = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31]
 
 PINNED = {
     "field_tables": "58e78a33a9be96eac945cbbd0a2daa7d7a08f04a5abacf8647c4598e973d2bad",
@@ -18,6 +24,8 @@ PINNED = {
     "secant_bound_check": "7cf50a4df307979e76fcd51e202358ff14d56653ef6039098315a0e028af15f0",
     "min_tangent_free": "040ade37d1004e5fbc522a5ec44b5de6a79779c7ff5e8135817c784a4d6f8461",
     "classify_tangent_free_7_12": "fffe51681a66a0013d474a2aa97d92dd1fb5c47504e3ddddb5c97e73129dc03b",
+    "extension_dichotomy": "f42439f6ddf7f3b22cc9956e0e526f87cfc7a98d06d57b6cf44a22124dfb59dd",
+    "chained_transforms": "f487380a3eadff042e8936374913189d29fc9c228c76cee54430d2ef62a28fd8",
 }
 
 
@@ -65,3 +73,23 @@ def search_outputs() -> dict:
     classes = [asdict(r) for r in classify_tangent_free(7, 12)]
     return {"seeded_sets": seeded, "secant_bound_check": secant, "min_tangent_free": exact,
             "classify_tangent_free_7_12": classes}
+
+
+def geometry_outputs() -> dict:
+    """The images of the canonical conic at every odd q <= 31: the report of
+    `check_extension_dichotomy(q, all_lines=True)` with rng Random(q), and the
+    coefficients after each of 10 chained `Conic.transform`s by
+    `random_invertible` matrices drawn from Random(q)."""
+    dichotomy = {str(q): asdict(check_extension_dichotomy(q, all_lines=True, rng=random.Random(q)))
+                 for q in ODD_Q}
+    chained = {}
+    for q in ODD_Q:
+        pl = plane_for_order(q)
+        rng = random.Random(q)
+        c = canonical_conic(pl)
+        coeffs = []
+        for _ in range(10):
+            c = c.transform(random_invertible(pl.gf, rng))
+            coeffs.append(c.coeffs)
+        chained[str(q)] = coeffs
+    return {"extension_dichotomy": dichotomy, "chained_transforms": chained}

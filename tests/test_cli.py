@@ -438,6 +438,17 @@ def test_oversized_order_refused_at_once(capsys, monkeypatch, argv, doc, message
     assert code == 2 and out == "" and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["verify", "peel"])
+@pytest.mark.parametrize("point", [[0, 0, 0], [0, 0, 3]])
+def test_zero_vector_in_a_set_exits_2(capsys, tmp_path, command, point):
+    """A point whose coordinates are all zero in the field has no projective
+    class: the set is refused with that message, not with an index error."""
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"field": {"p": 3, "h": 1, "modulus": [0, 1]}, "points": [point]}))
+    code, out, err = run(capsys, command, "--set", str(f))
+    assert code == 2 and out == "" and "zero vector" in err and "Traceback" not in err
+
+
 def test_usage_error_exit_2(capsys):
     assert dispatch(["definitely-not-a-command"]) == 2
     capsys.readouterr()

@@ -15,7 +15,7 @@ from pg2q.conic import (
 from pg2q.linalg import nullspace, random_invertible
 from pg2q.plane import mask_bits, plane_for_order
 
-ODD_Q = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31]
+from output_manifest import ODD_Q, PINNED, canonical_sha256, geometry_outputs
 
 
 class TooFewPoints(ValueError):
@@ -129,7 +129,7 @@ def test_discriminant_matches_tangent_count(q):
         assert c.classify_point(p) is discriminant_point_class(a, xi, gf)
 
 
-@pytest.mark.parametrize("q", [5, 7, 9, 11, 13])
+@pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 25, 27])
 def test_transform_invariance(q):
     """Censuses survive 100 random invertible coordinate changes."""
     pl = plane_for_order(q)
@@ -142,6 +142,14 @@ def test_transform_invariance(q):
         assert c2.line_census() == want_l
         assert c2.point_census() == want_p
         assert sorted(c2.points) == sorted(pl.apply_matrix(m, p) for p in c.points)
+
+
+def test_geometry_outputs_match_the_pinned_digests():
+    """The dichotomy reports over every external line and random images, and
+    the coefficients of chained transforms, at every odd q <= 31
+    (`output_manifest.geometry_outputs`)."""
+    for name, value in geometry_outputs().items():
+        assert canonical_sha256(value) == PINNED[name], name
 
 
 def test_is_arc_and_conic_fit():

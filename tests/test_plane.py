@@ -226,6 +226,15 @@ def test_pointset_json_roundtrip_and_normalization():
     assert PointSet.load(json.dumps(obj)).sorted_tuple() == (pl.index_of((0, 1, 2)),)
 
 
+def test_pointset_from_json_refuses_the_zero_vector():
+    """A zero coordinate triple, also one zero only mod p, raises the
+    ValueError of `normalize`, not an IndexError."""
+    spec = {"p": 3, "h": 1, "modulus": [0, 1]}
+    for point in ([0, 0, 0], [0, 0, 3], [3, -3, 6]):
+        with pytest.raises(ValueError, match="zero vector"):
+            PointSet.from_json({"field": spec, "points": [[1, 0, 0], point]})
+
+
 def test_pointset_rejects_indices_off_the_plane():
     pl = plane_for_order(3)
     for bad in ([13], [0, -1]):
@@ -305,7 +314,7 @@ INDEX_KINDS = {"p": "point", "exterior_point": "point", "l": "line", "m": "line"
 # public parameters with one of those names that hold no index: the
 # characteristic p, a 3x3 matrix m and a largest line count m
 NOT_INDICES = {("order_exceeds", "p"), ("field_new", "p"), ("plane_for", "p"), ("secant_bound_check", "p"),
-               ("mat_vec", "m"), ("mat_transpose", "m"), ("det3", "m"), ("mat_inverse", "m"),
+               ("mat_vec", "m"), ("det3", "m"), ("mat_inverse", "m"),
                ("spectrum_feasible", "m")}
 
 

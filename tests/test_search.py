@@ -14,7 +14,7 @@ from pg2q import search
 from pg2q.codes import hyperoval
 from pg2q.constructions import all_certificates, interior_points, trivial
 from pg2q.conic import canonical_conic
-from pg2q.linalg import mat_inverse, mat_transpose, mat_vec
+from pg2q.linalg import mat_inverse, mat_vec
 from pg2q.plane import PointSet, by_bytes, byte_tables, mask_bits, mask_of, plane_for_order
 from pg2q.search import (
     JOBS_PER_SEED,
@@ -134,7 +134,7 @@ def _frame_collineation(plane, quad) -> tuple[int, ...]:
     frames.  Raises ZeroDivisionError when three of the points are collinear.
     """
     gf = plane.gf
-    b = mat_transpose([c for p in quad[:3] for c in plane.coords[p]])
+    b = [plane.coords[p][i] for i in range(3) for p in quad[:3]]  # row i: coordinate i of each point
     lam = mat_vec(mat_inverse(b, gf), plane.coords[quad[3]], gf)
     to_quad = [gf.mul(b[i], lam[i % 3]) for i in range(9)]
     to_frame = mat_inverse(to_quad, gf)
@@ -755,7 +755,7 @@ def test_budget_cut_keeps_nodes():
     m, seed, excluded = next((m, seed, ex) for m, seed, ex in _seeds(pl, 14) if m == 3)
     with pytest.raises(SearchTimeout) as cut:
         _search_from(pl, 14, m, seed, excluded, time.monotonic())
-    assert cut.value.nodes == 4096
+    assert cut.value.nodes == 256
     first = next(_seeds(pl, 13))[0]
     frontier = sum(_frontier_jobs(pl, 13, m, seed, ex, JOBS_PER_SEED)[1]
                    for m, seed, ex in _seeds(pl, 13) if m == first)

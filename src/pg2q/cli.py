@@ -115,11 +115,15 @@ def cmd_search_min(args):
 
     if args.budget is not None and not (math.isfinite(args.budget) and args.budget >= 0):
         raise ValueError(f"--budget must be a finite number of seconds >= 0, got {args.budget}")
-    res = min_tangent_free(args.q, args.cap, workers=args.workers, budget_s=args.budget)
+    cpus = os.cpu_count() or 1
+    if args.workers is not None and not 1 <= args.workers <= cpus:
+        raise ValueError(f"--workers must be between 1 and {cpus} (the CPU count), got {args.workers}")
+    workers = args.workers or cpus
+    res = min_tangent_free(args.q, args.cap, workers=workers, budget_s=args.budget)
     plane = plane_for_order(args.q)
     verified = res.witness is not None and is_tangent_free(PointSet(plane, res.witness))
     body = {
-        "parameters": {"q": args.q, "cap": res.cap, "workers": args.workers},
+        "parameters": {"q": args.q, "cap": res.cap, "workers": workers},
         "results": {
             "u": res.u,
             "witness": [list(plane.coords[p]) for p in res.witness] if res.witness else None,
@@ -259,7 +263,7 @@ def cmd_peel(args):
 def cmd_theoremsuite(args):
     from .suite import run_suite
 
-    summary, ok = run_suite(args.level, workers=args.workers, note=_note)
+    summary, ok = run_suite(args.level, note=_note)
     return None, {"parameters": {"level": args.level}, "results": summary}, 0 if ok else 1
 
 
@@ -331,9 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theoremsuite", help="run the verification suite")
     p.add_argument("--level", choices=["quick", "full", "long"], default="quick")
-    p.add_argument("--workers", type=int, default=None,
-                   help="workers of the u_q proofs only (default: one per CPU); the classifications "
-                        "and the secant-bound checks always use one worker per CPU")
     p.set_defaults(func=cmd_theoremsuite)
 
     return ap
@@ -349,15 +350,9 @@ def dispatch(argv) -> int:
     except SystemExit as e:
         return 2 if e.code else 0
     t0 = time.monotonic()
-    cpus = os.cpu_count() or 1
-    workers = getattr(args, "workers", None)
-    if workers is not None and not 1 <= workers <= cpus:
-        _note(f"error: --workers must be between 1 and {cpus} (the CPU count), got {workers}")
-        return 2
-    args.workers = workers or cpus
     try:
         field, body, code = args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, KeyError, OSError) as e:
         _note(f"error: {type(e).__name__}: {e}")
         return 2
     except AssertionError as e:

@@ -336,7 +336,3 @@ class PointSet:
 
     def dump(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
-
-    @classmethod
-    def load(cls, text: str) -> "PointSet":
-        return cls.from_json(json.loads(text))

@@ -382,7 +382,7 @@ def _seeded_sets(plane: Plane, n: int, least: int = 2):
         raise Infeasible("need n >= 1")
     if n > plane.n:
         raise Infeasible(f"n={n} exceeds the number of points")
-    return _run_jobs(plane, n, False, os.cpu_count() or 1, least=least)
+    return _run_jobs(plane, n, False, least=least)
 
 
 def enumerate_tangent_free(q: int, n: int) -> list[tuple[int, ...]]:
@@ -408,17 +408,17 @@ JOBS_PER_SEED = 6
 POOL_AFTER_S = 0.5
 
 
-def _frontier_jobs(plane, n, m, seed, ex_mask, min_jobs):
+def _frontier_jobs(plane, n, m, seed, ex_mask):
     """Split one seed's subtree into independent (partial, excluded) jobs: the
     DFS under line cap m cut at 1..6 points past the seed, at the first depth
-    that gives min_jobs of them, so the frontier branches and prunes by the
-    DFS's own repair step.  Returns the jobs, in DFS order, and the nodes
+    that gives `JOBS_PER_SEED` of them, so the frontier branches and prunes by
+    the DFS's own repair step.  Returns the jobs, in DFS order, and the nodes
     expanded above them."""
     for depth in range(1, 7):
         st = _Searcher(plane, m)
         st.cut = len(seed) + depth
         st.run(n, ex_mask, None, seed=seed)
-        if len(st.jobs) >= min_jobs:
+        if len(st.jobs) >= JOBS_PER_SEED:
             break
     return st.jobs, st.nodes
 
@@ -454,17 +454,19 @@ def _run_job(args):
     return found, s.nodes, False
 
 
-def _run_jobs(plane, n, first, workers, deadline=None, least=2):
+def _run_jobs(plane, n, first, workers=None, deadline=None, least=2):
     """The tangent-free n-sets that the DFS finds from the seeds of `_seeds`
     with m >= `least`, as sorted tuples in job order, and the node count;
-    with `first`, only the first set (module docstring).  The first job that
-    runs out of time (SearchTimeout) or, with `first`, finds a set settles
-    the run, and the later jobs stay uncounted.  The pool is never
-    terminated, since a worker signalled while it sends a result can leave
-    the result queue locked: the run sets the stop event the workers
+    with `first`, only the first set (module docstring).  `workers` defaults
+    to one per CPU; the sets and nodes are the same at every count.  The
+    first job that runs out of time (SearchTimeout) or, with `first`, finds
+    a set settles the run, and the later jobs stay uncounted.  The pool is
+    never terminated, since a worker signalled while it sends a result can
+    leave the result queue locked: the run sets the stop event the workers
     inherit, so every job still queued or running returns within
     `CHECK_EVERY` nodes, and the pool is closed and joined.
     """
+    workers = workers or os.cpu_count() or 1
     found: list[tuple[int, ...]] = []
     nodes = 0
     pool = stop = None
@@ -490,7 +492,7 @@ def _run_jobs(plane, n, first, workers, deadline=None, least=2):
         for m, seeds in groupby(_seeds(plane, n, least), key=itemgetter(0)):
             jobs = []
             for _, seed, ex_mask in seeds:
-                cut, cnt = _frontier_jobs(plane, n, m, seed, ex_mask, JOBS_PER_SEED)
+                cut, cnt = _frontier_jobs(plane, n, m, seed, ex_mask)
                 jobs += cut
                 nodes += cnt
             args = [(plane.gf.spec, n, m, members, ex_mask, deadline, first) for members, ex_mask in jobs]
@@ -509,7 +511,7 @@ def _run_jobs(plane, n, first, workers, deadline=None, least=2):
             pool.join()
 
 
-def _exists(plane, n, workers=1, deadline=None):
+def _exists(plane, n, workers=None, deadline=None):
     """An existence level: a tangent-free n-set, or None, and the nodes."""
     sets, nodes = _run_jobs(plane, n, True, workers, deadline)
     return (sets[0] if sets else None), nodes
@@ -560,8 +562,6 @@ def min_tangent_free(q: int, size_cap: int | None = None, workers: int | None = 
     t0 = time.monotonic()
     if size_cap is None:
         size_cap = 2 * q
-    if workers is None:
-        workers = os.cpu_count() or 1
     plane = plane_for_order(q)
     bound = lower_bound(q)
     if size_cap < bound:

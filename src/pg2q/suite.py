@@ -18,7 +18,6 @@ at size 15.
 
 from __future__ import annotations
 
-import os
 import time
 from itertools import product
 
@@ -48,8 +47,8 @@ def _check_constructions(qs):
     return not bad, f"certificates for q in {list(qs)}" + (f"; failures {bad}" if bad else "")
 
 
-def _check_u(q, expected, workers):
-    res = search.min_tangent_free(q, 2 * q, workers=workers)
+def _check_u(q, expected):
+    res = search.min_tangent_free(q, 2 * q)
     ok = res.found and res.u == expected
     return ok, f"u_{q} = {res.u} (nodes {res.nodes})"
 
@@ -173,13 +172,12 @@ def _check_secant_bound(ps):
     return True, f"heavy-secant sets are trivial for p in {list(ps)}"
 
 
-def run_suite(level: str, workers: int | None = None, note=print):
-    workers = workers or os.cpu_count() or 1
+def run_suite(level: str, note=print):
     checks = [
         ("censuses_q<=13", lambda: _check_censuses([3, 5, 7, 9, 11, 13])),
         ("constructions_q<=7", lambda: _check_constructions([5, 7])),
         ("u3_oracle", _check_u_oracle),
-        ("u5", lambda: _check_u(5, 10, workers)),
+        ("u5", lambda: _check_u(5, 10)),
         ("dichotomy_5_7", lambda: _check_dichotomy([5, 7])),
         ("spectrum_system", _check_spectrum_system),
         ("pg25_ten_set", _check_ten_set),
@@ -193,7 +191,7 @@ def run_suite(level: str, workers: int | None = None, note=print):
         checks += [
             ("censuses_q<=31", lambda: _check_censuses([17, 19, 23, 25, 27, 29, 31])),
             ("constructions_q<=31", lambda: _check_constructions([9, 11, 13, 17, 19, 23, 25, 27, 29, 31])),
-            ("u7", lambda: _check_u(7, 12, workers)),
+            ("u7", lambda: _check_u(7, 12)),
             ("classification_pg25", lambda: _check_classification(5, 10, [(465, 800), (3100, 120)])),
             ("classification_pg27", lambda: _check_classification(7, 12, [(78_204, 72)])),
             ("dichotomy_q<=13", lambda: _check_dichotomy([9, 11, 13])),
@@ -204,8 +202,8 @@ def run_suite(level: str, workers: int | None = None, note=print):
         checks += [
             ("dichotomy_q<=29", lambda: _check_dichotomy([17, 19, 23, 25, 27, 29])),
             ("cliques_q13", lambda: _check_cliques([13])),
-            ("u9", lambda: _check_u(9, 15, workers)),
-            ("u11", lambda: _check_u(11, 18, workers)),
+            ("u9", lambda: _check_u(9, 15)),
+            ("u11", lambda: _check_u(11, 18)),
             ("secant_bound_p7", lambda: _check_secant_bound([7])),
             ("secant_bound_p11", lambda: _check_secant_bound([11])),
             ("classification_pg29", lambda: _check_classification(9, 15, [(98_280, 432)])),

@@ -3,11 +3,14 @@ spaces) of named outputs of pg2q.  A change that alters one of them fails
 its test; a change that means to alter one re-pins its digest here and names
 the reason in CHANGES.md."""
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 from dataclasses import asdict
 
+from pg2q.cli import dispatch
 from pg2q.conic import canonical_conic
 from pg2q.exterior import check_extension_dichotomy
 from pg2q.gfq import GF, prime_factors
@@ -26,6 +29,7 @@ PINNED = {
     "classify_tangent_free_7_12": "fffe51681a66a0013d474a2aa97d92dd1fb5c47504e3ddddb5c97e73129dc03b",
     "extension_dichotomy": "f42439f6ddf7f3b22cc9956e0e526f87cfc7a98d06d57b6cf44a22124dfb59dd",
     "chained_transforms": "f487380a3eadff042e8936374913189d29fc9c228c76cee54430d2ef62a28fd8",
+    "cli_reports": "41fab6a292bee8f608aa977b50fd6bf133f49f23b8f08bf10dcefcb1dec97469",
 }
 
 
@@ -93,3 +97,30 @@ def geometry_outputs() -> dict:
             coeffs.append(c.coeffs)
         chained[str(q)] = coeffs
     return {"extension_dichotomy": dichotomy, "chained_transforms": chained}
+
+
+CLI_REPORTS = [
+    ("search-min", "--q", "5", "--cap", "12", "--workers", "1"),
+    ("search-min", "--q", "9", "--workers", "2"),
+    ("classify", "--q", "5", "--n", "10"),
+    ("enumerate", "--q", "4", "--n", "6"),
+    ("theoremsuite", "--level", "quick"),
+]
+
+
+def cli_outputs() -> dict:
+    """The exit code and the report, without "wall_time", of each command of
+    `CLI_REPORTS`, keyed by its command line; the suite's checks also drop
+    their "seconds"."""
+    out = {}
+    for argv in CLI_REPORTS:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = dispatch(list(argv))
+        report = json.loads(stdout.getvalue())
+        del report["wall_time"]
+        if argv[0] == "theoremsuite":
+            for entry in report["results"].values():
+                del entry["seconds"]
+        out[" ".join(argv)] = [code, report]
+    return {"cli_reports": out}

@@ -19,6 +19,8 @@ from pg2q.linalg import random_invertible
 from pg2q.plane import MAX_PLANE_ORDER, PointSet, plane_for, plane_for_order
 from pg2q.tangency import spectrum
 
+from output_manifest import PINNED, canonical_sha256, cli_outputs
+
 
 def run(capsys, *argv):
     code = dispatch(list(argv))
@@ -172,6 +174,20 @@ def test_peel_rejects_bad_index_list(capsys, tmp_path, indices):
     assert code == 2
     assert out == ""
     assert "[0, 31)" in err
+
+
+@pytest.mark.parametrize("cmd", ["verify", "peel"])
+def test_set_that_is_not_json_exits_2(capsys, tmp_path, monkeypatch, cmd):
+    """--set text that does not parse as JSON, from a file or (peel) from
+    stdin, exits 2 and names the JSONDecodeError."""
+    import io
+
+    f = tmp_path / "bad.json"
+    f.write_text("{not json")
+    monkeypatch.setattr("sys.stdin", io.StringIO("{not json"))
+    code, out, err = run(capsys, cmd, "--set", str(f) if cmd == "verify" else "-")
+    assert code == 2 and out == ""
+    assert "JSONDecodeError" in err
 
 
 def test_peel_index_list_needs_q(capsys, tmp_path):
@@ -335,7 +351,8 @@ def test_answers_in_the_declared_field(capsys, tmp_path, p, h, modulus, seed):
     image = PointSet(plane, (plane.apply_matrix(mat, i) for i in interior))
     f = tmp_path / "image.json"
     f.write_text(image.dump())
-    assert (PointSet.load(image.dump()).plane is plane_for_order(q)) == (modulus == plane_for_order(q).gf.modulus)
+    loaded = PointSet.from_json(json.loads(image.dump()))
+    assert (loaded.plane is plane_for_order(q)) == (modulus == plane_for_order(q).gf.modulus)
 
     def answer(cmd):
         code, out, _ = run(capsys, cmd, "--set", str(f))
@@ -506,7 +523,7 @@ def test_classify_cli_pg25(capsys):
         ("exterior-clique", "--q", "5"),
         ("dual-codeword", "--set", "{t3}"),
         ("peel", "--set", "{t3}"),
-        ("theoremsuite", "--level", "quick", "--workers", "1"),
+        ("theoremsuite", "--level", "quick"),
     ],
     ids=lambda argv: argv[0],
 )
@@ -534,13 +551,28 @@ def test_theoremsuite_quick(capsys):
     assert "[ok]" in err
 
 
+def test_theoremsuite_has_no_workers_option(capsys):
+    """The suite's searches run at the job runner's default worker count, so
+    the suite takes no --workers: the option is a usage error."""
+    code, out, err = run(capsys, "theoremsuite", "--level", "quick", "--workers", "1")
+    assert code == 2 and out == ""
+    assert "--workers" in err
+
+
+def test_cli_reports_are_pinned():
+    """The reports of search-min, classify, enumerate and the quick suite,
+    without their times (`output_manifest.cli_outputs`)."""
+    for name, value in cli_outputs().items():
+        assert canonical_sha256(value) == PINNED[name], name
+
+
 def test_theoremsuite_full_runs_every_check():
     """The full level passes every check, among them the classifications,
     the clique searches and the stopping-set equivalence that only it runs."""
     from pg2q.suite import run_suite
 
     notes = []
-    summary, ok = run_suite("full", workers=1, note=notes.append)
+    summary, ok = run_suite("full", note=notes.append)
     assert ok and all(entry["ok"] for entry in summary.values()), summary
     assert list(summary) == [
         "censuses_q<=13", "constructions_q<=7", "u3_oracle", "u5", "dichotomy_5_7", "spectrum_system",

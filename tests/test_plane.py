@@ -120,7 +120,7 @@ def test_core_runs_without_numpy():
         "assert len(interior) == 49 * 48 // 2\n"
         "assert pg2q.is_tangent_free(pg2q.PointSet(pl, interior))\n"
         "from pg2q.suite import run_suite\n"
-        "summary, ok = run_suite('quick', workers=1, note=lambda msg: None)\n"
+        "summary, ok = run_suite('quick', note=lambda msg: None)\n"
         "assert ok, summary\n"
         "from pg2q import cli\n"
         "from pg2q.constructions import trivial\n"
@@ -215,15 +215,15 @@ def test_pointset_json_roundtrip_and_normalization():
     pl = plane_for_order(5)
     ps = PointSet(pl, [0, 5, 17])
     text = ps.dump()
-    again = PointSet.load(text)
+    again = PointSet.from_json(json.loads(text))
     assert again.sorted_tuple() == ps.sorted_tuple()
     # unnormalized input coordinates are normalized on load
     obj = json.loads(text)
     obj["points"] = [[pl.gf.mul(2, c) for c in pt] for pt in obj["points"]]
-    assert PointSet.load(json.dumps(obj)).sorted_tuple() == ps.sorted_tuple()
+    assert PointSet.from_json(obj).sorted_tuple() == ps.sorted_tuple()
     # a prime field reads any integer coordinate mod p
     obj["points"] = [[0, 2, -1]]
-    assert PointSet.load(json.dumps(obj)).sorted_tuple() == (pl.index_of((0, 1, 2)),)
+    assert PointSet.from_json(obj).sorted_tuple() == (pl.index_of((0, 1, 2)),)
 
 
 def test_pointset_from_json_refuses_the_zero_vector():

@@ -17,7 +17,6 @@ from pg2q.conic import canonical_conic
 from pg2q.linalg import mat_inverse, mat_vec
 from pg2q.plane import PointSet, by_bytes, byte_tables, mask_bits, mask_of, plane_for_order
 from pg2q.search import (
-    JOBS_PER_SEED,
     CapTooSmall,
     Infeasible,
     OrbitRep,
@@ -660,17 +659,18 @@ def _reference_frontier_jobs(pl, n, m, seed, ex_mask, min_jobs):
 
 @pytest.mark.parametrize("q,n,min_jobs", [(7, 11, 6), (9, 13, 6), (9, 14, 6), (16, 18, 6),
                                           (5, 10, 6), (7, 11, 60), (9, 13, 60), (7, 10, 60)])
-def test_frontier_jobs_match_per_node_reference(q, n, min_jobs):
+def test_frontier_jobs_match_per_node_reference(monkeypatch, q, n, min_jobs):
     """The frontier walks one searcher with the DFS's repair step and line
     cap and splits each seed's subtree into the same jobs as the node-by-node
-    expansion (a larger min_jobs reaches past the first level; at q=7 n=10
-    the bound prunes frontier nodes).  At q = 16 the seeds of m <= 4 are
+    expansion (a larger `JOBS_PER_SEED` reaches past the first level; at q=7
+    n=10 the bound prunes frontier nodes).  At q = 16 the seeds of m <= 4 are
     checked."""
+    monkeypatch.setattr(search, "JOBS_PER_SEED", min_jobs)
     pl = plane_for_order(q)
     for m, seed, ex_mask in _seeds(pl, n):
         if m > 4 and q == 16:
             break
-        jobs = _frontier_jobs(pl, n, m, seed, ex_mask, min_jobs)[0]
+        jobs = _frontier_jobs(pl, n, m, seed, ex_mask)[0]
         assert jobs == _reference_frontier_jobs(pl, n, m, seed, ex_mask, min_jobs)
 
 
@@ -683,7 +683,7 @@ def test_parallel_level_settled_by_first_witness():
     for m, seed, ex_mask in _seeds(pl, 15):
         if m > 6:
             break
-        batches.setdefault(m, []).append(_frontier_jobs(pl, 15, m, seed, ex_mask, JOBS_PER_SEED))
+        batches.setdefault(m, []).append(_frontier_jobs(pl, 15, m, seed, ex_mask))
     nodes = every = 0
     witness = None
     for m, cuts in batches.items():
@@ -757,7 +757,7 @@ def test_budget_cut_keeps_nodes():
         _search_from(pl, 14, m, seed, excluded, time.monotonic())
     assert cut.value.nodes == 256
     first = next(_seeds(pl, 13))[0]
-    frontier = sum(_frontier_jobs(pl, 13, m, seed, ex, JOBS_PER_SEED)[1]
+    frontier = sum(_frontier_jobs(pl, 13, m, seed, ex)[1]
                    for m, seed, ex in _seeds(pl, 13) if m == first)
     assert frontier > 0
     for workers in (1, 2):

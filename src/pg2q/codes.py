@@ -217,12 +217,12 @@ def peel_decode(plane: Plane | int, erased, rng: random.Random | None = None) ->
     randomize it for confluence tests.
     """
     plane = as_plane(plane)
-    erased = set(erased)
+    erased = frozenset(erased)
     singer = plane.singer
     live = singer.indicator(erased)
     counts = singer.line_counts(int.from_bytes(live, "little"))
     if 1 not in counts:
-        return frozenset(erased)
+        return erased
     counts = bytearray(counts)
     n, diffs = singer.n, singer.difference_set
     # a bytearray reads index i - n as i, so j + d - n, in [-n, n), is slot
@@ -241,7 +241,7 @@ def peel_decode(plane: Plane | int, erased, rng: random.Random | None = None) ->
             live[victim] = 0
             for d in diffs:
                 counts[victim - d] -= 1
-    return frozenset(singer.points(live))
+    return singer.points(live)
 
 
 def batch_peel_fixpoint(plane: Plane | int, erased) -> frozenset[int]:
@@ -258,7 +258,7 @@ def batch_peel_fixpoint(plane: Plane | int, erased) -> frozenset[int]:
     while 1 in (counts := singer.line_counts(packed)):
         singles = int.from_bytes(counts.translate(_IS_ONE), "little")
         packed &= int.from_bytes(singer.line_hits(singles).translate(_IS_ZERO), "little")
-    return frozenset(singer.points(packed.to_bytes(singer.n, "little")))
+    return singer.points(packed.to_bytes(singer.n, "little"))
 
 
 @dataclass(frozen=True)

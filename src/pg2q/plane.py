@@ -40,27 +40,12 @@ class Plane:
         coords = [(1, y, z) for y in range(q) for z in range(q)] + [(0, 1, z) for z in range(q)] + [(0, 0, 1)]
         self.coords: list[tuple[int, int, int]] = coords
         self._index = {c: i for i, c in enumerate(coords)}
-        self.line_masks = [self._line_mask(a, b, c) for a, b, c in coords]
+        self.line_masks = _line_masks(gf, coords)
 
     @cached_property
     def singer(self) -> SingerCycle:
         """The plane indexed along a Singer cycle, built on first use."""
         return SingerCycle(self)
-
-    def _line_mask(self, a: int, b: int, c: int) -> int:
-        """The mask of the q+1 points on the line ax + by + cz = 0."""
-        gf, q = self.gf, self.q
-        if c:
-            # <(1, y, z)> with z = u + v y, then <(0, 1, v)>
-            ic = gf.inv(c)
-            u, v = gf.mul(gf.neg(a), ic), gf.mul(gf.neg(b), ic)
-            return sum(1 << (y * q + gf.add(u, gf.mul(v, y))) for y in range(q)) | 1 << (q * q + v)
-        if b:
-            # <(1, -a/b, z)> for every z, then <(0, 0, 1)>
-            y = gf.mul(gf.neg(a), gf.inv(b))
-            return ((1 << q) - 1) << (y * q) | 1 << (q * q + q)
-        # the line x = 0: <(0, 1, z)> for every z, then <(0, 0, 1)>
-        return ((1 << (q + 1)) - 1) << (q * q)
 
     # -- coordinates ---------------------------------------------------------
 
@@ -96,6 +81,55 @@ class Plane:
         """Image of a point index under a 3x3 matrix (row-major codes)."""
         check_index(self.n, p)
         return self._index[self.normalize(mat_vec(mat, self.coords[p], self.gf))]
+
+
+def _parallel_classes(gf: GF) -> list[list[int]]:
+    """classes[v][u]: the mask of the line z = u + v y, the points <(1, y,
+    u + v y)> for every y, then <(0, 1, v)>.
+
+    Codes are base-p digit vectors added digit-wise, so adding p^i to every
+    column z moves it up by p^i, or down by (p-1) p^i where its digit i is
+    p-1.  For p^i <= u < p^(i+1), the line z = u + v y is the line z =
+    (u - p^i) + v y with every row moved so at once: six operations on the
+    whole mask.  The line z = v y reads its columns off the mul table."""
+    p, q = gf.p, gf.q
+    rows = sum(1 << (y * q) for y in range(q))  # column 0 of every row
+    affine = (1 << (q * q)) - 1
+    moves = []  # p^i, the affine bits moved up and down, the step down
+    step = 1
+    while step < q:
+        down = rows * sum(1 << z for z in range(q) if z // step % p == p - 1)
+        moves.append((step, affine ^ down, down, (p - 1) * step))
+        step *= p
+    classes = []
+    for v, row in enumerate(gf.mul_table):
+        inf = 1 << (q * q + v)
+        masks = [sum(1 << (y * q + z) for y, z in enumerate(row)) | inf]
+        for step, up, down, back in moves:
+            for u in range(step, p * step):
+                m = masks[u - step]
+                masks.append((m & up) << step | (m & down) >> back | inf)
+        classes.append(masks)
+    return classes
+
+
+def _line_masks(gf: GF, coords) -> list[int]:
+    """The mask of the q+1 points on each line ax + by + cz = 0 of coords."""
+    q, mul = gf.q, gf.mul_table
+    classes = _parallel_classes(gf)
+    neg_inv = [0] + [gf.neg(gf.inv(c)) for c in range(1, q)]  # -1/c
+    out = []
+    for a, b, c in coords:
+        if c:
+            # z = u + v y with u = -a/c, v = -b/c
+            out.append(classes[mul[b][neg_inv[c]]][mul[a][neg_inv[c]]])
+        elif b:
+            # <(1, -a/b, z)> for every z, then <(0, 0, 1)>
+            out.append(((1 << q) - 1) << (mul[a][neg_inv[b]] * q) | 1 << (q * q + q))
+        else:
+            # the line x = 0: <(0, 1, z)> for every z, then <(0, 0, 1)>
+            out.append(((1 << (q + 1)) - 1) << (q * q))
+    return out
 
 
 def _singer_orbit(gf: GF, n: int) -> list[tuple[int, int, int]]:
@@ -163,9 +197,9 @@ class SingerCycle:
             out[slot[p]] = 1
         return out
 
-    def points(self, indicator) -> set[int]:
+    def points(self, indicator) -> frozenset[int]:
         """The points at the non-zero bytes of a slot indicator."""
-        return set(compress(self.point_of, indicator))
+        return frozenset(compress(self.point_of, indicator))
 
     def _cyclic(self, prod: int) -> bytes:
         """The bytes of a product reduced mod x^n - 1."""

@@ -1,21 +1,27 @@
 """Pinned outputs: the sha256 of the canonical JSON (sorted keys, lists, no
 spaces) of named outputs of pg2q.  A change that alters one of them fails
 its test; a change that means to alter one re-pins its digest here and names
-the reason in CHANGES.md."""
+the reason in CHANGES.md.
+
+    PYTHONPATH=src python tests/output_manifest.py
+
+prints each entry's computed digest beside its pinned one and exits 1 on any
+mismatch; run from another checkout, it takes that tree's digests."""
 
 import contextlib
 import hashlib
 import io
 import json
 import random
+import sys
 from dataclasses import asdict
 
 from pg2q.cli import dispatch
 from pg2q.conic import canonical_conic
 from pg2q.exterior import check_extension_dichotomy
-from pg2q.gfq import GF, prime_factors
+from pg2q.gfq import GF, ReducibleModulus, prime_factors
 from pg2q.linalg import random_invertible
-from pg2q.plane import plane_for_order
+from pg2q.plane import Plane, plane_for_order
 from pg2q.search import _seeded_sets, classify_tangent_free, min_tangent_free
 from pg2q.tangency import secant_bound_check
 
@@ -23,13 +29,14 @@ ODD_Q = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31]
 
 PINNED = {
     "field_tables": "58e78a33a9be96eac945cbbd0a2daa7d7a08f04a5abacf8647c4598e973d2bad",
+    "plane_outputs": "1215e0fbc3f384206f95c0487f6cf867cbc43982e829b0f36e24438c453aa559",
     "seeded_sets": "150a29062e2129a44ce50ea5116eff8e7092385d0678b00538b788e0137500fb",
     "secant_bound_check": "7cf50a4df307979e76fcd51e202358ff14d56653ef6039098315a0e028af15f0",
     "min_tangent_free": "040ade37d1004e5fbc522a5ec44b5de6a79779c7ff5e8135817c784a4d6f8461",
     "classify_tangent_free_7_12": "fffe51681a66a0013d474a2aa97d92dd1fb5c47504e3ddddb5c97e73129dc03b",
     "extension_dichotomy": "f42439f6ddf7f3b22cc9956e0e526f87cfc7a98d06d57b6cf44a22124dfb59dd",
     "chained_transforms": "f487380a3eadff042e8936374913189d29fc9c228c76cee54430d2ef62a28fd8",
-    "cli_reports": "41fab6a292bee8f608aa977b50fd6bf133f49f23b8f08bf10dcefcb1dec97469",
+    "cli_reports": "ea3500480386f7d4c637e805ac3ba3c96357fbc7e9459daa75b4abc612c0dc97",
 }
 
 
@@ -37,11 +44,9 @@ def canonical_sha256(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
-def field_tables(limit: int = 512, tabulated: int = 64) -> dict:
-    """For every prime power q <= limit, the auto modulus, the generator and
-    the exp and log tables of GF(q), and up to q = tabulated also its add and
-    mul tables.  Built by GF itself, not field_new, so no field stays cached."""
-    out = {}
+def prime_powers(limit: int) -> list[tuple[int, int]]:
+    """(p, h) for every prime power p^h <= limit, in increasing order."""
+    out = []
     for q in range(2, limit + 1):
         factors = prime_factors(q)
         if len(factors) != 1:
@@ -49,12 +54,47 @@ def field_tables(limit: int = 512, tabulated: int = 64) -> dict:
         p, h = factors[0], 1
         while p**h < q:
             h += 1
+        out.append((p, h))
+    return out
+
+
+def field_tables(limit: int = 512, tabulated: int = 64) -> dict:
+    """For every prime power q <= limit, the auto modulus, the generator and
+    the exp and log tables of GF(q), and up to q = tabulated also its add and
+    mul tables.  Built by GF itself, not field_new, so no field stays cached."""
+    out = {}
+    for p, h in prime_powers(limit):
         gf = GF(p, h)
+        q = gf.q
         entry = {"modulus": list(gf.modulus), "generator": gf.generator, "exp": gf._exp, "log": gf._log}
         if q <= tabulated:
             entry["add"], entry["mul"] = gf.add_table, gf.mul_table
         out[str(q)] = entry
     return out
+
+
+def plane_fields() -> list[GF]:
+    """The default field of every prime power q <= 64, then the field of
+    every other monic irreducible modulus at q = 9, 25 and 27."""
+    out = [GF(p, h) for p, h in prime_powers(64)]
+    for p, h in ((3, 2), (5, 2), (3, 3)):
+        for code in range(p**h):
+            modulus = [code // p**i % p for i in range(h)] + [1]
+            try:
+                gf = GF(p, h, modulus)
+            except ReducibleModulus:
+                continue
+            if gf not in out:
+                out.append(gf)
+    return out
+
+
+def plane_outputs() -> dict:
+    """The line masks of PG(2,q) over each of `plane_fields`, as hex strings
+    (`str` of a 4,161-bit int is quadratic), keyed by q and modulus.  Built
+    by Plane itself, not plane_for, so no plane stays cached."""
+    masks = {f"{gf.q}:{list(gf.modulus)}": [f"{m:x}" for m in Plane(gf).line_masks] for gf in plane_fields()}
+    return {"plane_outputs": masks}
 
 
 # the benchmark's classification cases (CLASSIFY of perfbench/stages.py)
@@ -101,7 +141,7 @@ def geometry_outputs() -> dict:
 
 CLI_REPORTS = [
     ("search-min", "--q", "5", "--cap", "12", "--workers", "1"),
-    ("search-min", "--q", "9", "--workers", "2"),
+    ("search-min", "--q", "9", "--workers", "1"),
     ("classify", "--q", "5", "--n", "10"),
     ("enumerate", "--q", "4", "--n", "6"),
     ("theoremsuite", "--level", "quick"),
@@ -124,3 +164,21 @@ def cli_outputs() -> dict:
                 del entry["seconds"]
         out[" ".join(argv)] = [code, report]
     return {"cli_reports": out}
+
+
+def main() -> int:
+    """Compute every entry, print its digest beside the pinned one, and
+    return 1 if any differs."""
+    computed = {"field_tables": canonical_sha256(field_tables())}
+    for outputs in (plane_outputs, search_outputs, geometry_outputs, cli_outputs):
+        computed.update((name, canonical_sha256(value)) for name, value in outputs().items())
+    bad = 0
+    for name, digest in computed.items():
+        pinned = PINNED.get(name)
+        bad += digest != pinned
+        print(f"{name:28} {digest}  pinned {pinned}  {'ok' if digest == pinned else 'MISMATCH'}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -344,6 +344,17 @@ def test_peel_extra_point_removed():
     assert peel_decode(5, set(s.members) | {extra}) == frozenset(s.members)
 
 
+def test_peel_answers_are_frozensets():
+    """Both peelers answer with a frozenset, on a set that peels (an extra
+    point on a tangent) and on a tangent-free set that does not peel."""
+    s = interior_points(canonical_conic(plane_for_order(5)))
+    extra = next(p for p in range(31) if p not in s.members)
+    for erased, want in ([s.members, s.members], [list(s.members) + [extra], s.members]):
+        for peel in (peel_decode, batch_peel_fixpoint):
+            got = peel(5, erased)
+            assert type(got) is frozenset and got == want
+
+
 def test_peel_confluence_and_oracle():
     rng = random.Random(123)
     for q in (3, 4, 5):

@@ -13,27 +13,11 @@ from pg2q.gfq import (
     ReducibleModulus,
     field_for_order,
     field_new,
-    is_prime,
 )
 
-from output_manifest import PINNED, canonical_sha256, field_tables
+from output_manifest import PINNED, canonical_sha256, field_tables, prime_powers
 
 SMALL_PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 49, 64, 81]
-
-
-def prime_powers_upto(n):
-    out = []
-    for q in range(2, n + 1):
-        for p in range(2, q + 1):
-            if is_prime(p) and q % p == 0:
-                h, m = 0, q
-                while m % p == 0:
-                    m //= p
-                    h += 1
-                if m == 1:
-                    out.append(q)
-                break
-    return out
 
 
 def test_field_new_examples():
@@ -78,16 +62,28 @@ def test_exp_table_matches_raw_powers(p, h):
     assert sorted(gf._exp) == list(range(1, gf.q))
 
 
+def _digitwise_sums(p, h):
+    """Row a: the code of the base-p digit-wise sum of a and b, for every b."""
+    digits = [gfq._digits(a, p, h) for a in range(p**h)]
+    return [[sum((x + y) % p * p**i for i, (x, y) in enumerate(zip(da, db))) for db in digits] for da in digits]
+
+
 @pytest.mark.parametrize("p,h,modulus", [(2, 8, None), (3, 5, None), (7, 3, None), (3, 2, (2, 1, 1)), (13, 1, None)])
 def test_tables_match_raw_arithmetic(p, h, modulus):
     """The add and mul tables, built a row at a time, hold the digit-wise sum
     and the product that the general multiplication gives."""
     gf = GF(p, h, modulus)
-    digits = [gfq._digits(a, p, h) for a in range(gf.q)]
+    assert gf.add_table == _digitwise_sums(p, h)
     for a in range(gf.q):
-        assert gf.add_table[a] == [sum((x + y) % p * p**i for i, (x, y) in enumerate(zip(digits[a], db)))
-                                   for db in digits]
         assert gf.mul_table[a] == [gf._raw_mul(a, b) for b in range(gf.q)]
+
+
+@pytest.mark.parametrize("q", [p**h for p, h in prime_powers(64)])
+def test_add_table_is_digitwise(q):
+    """add_table[a][b] is the base-p digit-wise sum of a and b at every order
+    a plane is built over, which the line masks of `Plane` are built from."""
+    gf = field_for_order(q)
+    assert gf.add_table == _digitwise_sums(gf.p, gf.h)
 
 
 def test_auto_modulus_deterministic():
@@ -178,7 +174,7 @@ def test_frobenius_examples():
         assert y == x
 
 
-@pytest.mark.parametrize("q", prime_powers_upto(81))
+@pytest.mark.parametrize("q", [p**h for p, h in prime_powers(81)])
 def test_field_axioms_exhaustive(q):
     import numpy as np
 

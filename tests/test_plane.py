@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 from pg2q.conic import canonical_conic
 from pg2q.constructions import punctured_interior
 from pg2q.exterior import exterior_points_on_line, find_extenders
-from pg2q.gfq import ReducibleModulus, field_for_order, field_new, prime_factors
+from pg2q.gfq import field_for_order, field_new, prime_factors
 from pg2q.plane import IdenticalLines, Plane, PointSet, by_bytes, byte_tables, mask_bits, plane_for, plane_for_order
 from pg2q.tangency import determined_directions, one_mod_p_check, redei_completion, redei_converse_check
+
+from output_manifest import PINNED, canonical_sha256, plane_fields, plane_outputs
 
 
 def _reference_join(plane: Plane, i: int, j: int) -> int:
@@ -67,22 +69,9 @@ def _reference_incidence(plane: Plane) -> np.ndarray:
 
 
 def _reference_fields():
-    """(p, h, modulus) for the default field of every prime power q <= 49, and
-    every monic irreducible modulus at q = 9, 25 and 27."""
-    out = []
-    for q in range(2, 50):
-        if len(prime_factors(q)) == 1:
-            out.append(field_for_order(q).spec)
-    for p, h in ((3, 2), (5, 2), (3, 3)):
-        for code in range(p**h):
-            low = [code // p**i % p for i in range(h)]
-            try:
-                spec = field_new(p, h, low + [1]).spec
-            except ReducibleModulus:
-                continue
-            if spec not in out:
-                out.append(spec)
-    return out
+    """The default field of every prime power q <= 49, and every monic
+    irreducible modulus at q = 9, 25 and 27."""
+    return [gf.spec for gf in plane_fields() if gf.q <= 49]
 
 
 @pytest.mark.parametrize("spec", _reference_fields(), ids=lambda s: f"{s.q}-{list(s.modulus)}")
@@ -100,6 +89,13 @@ def test_tables_match_dense_reference(spec):
     for _ in range(5):
         members = rng.sample(range(pl.n), rng.randrange(pl.n + 1))
         assert PointSet(pl, members).per_line == bytes(inc[:, members].sum(axis=1).tolist())
+
+
+def test_plane_outputs_match_the_pinned_digest():
+    """Every line mask at every order up to 64, and at every modulus of GF(9),
+    GF(25) and GF(27), hashes as pinned (`output_manifest.plane_outputs`)."""
+    for name, value in plane_outputs().items():
+        assert canonical_sha256(value) == PINNED[name], name
 
 
 def test_core_runs_without_numpy():

@@ -245,13 +245,13 @@ def cmd_peel(args):
 
     ps = _load_set(args)
     plane = ps.plane
-    residual = peel_decode(plane, ps.members)
-    oracle = batch_peel_fixpoint(plane, ps.members)
+    residual = peel_decode(plane, ps)
+    oracle = batch_peel_fixpoint(plane, ps)
     body = {
         "parameters": {"q": plane.q},
         "results": {
             "erased": len(ps),
-            "residual": PointSet(plane, residual).to_json(),
+            "residual": residual.to_json(),
             "residual_size": len(residual),
             "oracle_agrees": residual == oracle,
         },

@@ -204,7 +204,7 @@ def hyperoval(q: int = 4) -> PointSet:
     return out
 
 
-def peel_decode(plane: Plane | int, erased, rng: random.Random | None = None) -> frozenset[int]:
+def peel_decode(plane: Plane | int, erased, rng: random.Random | None = None) -> PointSet:
     """Repeatedly delete an erased point lying on a line with exactly one
     erased point; the fixpoint is the unique maximal stopping subset.
 
@@ -217,12 +217,11 @@ def peel_decode(plane: Plane | int, erased, rng: random.Random | None = None) ->
     randomize it for confluence tests.
     """
     plane = as_plane(plane)
-    erased = frozenset(erased)
     singer = plane.singer
     live = singer.indicator(erased)
     counts = singer.line_counts(int.from_bytes(live, "little"))
     if 1 not in counts:
-        return erased
+        return PointSet.from_mask(plane, singer.mask_of(live))
     counts = bytearray(counts)
     n, diffs = singer.n, singer.difference_set
     # a bytearray reads index i - n as i, so j + d - n, in [-n, n), is slot
@@ -241,10 +240,10 @@ def peel_decode(plane: Plane | int, erased, rng: random.Random | None = None) ->
             live[victim] = 0
             for d in diffs:
                 counts[victim - d] -= 1
-    return singer.points(live)
+    return PointSet.from_mask(plane, singer.mask_of(live))
 
 
-def batch_peel_fixpoint(plane: Plane | int, erased) -> frozenset[int]:
+def batch_peel_fixpoint(plane: Plane | int, erased) -> PointSet:
     """Oracle: recompute from scratch each round, removing every point on any
     currently singleton line simultaneously, until stable.
 
@@ -254,11 +253,11 @@ def batch_peel_fixpoint(plane: Plane | int, erased) -> frozenset[int]:
     """
     plane = as_plane(plane)
     singer = plane.singer
-    packed = int.from_bytes(singer.indicator(tuple(erased)), "little")
+    packed = int.from_bytes(singer.indicator(erased), "little")
     while 1 in (counts := singer.line_counts(packed)):
         singles = int.from_bytes(counts.translate(_IS_ONE), "little")
         packed &= int.from_bytes(singer.line_hits(singles).translate(_IS_ZERO), "little")
-    return singer.points(packed.to_bytes(singer.n, "little"))
+    return PointSet.from_mask(plane, singer.mask_of(packed.to_bytes(singer.n, "little")))
 
 
 @dataclass(frozen=True)
@@ -282,7 +281,8 @@ def stopping_equivalence_check(plane: Plane | int) -> StoppingEquivalenceReport:
     def check(sub):
         nonlocal cases, ok
         cases += 1
-        if (peel_decode(plane, sub) == frozenset(sub)) != is_tangent_free(PointSet(plane, sub)):
+        sub = PointSet(plane, sub)
+        if (peel_decode(plane, sub) == sub) != is_tangent_free(sub):
             ok = False
 
     if plane.q == 3:

@@ -54,6 +54,13 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+def require_keys(obj: dict, what: str, *keys: str) -> None:
+    """ValueError naming, in words, the keys a JSON object lacks."""
+    missing = [f'"{k}"' for k in keys if k not in obj]
+    if missing:
+        raise ValueError(f"{what} has no {' and '.join(missing)}")
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Declared field: characteristic, degree, and monic irreducible modulus."""
@@ -71,6 +78,7 @@ class FieldSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FieldSpec":
+        require_keys(obj, "a field", "p", "h", "modulus")
         p, h, mod = obj["p"], obj["h"], obj["modulus"]
         if not (type(p) is int and type(h) is int):
             raise ValueError(f"p and h must be integers, not {p!r} and {h!r}")

@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import json
 from functools import cached_property, lru_cache
-from itertools import compress, product
-from operator import getitem
+from itertools import product
+from operator import getitem, itemgetter
 
-from .gfq import GF, FieldSpec, field_for_order, field_new, order_exceeds
+from .gfq import GF, FieldSpec, field_for_order, field_new, order_exceeds, require_keys
 from .linalg import mat_vec
 
+
+# bytes.translate table: a 0/1 byte to the ASCII digit "0" or "1"
+_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 
 # A Plane's one incidence table is line_masks, n masks of n bits (n = q^2+q+1):
 # about 2.2 MB at q = 64, growing as q^4 (130 GB at q = 1009).
@@ -181,6 +184,7 @@ class SingerCycle:
         for k, p in enumerate(self.point_of):
             slot[p] = k
         self.slot: tuple[int, ...] = tuple(slot)
+        self._by_point_rev = itemgetter(*reversed(slot))  # slot bytes, point n-1 first
         self.difference_set: tuple[int, ...] = tuple(sorted(slot[p] for p in mask_bits(plane.line_masks[0])))
         self._bits = 8 * n
         self._low = (1 << self._bits) - 1
@@ -188,18 +192,20 @@ class SingerCycle:
         self._diffs_rev = sum(1 << 8 * (-d % n) for d in self.difference_set)  # D(x^-1)
 
     def indicator(self, points) -> bytearray:
-        """One byte per slot, 1 at the slots of the given points (a collection;
+        """One byte per slot, 1 at the slots of the given points (any iterable;
         a repeated point counts once).  IndexError for a point off the plane."""
         n, slot = self.n, self.slot
+        points = tuple(points)
         check_index(n, *points)
         out = bytearray(n)
         for p in points:
             out[slot[p]] = 1
         return out
 
-    def points(self, indicator) -> frozenset[int]:
-        """The points at the non-zero bytes of a slot indicator."""
-        return frozenset(compress(self.point_of, indicator))
+    def mask_of(self, indicator) -> int:
+        """The point mask of a 0/1 slot indicator: its bytes read in reverse
+        point order are the mask's binary digits, most significant first."""
+        return int(bytes(self._by_point_rev(indicator)).translate(_DIGIT), 2)
 
     def _cyclic(self, prod: int) -> bytes:
         """The bytes of a product reduced mod x^n - 1."""
@@ -338,6 +344,23 @@ class PointSet:
     def __iter__(self):
         return iter(mask_bits(self.mask))
 
+    def __eq__(self, other):
+        """The same points of the same plane; NotImplemented for anything but a PointSet."""
+        if not isinstance(other, PointSet):
+            return NotImplemented
+        return self.mask == other.mask and self.plane.gf == other.plane.gf
+
+    def __hash__(self) -> int:
+        return hash(self.mask)
+
+    def __le__(self, other) -> bool:
+        """Subset of a PointSet of the same plane, or of any collection of indices."""
+        if not isinstance(other, PointSet):
+            return self.members.issubset(other)
+        if other.plane.gf != self.plane.gf:
+            return NotImplemented
+        return not self.mask & ~other.mask
+
     def sorted_tuple(self) -> tuple[int, ...]:
         return tuple(mask_bits(self.mask))
 
@@ -353,6 +376,7 @@ class PointSet:
     def from_json(cls, obj: dict) -> "PointSet":
         if not isinstance(obj, dict):
             raise ValueError("a point set must be a JSON object with \"field\" and \"points\"")
+        require_keys(obj, "a point set", "field", "points")
         if not isinstance(obj["field"], dict):
             raise ValueError("\"field\" must be a JSON object with \"p\", \"h\" and \"modulus\"")
         spec = FieldSpec.from_json(obj["field"])

@@ -17,11 +17,12 @@ import sys
 from dataclasses import asdict
 
 from pg2q.cli import dispatch
+from pg2q.codes import batch_peel_fixpoint, peel_decode
 from pg2q.conic import canonical_conic
 from pg2q.exterior import check_extension_dichotomy
 from pg2q.gfq import GF, ReducibleModulus, prime_factors
 from pg2q.linalg import random_invertible
-from pg2q.plane import Plane, plane_for_order
+from pg2q.plane import Plane, plane_for, plane_for_order
 from pg2q.search import _seeded_sets, classify_tangent_free, min_tangent_free
 from pg2q.tangency import secant_bound_check
 
@@ -37,6 +38,7 @@ PINNED = {
     "extension_dichotomy": "f42439f6ddf7f3b22cc9956e0e526f87cfc7a98d06d57b6cf44a22124dfb59dd",
     "chained_transforms": "f487380a3eadff042e8936374913189d29fc9c228c76cee54430d2ef62a28fd8",
     "cli_reports": "ea3500480386f7d4c637e805ac3ba3c96357fbc7e9459daa75b4abc612c0dc97",
+    "peel_outputs": "9951b2c323b8a083aeaf7222fce4e9a8a1fec0a79802b87ba81bfa7b2385163a",
 }
 
 
@@ -95,6 +97,27 @@ def plane_outputs() -> dict:
     by Plane itself, not plane_for, so no plane stays cached."""
     masks = {f"{gf.q}:{list(gf.modulus)}": [f"{m:x}" for m in Plane(gf).line_masks] for gf in plane_fields()}
     return {"plane_outputs": masks}
+
+
+def peel_outputs(count: int = 40) -> dict:
+    """Both peelers' answers, as sorted index lists, in PG(2,q) for q = 3,
+    4, 5, 9 and 31 over the default moduli and for GF(9) over x^2 + x + 2:
+    on [], on the whole plane and on `count` erasures of every density drawn
+    from Random(n), each answer of `peel_decode` and `batch_peel_fixpoint`,
+    then `peel_decode` of the answer, a set with no singleton line, which
+    takes the path that peels nothing.  Keyed by q and modulus."""
+    planes = [plane_for_order(q) for q in (3, 4, 5, 9, 31)] + [plane_for(3, 2, (2, 1, 1))]
+    out = {}
+    for pl in planes:
+        n, rng = pl.n, random.Random(pl.n)
+        cases = [[], list(range(n))] + [rng.sample(range(n), rng.randrange(n + 1)) for _ in range(count)]
+        answers = []
+        for erased in cases:
+            residual = peel_decode(pl, erased)
+            answers.append([sorted(residual), sorted(batch_peel_fixpoint(pl, erased)),
+                            sorted(peel_decode(pl, residual))])
+        out[f"{pl.q}:{list(pl.gf.modulus)}"] = answers
+    return {"peel_outputs": out}
 
 
 # the benchmark's classification cases (CLASSIFY of perfbench/stages.py)
@@ -170,7 +193,7 @@ def main() -> int:
     """Compute every entry, print its digest beside the pinned one, and
     return 1 if any differs."""
     computed = {"field_tables": canonical_sha256(field_tables())}
-    for outputs in (plane_outputs, search_outputs, geometry_outputs, cli_outputs):
+    for outputs in (plane_outputs, peel_outputs, search_outputs, geometry_outputs, cli_outputs):
         computed.update((name, canonical_sha256(value)) for name, value in outputs().items())
     bad = 0
     for name, digest in computed.items():

@@ -466,6 +466,21 @@ def test_zero_vector_in_a_set_exits_2(capsys, tmp_path, command, point):
     assert code == 2 and out == "" and "zero vector" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["verify", "peel"])
+@pytest.mark.parametrize("key", ["field", "points", "p", "h", "modulus"])
+def test_missing_key_in_a_set_exits_2(capsys, tmp_path, command, key):
+    """A point set without "field" or "points", or a field without "p", "h"
+    or "modulus", is refused with a message that names the key, not with a
+    bare KeyError."""
+    doc = {"field": {"p": 3, "h": 1, "modulus": [0, 1]}, "points": [[1, 0, 0]]}
+    del (doc if key in doc else doc["field"])[key]
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, "--set", str(f))
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert f'has no "{key}"' in err and "KeyError" not in err
+
+
 def test_usage_error_exit_2(capsys):
     assert dispatch(["definitely-not-a-command"]) == 2
     capsys.readouterr()

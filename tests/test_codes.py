@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations, product
 from math import comb
 
@@ -21,6 +22,8 @@ from pg2q.gfq import field_for_order
 from pg2q.linalg import nullspace, random_invertible
 from pg2q.plane import PointSet, mask_bits, plane_for, plane_for_order
 from pg2q.tangency import is_tangent_free
+
+from output_manifest import PINNED, canonical_sha256, peel_outputs
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
@@ -330,29 +333,56 @@ def test_min_weight_q5_via_u5():
 
 
 def test_peel_single_point():
-    assert peel_decode(5, [7]) == frozenset()
+    assert peel_decode(5, [7]) == PointSet(plane_for_order(5))
 
 
 def test_peel_tangent_free_is_fixpoint():
     s = interior_points(canonical_conic(plane_for_order(5)))
-    assert peel_decode(5, s.members) == frozenset(s.members)
+    assert peel_decode(5, s.members) == s
 
 
 def test_peel_extra_point_removed():
     s = interior_points(canonical_conic(plane_for_order(5)))
     extra = next(p for p in range(31) if p not in s.members)
-    assert peel_decode(5, set(s.members) | {extra}) == frozenset(s.members)
+    assert peel_decode(5, set(s.members) | {extra}) == s
 
 
-def test_peel_answers_are_frozensets():
-    """Both peelers answer with a frozenset, on a set that peels (an extra
-    point on a tangent) and on a tangent-free set that does not peel."""
+def test_peel_answers_are_point_sets():
+    """Both peelers answer with a PointSet of the plane, on a set that peels
+    (an extra point on a tangent) and on a tangent-free set that does not
+    peel, given as indices or as a PointSet."""
     s = interior_points(canonical_conic(plane_for_order(5)))
     extra = next(p for p in range(31) if p not in s.members)
-    for erased, want in ([s.members, s.members], [list(s.members) + [extra], s.members]):
+    for erased in (s, s.members, list(s.members) + [extra]):
         for peel in (peel_decode, batch_peel_fixpoint):
             got = peel(5, erased)
-            assert type(got) is frozenset and got == want
+            assert type(got) is PointSet and got.plane is s.plane and got == s
+
+
+def test_peel_answers_hold_their_mask_only():
+    """400 peel answers at q = 31, on erasures of every density, retain
+    under 1 MiB: each holds the plane and one int mask.  As frozensets of
+    indices the same answers retained about 9 MiB."""
+    pl = plane_for_order(31)
+    rng = random.Random(4401)
+    cases = [rng.sample(range(pl.n), rng.randrange(1, pl.n + 1)) for _ in range(400)]
+    peel_decode(pl, cases[0])  # the Singer cycle is built before tracing
+    tracemalloc.start()
+    try:
+        answers = [peel_decode(pl, e) for e in cases]
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, answers)) > 0
+    assert retained < 1 << 20
+
+
+def test_peel_outputs_match_the_pinned_digest():
+    """Both peelers' answers at q = 3, 4, 5, 9, 31 and over GF(9) with a
+    second modulus, on sets that peel and sets that do not, hash as pinned
+    (`output_manifest.peel_outputs`)."""
+    for name, value in peel_outputs().items():
+        assert canonical_sha256(value) == PINNED[name], name
 
 
 def test_peel_confluence_and_oracle():
@@ -418,10 +448,10 @@ def test_peel_matches_line_mask_reference(q, modulus):
     for erased in cases:
         want = _reference_peel_decode(pl, erased)
         assert _reference_batch_peel(pl, erased) == want
-        assert peel_decode(pl, erased) == want
-        assert batch_peel_fixpoint(pl, erased) == want
+        assert peel_decode(pl, erased) == PointSet(pl, want)
+        assert batch_peel_fixpoint(pl, erased) == PointSet(pl, want)
         seed = rng.random()
-        assert peel_decode(pl, erased, rng=random.Random(seed)) == want
+        assert peel_decode(pl, erased, rng=random.Random(seed)) == PointSet(pl, want)
         assert _reference_peel_decode(pl, erased, rng=random.Random(seed)) == want
     for bad in ([0, 1, n], [-1, 3]):
         with pytest.raises(IndexError):
@@ -438,10 +468,10 @@ def test_peel_residual_is_maximal_stopping_subset():
         erased = set(rng.sample(range(13), rng.randrange(6, 13)))
         residual = peel_decode(3, erased)
         if residual:
-            assert is_tangent_free(PointSet(pl, residual))
+            assert is_tangent_free(residual)
         for sub in combinations(sorted(erased), 6):
             if is_tangent_free(PointSet(pl, sub)):
-                assert set(sub) <= residual
+                assert set(sub) <= residual.members
 
 
 def test_stopping_equivalence():
@@ -453,10 +483,10 @@ def test_stopping_equivalence():
 def test_stopping_classified_sets_are_fixpoints():
     s1 = trivial(5)
     s2 = interior_points(canonical_conic(plane_for_order(5)))
-    assert peel_decode(5, s1.members) == frozenset(s1.members)
-    assert peel_decode(5, s2.members) == frozenset(s2.members)
+    assert peel_decode(5, s1.members) == s1
+    assert peel_decode(5, s2.members) == s2
     h = hyperoval(4)
-    assert peel_decode(4, h.members) == frozenset(h.members)
+    assert peel_decode(4, h.members) == h
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19])

@@ -15,7 +15,17 @@ from pg2q.conic import canonical_conic
 from pg2q.constructions import punctured_interior
 from pg2q.exterior import exterior_points_on_line, find_extenders
 from pg2q.gfq import field_for_order, field_new, prime_factors
-from pg2q.plane import IdenticalLines, Plane, PointSet, by_bytes, byte_tables, mask_bits, plane_for, plane_for_order
+from pg2q.plane import (
+    IdenticalLines,
+    Plane,
+    PointSet,
+    by_bytes,
+    byte_tables,
+    mask_bits,
+    mask_of,
+    plane_for,
+    plane_for_order,
+)
 from pg2q.tangency import determined_directions, one_mod_p_check, redei_completion, redei_converse_check
 
 from output_manifest import PINNED, canonical_sha256, plane_fields, plane_outputs
@@ -266,6 +276,28 @@ def test_pointset_is_its_mask(spec):
             PointSet.from_mask(pl, bad)
 
 
+def test_pointset_equality_hash_and_subset():
+    """Two PointSets are equal when they hold the same points of the same
+    plane, a plane built anew over the same field included, and hash by
+    their mask; <= is the subset order, also against any collection of
+    indices.  Sets of GF(9) over two moduli differ even with one mask."""
+    pl = plane_for_order(5)
+    a, b = PointSet(pl, [1, 4, 9]), PointSet.from_mask(pl, 1 << 1 | 1 << 4 | 1 << 9)
+    assert a == b and hash(a) == hash(b) == hash(a.mask) and len({a, b}) == 1
+    assert a != PointSet(pl, [1, 4]) and a != a.members and a != [1, 4, 9] and a != a.mask
+    assert a == PointSet(Plane(pl.gf), [1, 4, 9])
+    big = PointSet(pl, [1, 4, 9, 30])
+    assert a <= b and a <= big and not big <= a and PointSet(pl) <= a
+    assert a <= {1, 4, 9} and a <= [9, 4, 1, 0] and a <= range(10) and not a <= (1, 4)
+    assert not big <= set(range(30)) and big <= big.members
+    p1, p2 = plane_for(3, 2, (1, 0, 1)), plane_for(3, 2, (2, 1, 1))
+    s1, s2 = PointSet(p1, [0, 5, 7]), PointSet(p2, [0, 5, 7])
+    assert s1.mask == s2.mask and s1 != s2 and hash(s1) == hash(s2) and len({s1, s2}) == 2
+    assert s1 == PointSet(plane_for(3, 2, (1, 0, 1)), [7, 5, 0])
+    with pytest.raises(TypeError):
+        s1 <= s2
+
+
 @pytest.mark.parametrize("spec", _reference_fields(), ids=lambda s: f"{s.q}-{list(s.modulus)}")
 def test_plane_keeps_one_incidence_table(spec):
     """A Plane stores its field, order, size, coordinates, their index and
@@ -413,7 +445,7 @@ def test_singer_cycle(spec):
         counts = sc.line_counts(int.from_bytes(sc.indicator(members), "little"))
         per_line = PointSet(pl, members).per_line
         assert list(counts) == [per_line[l] for l in line_of]
-        assert sc.points(sc.indicator(members)) == set(members)
+        assert sc.mask_of(sc.indicator(members)) == mask_of(members)
     # line_hits counts, at each slot, the chosen translates through it
     chosen = bytes(rng.randrange(2) for _ in range(n))
     hits = sc.line_hits(int.from_bytes(chosen, "little"))

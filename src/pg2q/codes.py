@@ -16,10 +16,11 @@ each to a non-zero value, and cuts a value as soon as a column that no later
 basis vector touches has become 0.  Its node count is the certificate of a
 refutation.
 
-Peeling reads its line counts off the plane's Singer cycle (`Plane.singer`):
-the lines are the translates D + j of one perfect difference set D mod n, so
-the counts of a set on all n lines are one integer product, not n line-mask
-popcounts, and a round of the batch oracle is two products.
+Peeling reads its singleton lines off the plane's Singer cycle
+(`Plane.singer`): the lines are the translates D + j of one perfect difference
+set D mod n, so with one bit per slot, q + 1 shifts of a set's doubled mask
+line up the slots of every line at once, and one sweep over them finds all
+the lines that hold exactly one of its points, not n line-mask popcounts.
 """
 
 from __future__ import annotations
@@ -27,17 +28,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import combinations
 
 from .gfq import field_for_order
 from .linalg import nullspace
 from .plane import Plane, PointSet, as_plane, check_index, mask_bits, mask_of, plane_for_order
 from .tangency import is_tangent_free
 
-
-# byte translation tables: 1 where a count is 1, and 1 where it is 0
-_IS_ONE = bytes(int(b == 1) for b in range(256))
-_IS_ZERO = bytes(int(b == 0) for b in range(256))
 
 # dual_codeword_on_support tries at most this many coefficient values; the
 # whole tree of any nullspace with p**dim <= 10**7 fits (at most 349,525)
@@ -208,56 +205,40 @@ def peel_decode(plane: Plane | int, erased, rng: random.Random | None = None) ->
     """Repeatedly delete an erased point lying on a line with exactly one
     erased point; the fixpoint is the unique maximal stopping subset.
 
-    The line counts come from one Singer-cycle product (`Plane.singer`); a
-    set with no singleton line is returned at once.  Otherwise points are
-    peeled one at a time, in passes over the lines whose count is 1,
-    decrementing the counts of the q+1 lines through each deleted point.
+    The singleton lines come from one sweep of the Singer cycle
+    (`Plane.singer`); a set with none is returned at once.  Otherwise the
+    points are peeled in passes over the lines that are singleton at the
+    start of the pass, each clearing its line from the set: such a line can
+    only lose its one point during the pass, so it has one or none left.
 
     The processing order is immaterial (peeling is confluent); pass an rng to
     randomize it for confluence tests.
     """
     plane = as_plane(plane)
     singer = plane.singer
-    live = singer.indicator(erased)
-    counts = singer.line_counts(int.from_bytes(live, "little"))
-    if 1 not in counts:
-        return PointSet.from_mask(plane, singer.mask_of(live))
-    counts = bytearray(counts)
-    n, diffs = singer.n, singer.difference_set
-    # a bytearray reads index i - n as i, so j + d - n, in [-n, n), is slot
-    # (j + d) mod n and v - d, in (-n, n), is line (v - d) mod n
-    shifted = [d - n for d in diffs]
-    while lines := list(compress(range(n), counts.translate(_IS_ONE))):
+    live = singer.slot_mask(erased)
+    while singles := singer.singleton_lines(live):
+        lines = mask_bits(singles)
         if rng is not None:
             rng.shuffle(lines)
         for j in lines:
-            if counts[j] != 1:
-                continue
-            for d in shifted:
-                if live[j + d]:
-                    break
-            victim = (j + d) % n
-            live[victim] = 0
-            for d in diffs:
-                counts[victim - d] -= 1
-    return PointSet.from_mask(plane, singer.mask_of(live))
+            live &= ~singer.line(j)
+    return PointSet.from_mask(plane, singer.point_mask(live))
 
 
 def batch_peel_fixpoint(plane: Plane | int, erased) -> PointSet:
     """Oracle: recompute from scratch each round, removing every point on any
     currently singleton line simultaneously, until stable.
 
-    A round is two Singer-cycle products: the line counts of the set, then
-    the number of singleton lines through each slot, and the set keeps the
-    slots that no singleton line passes through.
+    A round is two Singer-cycle sweeps: the singleton lines of the set, then
+    the slots on them, which the set drops.
     """
     plane = as_plane(plane)
     singer = plane.singer
-    packed = int.from_bytes(singer.indicator(erased), "little")
-    while 1 in (counts := singer.line_counts(packed)):
-        singles = int.from_bytes(counts.translate(_IS_ONE), "little")
-        packed &= int.from_bytes(singer.line_hits(singles).translate(_IS_ZERO), "little")
-    return PointSet.from_mask(plane, singer.mask_of(packed.to_bytes(singer.n, "little")))
+    live = singer.slot_mask(erased)
+    while singles := singer.singleton_lines(live):
+        live &= ~singer.through(singles)
+    return PointSet.from_mask(plane, singer.point_mask(live))
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,52 @@ def evaluate_form(gf: GF, coeffs, v) -> int:
     return acc
 
 
+@lru_cache(maxsize=None)
+def _square_roots(gf: GF) -> tuple[int | None, ...]:
+    """roots[a]: a square root of a in GF(q), None for a non-square."""
+    roots = [None] * gf.q
+    for r, row in enumerate(gf.mul_table):
+        roots[row[r]] = r
+    return tuple(roots)
+
+
+def form_zeros(plane: Plane, coeffs) -> tuple[int, ...]:
+    """The points, ascending, where the form with coefficients (xx, yy, zz,
+    xy, xz, yz) vanishes, for odd q.
+
+    On the row of points <(1, y, z)> the form is zz z^2 + (xz + yz y) z +
+    (xx + xy y + yy y^2), and on <(0, 1, z)> it is zz z^2 + yz z + yy: one
+    quadratic a z^2 + b z + c in z per row, solved by the quadratic formula
+    with a table of square roots.  Where a = b = 0 the row holds all of its
+    points or none.  <(0, 0, 1)> is a zero when zz = 0.
+    """
+    gf = plane.gf
+    q, add, mul = gf.q, gf.add_table, gf.mul_table
+    neg = [gf.neg(x) for x in range(q)]
+    roots = _square_roots(gf)
+    xx, yy, zz, xy, xz, yz = coeffs
+    if zz:
+        four_a, inv_2a = mul[add[2][2]][zz], gf.inv(add[zz][zz])
+
+    def row(b, c) -> list[int]:
+        if zz:
+            r = roots[add[mul[b][b]][neg[mul[four_a][c]]]]
+            if r is None:
+                return []
+            return list({mul[add[neg[b]][r]][inv_2a], mul[add[neg[b]][neg[r]]][inv_2a]})
+        if b:
+            return [mul[neg[c]][gf.inv(b)]]
+        return [] if c else list(range(q))
+
+    out = []
+    for y in range(q):
+        out += [y * q + z for z in row(add[xz][mul[yz][y]], add[xx][mul[y][add[xy][mul[yy][y]]]])]
+    out += [q * q + z for z in row(yz, yy)]
+    if not zz:
+        out.append(q * q + q)
+    return tuple(sorted(out))
+
+
 @dataclass(frozen=True)
 class Conic:
     """Irreducible conic on a plane of odd order."""
@@ -68,7 +114,7 @@ class Conic:
 
     @cached_property
     def points(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.plane.coords) if self.evaluate(c) == 0)
+        return form_zeros(self.plane, self.coeffs)
 
     @cached_property
     def line_intersections(self) -> bytes:

@@ -20,9 +20,6 @@ from .gfq import GF, FieldSpec, field_for_order, field_new, order_exceeds, requi
 from .linalg import mat_vec
 
 
-# bytes.translate table: a 0/1 byte to the ASCII digit "0" or "1"
-_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
-
 # A Plane's one incidence table is line_masks, n masks of n bits (n = q^2+q+1):
 # about 2.2 MB at q = 64, growing as q^4 (130 GB at q = 1009).
 MAX_PLANE_ORDER = 64
@@ -170,11 +167,12 @@ class SingerCycle:
     `difference_set` D, are a perfect difference set mod n, so the lines are
     exactly the translates D + j, j in [0, n).
 
-    A set of slots packs into an int with one byte per slot, byte k 1 when
-    slot k is in the set (`indicator` gives the bytes).  Its line counts are
-    then one product: byte j of S(x) D(x^-1) mod x^n - 1 is |S & (D + j)|.
-    A count, and the number of packed lines through a slot, is at most
-    q + 1 <= MAX_PLANE_ORDER + 1 < 256, so no byte ever carries.
+    A set of slots is an n-bit mask, bit k for slot k (`slot_mask`), and a
+    set of lines one too, bit j for D + j.  Doubling a mask to s | s << n
+    makes every shift by d < n a rotation: bit j of that shifted right by d
+    is slot j + d mod n, so the q + 1 shifts by the elements of D line up
+    every line's slots on its own bit j, and one sweep over them counts each
+    line's slots up to two.
     """
 
     def __init__(self, plane: Plane):
@@ -184,40 +182,59 @@ class SingerCycle:
         for k, p in enumerate(self.point_of):
             slot[p] = k
         self.slot: tuple[int, ...] = tuple(slot)
-        self._by_point_rev = itemgetter(*reversed(slot))  # slot bytes, point n-1 first
+        # where each point's slot sits in a slot mask's n-digit binary numeral,
+        # most significant digit first
+        self._digit: tuple[int, ...] = tuple(n - 1 - k for k in slot)
+        self._by_point_rev = itemgetter(*reversed(self._digit))
         self.difference_set: tuple[int, ...] = tuple(sorted(slot[p] for p in mask_bits(plane.line_masks[0])))
-        self._bits = 8 * n
-        self._low = (1 << self._bits) - 1
-        self._diffs = sum(1 << 8 * d for d in self.difference_set)  # D(x)
-        self._diffs_rev = sum(1 << 8 * (-d % n) for d in self.difference_set)  # D(x^-1)
+        self._full = (1 << n) - 1
+        d_mask = mask_of(self.difference_set)
+        self._line0 = d_mask | d_mask << n  # D doubled
 
-    def indicator(self, points) -> bytearray:
-        """One byte per slot, 1 at the slots of the given points (any iterable;
-        a repeated point counts once).  IndexError for a point off the plane."""
-        n, slot = self.n, self.slot
-        points = tuple(points)
-        check_index(n, *points)
-        out = bytearray(n)
-        for p in points:
-            out[slot[p]] = 1
-        return out
+    def slot_mask(self, points) -> int:
+        """The slot mask of the given points (any iterable; a repeated point
+        counts once), written as its binary numeral.  IndexError for a point
+        off the plane."""
+        points = tuple(points)  # an error raised producing them is not a bad index
+        digits, at = bytearray(b"0") * self.n, self._digit
+        try:
+            if points and min(points) < 0:  # at[p] would wrap round
+                raise IndexError
+            for p in points:
+                digits[at[p]] = 49  # "1"; at[p] fails for p >= n
+        except IndexError:
+            raise IndexError(f"point indices must lie in [0, {self.n})") from None
+        return int(digits, 2)
 
-    def mask_of(self, indicator) -> int:
-        """The point mask of a 0/1 slot indicator: its bytes read in reverse
-        point order are the mask's binary digits, most significant first."""
-        return int(bytes(self._by_point_rev(indicator)).translate(_DIGIT), 2)
+    def point_mask(self, s: int) -> int:
+        """The point mask of a slot mask: its n-digit binary numeral, read in
+        reverse point order, is the point mask's numeral."""
+        if not s:
+            return 0
+        return int("".join(self._by_point_rev(format(s, f"0{self.n}b"))), 2)
 
-    def _cyclic(self, prod: int) -> bytes:
-        """The bytes of a product reduced mod x^n - 1."""
-        return ((prod & self._low) + (prod >> self._bits)).to_bytes(self.n, "little")
+    def line(self, j: int) -> int:
+        """The slot mask of the line D + j."""
+        return (self._line0 << j) >> self.n & self._full
 
-    def line_counts(self, packed: int) -> bytes:
-        """Byte j: the number of packed slots on the line D + j."""
-        return self._cyclic(packed * self._diffs_rev)
+    def singleton_lines(self, s: int) -> int:
+        """The mask of the lines D + j that hold exactly one slot of s."""
+        t = s | s << self.n
+        one = two = 0
+        for d in self.difference_set:
+            x = t >> d
+            two |= one & x
+            one |= x
+        return one & ~two & self._full
 
-    def line_hits(self, packed_lines: int) -> bytes:
-        """Byte k: the number of packed lines (byte j for D + j) through slot k."""
-        return self._cyclic(packed_lines * self._diffs)
+    def through(self, lines: int) -> int:
+        """The slot mask of the union of the given lines (bit j for D + j)."""
+        n = self.n
+        t = lines | lines << n
+        out = 0
+        for d in self.difference_set:
+            out |= t >> (n - d)
+        return out & self._full
 
 
 def mask_bits(mask: int) -> list[int]:

@@ -27,6 +27,7 @@ from pg2q.search import _seeded_sets, classify_tangent_free, min_tangent_free
 from pg2q.tangency import secant_bound_check
 
 ODD_Q = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31]
+ODD_Q_64 = ODD_Q + [37, 41, 43, 47, 49, 53, 59, 61]
 
 PINNED = {
     "field_tables": "58e78a33a9be96eac945cbbd0a2daa7d7a08f04a5abacf8647c4598e973d2bad",
@@ -39,6 +40,7 @@ PINNED = {
     "chained_transforms": "f487380a3eadff042e8936374913189d29fc9c228c76cee54430d2ef62a28fd8",
     "cli_reports": "ea3500480386f7d4c637e805ac3ba3c96357fbc7e9459daa75b4abc612c0dc97",
     "peel_outputs": "9951b2c323b8a083aeaf7222fce4e9a8a1fec0a79802b87ba81bfa7b2385163a",
+    "conic_points": "e61827b86734430962133349a043fda82be1cac83fb8ea0db72cfff702047c2b",
 }
 
 
@@ -162,6 +164,18 @@ def geometry_outputs() -> dict:
     return {"extension_dichotomy": dichotomy, "chained_transforms": chained}
 
 
+def conic_outputs(images: int = 10) -> dict:
+    """The points of the canonical conic and of `images` images of it, each
+    by a `random_invertible` matrix drawn from Random(q), at every odd q <= 64."""
+    out = {}
+    for q in ODD_Q_64:
+        pl = plane_for_order(q)
+        rng = random.Random(q)
+        c = canonical_conic(pl)
+        out[str(q)] = [c.points] + [c.transform(random_invertible(pl.gf, rng)).points for _ in range(images)]
+    return {"conic_points": out}
+
+
 CLI_REPORTS = [
     ("search-min", "--q", "5", "--cap", "12", "--workers", "1"),
     ("search-min", "--q", "9", "--workers", "1"),
@@ -193,7 +207,7 @@ def main() -> int:
     """Compute every entry, print its digest beside the pinned one, and
     return 1 if any differs."""
     computed = {"field_tables": canonical_sha256(field_tables())}
-    for outputs in (plane_outputs, peel_outputs, search_outputs, geometry_outputs, cli_outputs):
+    for outputs in (plane_outputs, peel_outputs, search_outputs, geometry_outputs, conic_outputs, cli_outputs):
         computed.update((name, canonical_sha256(value)) for name, value in outputs().items())
     bad = 0
     for name, digest in computed.items():

@@ -434,7 +434,8 @@ def _reference_batch_peel(plane, erased):
         cur -= doomed
 
 
-@pytest.mark.parametrize("q,modulus", [(q, None) for q in (2, 3, 4, 5, 7, 8, 9, 16, 17, 31)] + [(9, (2, 1, 1))])
+@pytest.mark.parametrize("q,modulus", [(q, None) for q in (2, 3, 4, 5, 7, 8, 9, 16, 17, 31)]
+                         + [(9, (2, 1, 1)), (49, None), (64, None)])
 def test_peel_matches_line_mask_reference(q, modulus):
     """Both peel functions give the answers of the line-mask code, on erasures
     of every density, near-stopping sets, repeated indices, [] and the plane."""

@@ -10,12 +10,13 @@ from pg2q.conic import (
     canonical_conic,
     discriminant_point_class,
     evaluate_form,
+    form_zeros,
     is_arc,
 )
 from pg2q.linalg import nullspace, random_invertible
-from pg2q.plane import mask_bits, plane_for_order
+from pg2q.plane import PointSet, mask_bits, plane_for_order
 
-from output_manifest import ODD_Q, PINNED, canonical_sha256, geometry_outputs
+from output_manifest import ODD_Q, PINNED, canonical_sha256, conic_outputs, geometry_outputs
 
 
 class TooFewPoints(ValueError):
@@ -63,6 +64,39 @@ def test_degenerate_rejected():
         Conic(pl, (0, 0, 0, 1, 0, 0))  # xy = 0 contains two full lines
     with pytest.raises(DegenerateConic):
         canonical_conic(plane_for_order(4))  # even order rejected
+
+
+def _random_forms(gf, rng, count: int) -> list[tuple[int, ...]]:
+    """The zero form, forms with each coefficient zero half the time (among
+    them irreducible conics, single points and double lines), and products
+    of two random linear forms (line pairs)."""
+    def cross(u1, v1, u2, v2):  # the st coefficient of (u1 s + v1 t)(u2 s + v2 t)
+        return gf.add(gf.mul(u1, v2), gf.mul(u2, v1))
+
+    forms = [(0,) * 6]
+    for _ in range(count):
+        forms.append(tuple(rng.randrange(gf.q) if rng.randrange(2) else 0 for _ in range(6)))
+        (a1, b1, c1), (a2, b2, c2) = [[rng.randrange(gf.q) for _ in range(3)] for _ in range(2)]
+        forms.append((gf.mul(a1, a2), gf.mul(b1, b2), gf.mul(c1, c2),
+                      cross(a1, b1, a2, b2), cross(a1, c1, a2, c2), cross(b1, c1, b2, c2)))
+    return forms
+
+
+@pytest.mark.parametrize("q", ODD_Q + [49])
+def test_form_zeros_match_evaluation(q):
+    """form_zeros solves one quadratic per row; it gives the points where
+    evaluate_form vanishes, and Conic refuses exactly the forms whose zeros
+    are not q + 1 points with no full line among them."""
+    pl = plane_for_order(q)
+    gf = pl.gf
+    for coeffs in _random_forms(gf, random.Random(q), 15):
+        want = tuple(i for i, v in enumerate(pl.coords) if evaluate_form(gf, coeffs, v) == 0)
+        assert form_zeros(pl, coeffs) == want
+        if len(want) != q + 1 or q + 1 in PointSet(pl, want).per_line:
+            with pytest.raises(DegenerateConic):
+                Conic(pl, coeffs)
+        else:
+            assert Conic(pl, coeffs).points == want
 
 
 def test_classify_line_examples():
@@ -149,6 +183,13 @@ def test_geometry_outputs_match_the_pinned_digests():
     the coefficients of chained transforms, at every odd q <= 31
     (`output_manifest.geometry_outputs`)."""
     for name, value in geometry_outputs().items():
+        assert canonical_sha256(value) == PINNED[name], name
+
+
+def test_conic_points_match_the_pinned_digest():
+    """The points of the canonical conic and of 10 random images at every odd
+    q <= 64 (`output_manifest.conic_outputs`)."""
+    for name, value in conic_outputs().items():
         assert canonical_sha256(value) == PINNED[name], name
 
 

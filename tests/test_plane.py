@@ -440,13 +440,21 @@ def test_singer_cycle(spec):
     line_of = [index[frozenset(sc.point_of[(d + j) % n] for d in diffs)] for j in range(n)]
     assert sorted(line_of) == list(range(n))
     rng = random.Random(n)
-    samples = [rng.sample(range(n), rng.randrange(n + 1)) for _ in range(4)] + [[], list(range(n))]
+    samples = [rng.sample(range(n), rng.randrange(n + 1)) for _ in range(4)]
+    samples += [rng.sample(range(n), 3), [], list(range(n))]
     for members in samples:
-        counts = sc.line_counts(int.from_bytes(sc.indicator(members), "little"))
+        s = sc.slot_mask(members)
         per_line = PointSet(pl, members).per_line
-        assert list(counts) == [per_line[l] for l in line_of]
-        assert sc.mask_of(sc.indicator(members)) == mask_of(members)
-    # line_hits counts, at each slot, the chosen translates through it
-    chosen = bytes(rng.randrange(2) for _ in range(n))
-    hits = sc.line_hits(int.from_bytes(chosen, "little"))
-    assert list(hits) == [sum(chosen[(k - d) % n] for d in diffs) for k in range(n)]
+        singles = sc.singleton_lines(s)
+        assert [singles >> j & 1 for j in range(n)] == [int(per_line[line_of[j]] == 1) for j in range(n)]
+        assert sc.point_mask(s) == mask_of(members)
+    # line(j) is the slot mask of the line line_of[j]
+    for j in range(n):
+        assert sc.line(j) == mask_of(sc.slot[p] for p in mask_bits(pl.line_masks[line_of[j]]))
+    # through is the union of the chosen translates
+    chosen = [j for j in range(n) if rng.randrange(2)]
+    assert sc.through(mask_of(chosen)) == mask_of((j + d) % n for j in chosen for d in diffs)
+    assert sc.slot_mask([5, 5, 0]) == sc.slot_mask([0, 5])
+    for bad in ([0, n], [-1], [-n], [2 * n - 1], [-2 * n]):
+        with pytest.raises(IndexError, match=rf"^point indices must lie in \[0, {n}\)$"):
+            sc.slot_mask(bad)

@@ -20,7 +20,9 @@ Peeling reads its singleton lines off the plane's Singer cycle
 (`Plane.singer`): the lines are the translates D + j of one perfect difference
 set D mod n, so with one bit per slot, q + 1 shifts of a set's doubled mask
 line up the slots of every line at once, and one sweep over them finds all
-the lines that hold exactly one of its points, not n line-mask popcounts.
+the lines that hold exactly one of its points, not n line-mask popcounts;
+q + 1 shifts of those lines' mask give the slots that a round of peeling
+drops.
 """
 
 from __future__ import annotations
@@ -205,33 +207,22 @@ def peel_decode(plane: Plane | int, erased, rng: random.Random | None = None) ->
     """Repeatedly delete an erased point lying on a line with exactly one
     erased point; the fixpoint is the unique maximal stopping subset.
 
-    The singleton lines come from one sweep of the Singer cycle
-    (`Plane.singer`); a set with none is returned at once.  Otherwise the
-    points are peeled in passes over the lines that are singleton at the
-    start of the pass, each clearing its line from the set: such a line can
-    only lose its one point during the pass, so it has one or none left.
-
-    The processing order is immaterial (peeling is confluent); pass an rng to
-    randomize it for confluence tests.
+    Peeling is confluent: every order of deletions reaches the same
+    fixpoint.  So the points are deleted in rounds, every point on every
+    line that is singleton at the start of the round at once
+    (`batch_peel_fixpoint`), and no order is left to choose: `rng` is
+    accepted and ignored.
     """
-    plane = as_plane(plane)
-    singer = plane.singer
-    live = singer.slot_mask(erased)
-    while singles := singer.singleton_lines(live):
-        lines = mask_bits(singles)
-        if rng is not None:
-            rng.shuffle(lines)
-        for j in lines:
-            live &= ~singer.line(j)
-    return PointSet.from_mask(plane, singer.point_mask(live))
+    return batch_peel_fixpoint(plane, erased)
 
 
 def batch_peel_fixpoint(plane: Plane | int, erased) -> PointSet:
-    """Oracle: recompute from scratch each round, removing every point on any
+    """Recompute from scratch each round, removing every point on any
     currently singleton line simultaneously, until stable.
 
-    A round is two Singer-cycle sweeps: the singleton lines of the set, then
-    the slots on them, which the set drops.
+    A round is two Singer-cycle sweeps (`Plane.singer`): the singleton lines
+    of the set, then the slots on them, which the set drops.  A set with no
+    singleton line is returned after the first sweep.
     """
     plane = as_plane(plane)
     singer = plane.singer

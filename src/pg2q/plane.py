@@ -188,22 +188,16 @@ class SingerCycle:
         self._by_point_rev = itemgetter(*reversed(self._digit))
         self.difference_set: tuple[int, ...] = tuple(sorted(slot[p] for p in mask_bits(plane.line_masks[0])))
         self._full = (1 << n) - 1
-        d_mask = mask_of(self.difference_set)
-        self._line0 = d_mask | d_mask << n  # D doubled
 
     def slot_mask(self, points) -> int:
         """The slot mask of the given points (any iterable; a repeated point
         counts once), written as its binary numeral.  IndexError for a point
         off the plane."""
-        points = tuple(points)  # an error raised producing them is not a bad index
+        points = tuple(points)
+        check_index(self.n, *points)
         digits, at = bytearray(b"0") * self.n, self._digit
-        try:
-            if points and min(points) < 0:  # at[p] would wrap round
-                raise IndexError
-            for p in points:
-                digits[at[p]] = 49  # "1"; at[p] fails for p >= n
-        except IndexError:
-            raise IndexError(f"point indices must lie in [0, {self.n})") from None
+        for p in points:
+            digits[at[p]] = 49  # "1"
         return int(digits, 2)
 
     def point_mask(self, s: int) -> int:
@@ -212,10 +206,6 @@ class SingerCycle:
         if not s:
             return 0
         return int("".join(self._by_point_rev(format(s, f"0{self.n}b"))), 2)
-
-    def line(self, j: int) -> int:
-        """The slot mask of the line D + j."""
-        return (self._line0 << j) >> self.n & self._full
 
     def singleton_lines(self, s: int) -> int:
         """The mask of the lines D + j that hold exactly one slot of s."""

@@ -150,7 +150,7 @@ def test_peel_cli(capsys, tmp_path):
         obj = json.loads(out)
         assert obj["parameters"]["q"] == 5
         assert obj["results"]["residual_size"] == 10
-        assert obj["verdicts"]["confluent"]
+        assert obj["verdicts"]["stopping_set"]
 
 
 def test_peel_rejects_set_from_another_plane(capsys, tmp_path, monkeypatch):
@@ -205,7 +205,7 @@ def test_peel_reads_index_list_with_q(capsys, tmp_path):
     assert code == 0
     obj = json.loads(out)
     assert obj["results"]["residual"] == trivial(5).to_json()
-    assert obj["verdicts"]["confluent"]
+    assert obj["verdicts"]["stopping_set"]
 
 
 def test_peel_has_no_erased_option(capsys, tmp_path):

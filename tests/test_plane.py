@@ -448,9 +448,9 @@ def test_singer_cycle(spec):
         singles = sc.singleton_lines(s)
         assert [singles >> j & 1 for j in range(n)] == [int(per_line[line_of[j]] == 1) for j in range(n)]
         assert sc.point_mask(s) == mask_of(members)
-    # line(j) is the slot mask of the line line_of[j]
+    # through one line j is the slot mask of the line line_of[j]
     for j in range(n):
-        assert sc.line(j) == mask_of(sc.slot[p] for p in mask_bits(pl.line_masks[line_of[j]]))
+        assert sc.through(1 << j) == mask_of(sc.slot[p] for p in mask_bits(pl.line_masks[line_of[j]]))
     # through is the union of the chosen translates
     chosen = [j for j in range(n) if rng.randrange(2)]
     assert sc.through(mask_of(chosen)) == mask_of((j + d) % n for j in chosen for d in diffs)

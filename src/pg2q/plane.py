@@ -172,7 +172,9 @@ class SingerCycle:
     makes every shift by d < n a rotation: bit j of that shifted right by d
     is slot j + d mod n, so the q + 1 shifts by the elements of D line up
     every line's slots on its own bit j, and one sweep over them counts each
-    line's slots up to two.
+    line's slots up to two.  Rotating a line mask L the other way by the same
+    d, (L | L << n) >> (n - d), puts slot j + d of line D + j on bit j + d,
+    so the OR of those gives the slots of the lines (`through`).
     """
 
     def __init__(self, plane: Plane):
